@@ -182,14 +182,6 @@ def _ols_coeffs(p: np.ndarray, t: np.ndarray) -> tuple[float, float]:
     return slope, float(t.mean() - slope * p.mean())
 
 
-def ols_residuals(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares affine prediction of t from p and its residual: the
-    pre-transform baseline, the same model family as the cross-map."""
-    slope, intercept = _ols_coeffs(p, t)
-    pred = slope * p + intercept
-    return pred, t - pred
-
-
 @dataclass
 class DirectionScores:
     statistic: float

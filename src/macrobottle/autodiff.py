@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, TapeError
+from .errors import DataError, DimensionError, TapeError
 
 LOGVAR_MIN = -20.0
 LOGVAR_MAX = 5.0
@@ -54,31 +54,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are promoted to no-grad tensors
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -262,8 +237,6 @@ def backward(loss: Tensor) -> None:
         if node._backward_fn is not None:
             node._backward_fn(g, sink)
         elif node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
             node.grad += g
 
 
@@ -271,78 +244,81 @@ def backward(loss: Tensor) -> None:
 # parameters and Adam
 
 
-class _Param:
-    __slots__ = ("tensor", "m", "v", "nonnegative")
-
-    def __init__(self, tensor: Tensor, nonnegative: bool):
-        self.tensor = tensor
-        self.m = np.zeros_like(tensor.data)
-        self.v = np.zeros_like(tensor.data)
-        self.nonnegative = nonnegative
-
-
 class ParamStore:
-    """Named parameter tensors with gradient accumulators and Adam state."""
+    """Named parameter tensors with gradient accumulators and Adam state.
+
+    Parameter values, gradients and both Adam moments each live in one
+    contiguous float64 buffer; every parameter's .data and .grad are views
+    into them, so zeroing gradients and an Adam step are whole-buffer ops.
+    """
 
     def __init__(self):
-        self._params: dict[str, _Param] = {}
+        self._tensors: dict[str, Tensor] = {}
+        self._data = np.zeros(0)
+        self._grad = np.zeros(0)
+        self._m = np.zeros(0)
+        self._v = np.zeros(0)
         self.step_count = 0
 
-    def add(self, name: str, data, nonnegative: bool = False) -> Tensor:
-        if name in self._params:
+    def add(self, name: str, data) -> Tensor:
+        """Append a parameter; the buffers grow and every view is re-bound."""
+        if name in self._tensors:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.array(data, dtype=np.float64), requires_grad=True)
-        self._params[name] = _Param(t, nonnegative)
+        value = np.array(data, dtype=np.float64)
+        t = Tensor(value, requires_grad=True)
+        self._tensors[name] = t
+        zeros = np.zeros(value.size)
+        self._data = np.concatenate([self._data, value.reshape(-1)])
+        self._grad = np.concatenate([self._grad, zeros])
+        self._m = np.concatenate([self._m, zeros])
+        self._v = np.concatenate([self._v, zeros])
+        offset = 0
+        for p in self._tensors.values():
+            end = offset + p.data.size
+            p.data = self._data[offset:end].reshape(p.data.shape)
+            p.grad = self._grad[offset:end].reshape(p.data.shape)
+            offset = end
         return t
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._params[name].tensor
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
+        return self._tensors[name]
 
     def names(self) -> list[str]:
-        return list(self._params)
+        return list(self._tensors)
 
     def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.tensor.grad = None
+        self._grad.fill(0.0)
 
     def adam_step(self, learning_rate: float) -> None:
-        """One Adam update over all parameters; missing grads count as zero.
-
-        Parameters flagged nonnegative are re-projected onto [0, inf) after
-        the update.
-        """
+        """One Adam update over all parameters at once."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        for p in self._params.values():
-            g = p.tensor.grad
-            if g is None:
-                g = np.zeros_like(p.tensor.data)
-            p.m *= ADAM_BETA1
-            p.m += (1.0 - ADAM_BETA1) * g
-            p.v *= ADAM_BETA2
-            p.v += (1.0 - ADAM_BETA2) * (g * g)
-            mhat = p.m / bc1
-            vhat = p.v / bc2
-            p.tensor.data -= learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-            if p.nonnegative:
-                np.maximum(p.tensor.data, 0.0, out=p.tensor.data)
+        g = self._grad
+        self._m *= ADAM_BETA1
+        self._m += (1.0 - ADAM_BETA1) * g
+        self._v *= ADAM_BETA2
+        self._v += (1.0 - ADAM_BETA2) * (g * g)
+        self._data -= learning_rate * (self._m / bc1) / (np.sqrt(self._v / bc2) + ADAM_EPS)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.tensor.data.copy() for name, p in self._params.items()}
+        return {name: t.data.copy() for name, t in self._tensors.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self._params.items():
+        """Overwrite every parameter; the names must match exactly."""
+        missing = sorted(set(self._tensors) - set(arrays))
+        extra = sorted(set(arrays) - set(self._tensors))
+        if missing or extra:
+            raise DataError(f"parameter arrays do not match: missing {missing}, "
+                            f"extra {extra}")
+        for name, t in self._tensors.items():
             src = _as_array(arrays[name])
-            if src.shape != p.tensor.data.shape:
+            if src.shape != t.data.shape:
                 raise DimensionError(
                     f"checkpoint shape mismatch for {name}: "
-                    f"{src.shape} vs {p.tensor.data.shape}")
-            p.tensor.data[...] = src
+                    f"{src.shape} vs {t.data.shape}")
+            t.data[...] = src
 
 
 # ---------------------------------------------------------------------------
@@ -484,12 +460,14 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     with open(dirpath / _MANIFEST_NAME, encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unrecognized checkpoint format in {dirpath}")
+        raise DataError(f"unrecognized checkpoint format in {dirpath}")
     blob = (dirpath / _BLOB_NAME).read_bytes()
+    counts = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
+    if len(blob) != 8 * sum(counts):
+        raise DataError(f"{dirpath / _BLOB_NAME} holds {len(blob)} bytes, "
+                        f"the manifest lists {8 * sum(counts)}")
     arrays = {}
-    for entry in manifest["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry, count in zip(manifest["arrays"], counts):
         a = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
-        arrays[entry["name"]] = a.reshape(shape).astype(np.float64)
+        arrays[entry["name"]] = a.reshape(entry["shape"]).astype(np.float64)
     return arrays, manifest.get("extra", {})

@@ -32,9 +32,21 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .datagen import TRAIN, VAL, DatasetPair
+from .dataio import standardize
 from .errors import DataError, DimensionError, NumericalError
 
 TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
+
+
+# Fields of removed variants, with the value that meant the kept path; old
+# checkpoints and config files carry them.
+_REMOVED_FIELDS = {
+    "training_mode": "combined",
+    "cross_map": "diagonal",
+    "cross_hidden": [16],
+    "early_stop_patience": 0,
+    "early_stop_min_delta": 1e-5,
+}
 
 
 @dataclass
@@ -49,38 +61,39 @@ class CaeConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     kl_threshold: float = metrics.DEFAULT_KL_THRESHOLD
-    training_mode: str = "combined"  # "combined" | "alternating" (baseline)
-    cross_map: str = "diagonal"  # "diagonal" | "mlp" (unconstrained variant)
-    cross_hidden: tuple[int, ...] = (16,)
-    early_stop_patience: int = 0  # epochs without val improvement; 0 disables
-    early_stop_min_delta: float = 1e-5
 
     def __post_init__(self):
         if self.bottleneck_dim < 1:
             raise ValueError("bottleneck_dim must be >= 1")
         if self.beta < 0 or self.gamma < 0:
             raise ValueError("beta and gamma must be >= 0")
-        if self.training_mode not in ("combined", "alternating"):
-            raise ValueError(f"unknown training_mode: {self.training_mode}")
-        if self.cross_map not in ("diagonal", "mlp"):
-            raise ValueError(f"unknown cross_map: {self.cross_map}")
+        if self.epochs < 0 or self.batch_size < 1 or self.kl_threshold <= 0:
+            raise ValueError("epochs must be >= 0, batch_size >= 1 and kl_threshold > 0")
         self.encoder_hidden = tuple(self.encoder_hidden)
         self.decoder_hidden_per_variable = tuple(self.decoder_hidden_per_variable)
-        self.cross_hidden = tuple(self.cross_hidden)
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        for key in ("encoder_hidden", "decoder_hidden_per_variable", "cross_hidden"):
+        for key in ("encoder_hidden", "decoder_hidden_per_variable"):
             d[key] = list(d[key])
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "CaeConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """Config from JSON-style fields; invalid input raises DataError."""
+        d = dict(d)
+        for key, kept in _REMOVED_FIELDS.items():
+            value = d.pop(key, kept)
+            if (list(value) if isinstance(value, tuple) else value) != kept:
+                raise DataError(f"{key}={value!r} selects a removed variant; "
+                                f"only {kept!r} is supported")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise DataError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
+        try:
+            return cls(**d)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"invalid config: {err}") from err
 
 
 def _block_mask(d: int, in_per: int, out_per: int) -> np.ndarray:
@@ -99,16 +112,16 @@ class CaeHalf:
     """
 
     def __init__(self, name: str, input_dim: int, target_dim: int,
-                 config: CaeConfig, rng: np.random.Generator):
-        self.name = name
+                 config: CaeConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.input_dim = input_dim
         self.target_dim = target_dim
         self.config = config
+        self.store = store  # shared by both halves; names carry a "<name>." prefix
+        self.prefix = f"{name}."
         d = config.bottleneck_dim
-        self.store = ad.ParamStore()
 
         self.enc_spec = ad.MlpSpec((input_dim, *config.encoder_hidden, 2 * d))
-        ad.init_mlp(self.enc_spec, self.store, rng, "enc.")
+        ad.init_mlp(self.enc_spec, store, rng, self.prefix + "enc.")
 
         widths_per = (1, *config.decoder_hidden_per_variable)
         self.dec_masks: list[np.ndarray] = []
@@ -118,26 +131,25 @@ class CaeHalf:
             bound = 1.0 / np.sqrt(in_per)
             w = rng.uniform(-bound, bound, size=mask.shape) * mask
             b = rng.uniform(-bound, bound, size=mask.shape[1])
-            self.store.add(f"dec.w{i}", w)
-            self.store.add(f"dec.b{i}", b)
+            store.add(f"{self.prefix}dec.w{i}", w)
+            store.add(f"{self.prefix}dec.b{i}", b)
             self.dec_masks.append(mask)
         h_last = widths_per[-1]
         bound = 1.0 / np.sqrt(d * h_last)
-        self.store.add("dec.w_out", rng.uniform(-bound, bound, size=(d * h_last, target_dim)))
-        self.store.add("dec.bias", np.zeros(target_dim))
+        store.add(self.prefix + "dec.w_out",
+                  rng.uniform(-bound, bound, size=(d * h_last, target_dim)))
+        store.add(self.prefix + "dec.bias", np.zeros(target_dim))
+        store.add(self.prefix + "cross.a", 0.1 * rng.uniform(-1.0, 1.0, size=(d,)))
+        store.add(self.prefix + "cross.b", np.zeros(d))
 
-        if config.cross_map == "diagonal":
-            self.store.add("cross.a", 0.1 * rng.uniform(-1.0, 1.0, size=(d,)))
-            self.store.add("cross.b", np.zeros(d))
-            self.cross_spec = None
-        else:
-            self.cross_spec = ad.MlpSpec((d, *config.cross_hidden, d))
-            ad.init_mlp(self.cross_spec, self.store, rng, "cross.")
+    def param(self, key: str) -> ad.Tensor:
+        """This half's parameter `key`, e.g. "dec.bias"."""
+        return self.store[self.prefix + key]
 
     # --- encoder -----------------------------------------------------------
 
     def encode(self, inputs) -> tuple[ad.Tensor, ad.Tensor]:
-        out = ad.mlp_forward(self.enc_spec, self.store, inputs, "enc.")
+        out = ad.mlp_forward(self.enc_spec, self.store, inputs, self.prefix + "enc.")
         d = self.config.bottleneck_dim
         mu = ad.cols(out, 0, d)
         logvar = ad.clip(ad.cols(out, d, 2 * d), ad.LOGVAR_MIN, ad.LOGVAR_MAX)
@@ -160,47 +172,23 @@ class CaeHalf:
                 f"columns, got {z.data.shape[1]}")
         h = z
         for i, mask in enumerate(self.dec_masks):
-            w = ad.mul(self.store[f"dec.w{i}"], mask)
-            h = ad.tanh(ad.add(ad.matmul(h, w), self.store[f"dec.b{i}"]))
-        return ad.add(ad.matmul(h, self.store["dec.w_out"]), self.store["dec.bias"])
+            w = ad.mul(self.param(f"dec.w{i}"), mask)
+            h = ad.tanh(ad.add(ad.matmul(h, w), self.param(f"dec.b{i}")))
+        return ad.add(ad.matmul(h, self.param("dec.w_out")), self.param("dec.bias"))
 
     def decode_np(self, z: np.ndarray) -> np.ndarray:
         return self.decode(ad.Tensor(z)).data
 
-    def decode_contributions(self, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Per-neuron decoder contributions and the global bias; their sum
-        reproduces decode exactly."""
-        d = self.config.bottleneck_dim
-        widths_per = (1, *self.config.decoder_hidden_per_variable)
-        contribs = []
-        for i in range(d):
-            h = z[:, i:i + 1]
-            for li in range(len(widths_per) - 1):
-                in_per, out_per = widths_per[li], widths_per[li + 1]
-                w = self.store[f"dec.w{li}"].data[
-                    i * in_per:(i + 1) * in_per, i * out_per:(i + 1) * out_per]
-                b = self.store[f"dec.b{li}"].data[i * out_per:(i + 1) * out_per]
-                h = np.tanh(h @ w + b)
-            h_last = widths_per[-1]
-            w_out = self.store["dec.w_out"].data[i * h_last:(i + 1) * h_last, :]
-            contribs.append(h @ w_out)
-        return contribs, self.store["dec.bias"].data.copy()
-
     # --- cross-map ---------------------------------------------------------
 
     def cross_predict(self, z) -> ad.Tensor:
-        z = ad.constant(z)
-        if self.cross_spec is not None:
-            return ad.mlp_forward(self.cross_spec, self.store, z, "cross.")
-        return ad.add(ad.mul(z, self.store["cross.a"]), self.store["cross.b"])
+        return ad.add(ad.mul(z, self.param("cross.a")), self.param("cross.b"))
 
     def cross_predict_np(self, z: np.ndarray) -> np.ndarray:
         return self.cross_predict(ad.Tensor(z)).data
 
     def cross_params(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.cross_spec is not None:
-            raise DataError("cross-map parameters are only defined for the diagonal map")
-        return self.store["cross.a"].data.copy(), self.store["cross.b"].data.copy()
+        return self.param("cross.a").data.copy(), self.param("cross.b").data.copy()
 
 
 @dataclass
@@ -208,6 +196,7 @@ class CaeModel:
     net_x: CaeHalf
     net_y: CaeHalf
     config: CaeConfig
+    store: ad.ParamStore  # every parameter of both halves
     norm: dict | None = None  # per-column means/stds captured at training
 
     def standardized_view(self, pair: DatasetPair) -> DatasetPair:
@@ -228,8 +217,7 @@ class CaeModel:
                 metrics.informative_mask(metrics.per_neuron_kl(mu_y, lv_y), thr))
 
     def save(self, dirpath) -> None:
-        arrays = {f"x.{n}": a for n, a in self.net_x.store.arrays().items()}
-        arrays.update({f"y.{n}": a for n, a in self.net_y.store.arrays().items()})
+        arrays = self.store.arrays()
         if self.norm is not None:
             arrays.update({f"norm.{k}": v for k, v in self.norm.items()})
         extra = {
@@ -247,20 +235,18 @@ class CaeModel:
             raise DataError(f"checkpoint at {dirpath} is not a CAE checkpoint")
         config = CaeConfig.from_dict(extra["config"])
         model = build_cae(extra["input_dim_x"], extra["input_dim_y"], config)
-        model.net_x.store.load_arrays(
-            {n[2:]: a for n, a in arrays.items() if n.startswith("x.")})
-        model.net_y.store.load_arrays(
-            {n[2:]: a for n, a in arrays.items() if n.startswith("y.")})
-        norm = {n[5:]: a for n, a in arrays.items() if n.startswith("norm.")}
+        norm = {n[5:]: arrays.pop(n) for n in list(arrays) if n.startswith("norm.")}
+        model.store.load_arrays(arrays)
         model.norm = norm or None
         return model
 
 
 def build_cae(input_dim_x: int, input_dim_y: int, config: CaeConfig) -> CaeModel:
     rng = np.random.default_rng(config.seed)
-    net_x = CaeHalf("x", input_dim_x, input_dim_y, config, rng)
-    net_y = CaeHalf("y", input_dim_y, input_dim_x, config, rng)
-    return CaeModel(net_x, net_y, config)
+    store = ad.ParamStore()
+    net_x = CaeHalf("x", input_dim_x, input_dim_y, config, store, rng)
+    net_y = CaeHalf("y", input_dim_y, input_dim_x, config, store, rng)
+    return CaeModel(net_x, net_y, config, store)
 
 
 # ---------------------------------------------------------------------------
@@ -294,44 +280,6 @@ def combine(terms: dict[str, ad.Tensor], beta: float, gamma: float) -> ad.Tensor
     return ad.add(ad.add(recon, ad.mul(kl, beta)), ad.mul(cross, gamma))
 
 
-def combined_loss(model: CaeModel, batch_x, batch_y,
-                  rng: np.random.Generator) -> ad.Tensor:
-    return combine(loss_terms(model, batch_x, batch_y, rng),
-                   model.config.beta, model.config.gamma)
-
-
-def half_loss(half: CaeHalf, other_half: CaeHalf, batch_in, batch_target,
-              rng: np.random.Generator) -> tuple[float, float, float]:
-    """One half's (recon, kl, cross) values on a noisy sample."""
-    if batch_in.shape[0] != batch_target.shape[0]:
-        raise DataError("half_loss batches are not row-aligned")
-    mu, lv = half.encode(ad.Tensor(batch_in))
-    z = ad.gaussian_reparam(mu, lv, rng)
-    mu_other = other_half.encode_mean(batch_target)
-    recon = ad.mse(half.decode(z), ad.Tensor(batch_target))
-    kl = ad.kl_standard_normal(mu, lv)
-    cross = ad.mse(half.cross_predict(z), ad.Tensor(mu_other))
-    return recon.item(), kl.item(), cross.item()
-
-
-def _alternating_loss(model: CaeModel, which: str, batch_x, batch_y,
-                      rng: np.random.Generator) -> ad.Tensor:
-    """Baseline objective: one half's three terms with the other half's
-    bottleneck means detached, as produced by per-net alternation."""
-    cfg = model.config
-    if which == "x":
-        half, other, b_in, b_target = model.net_x, model.net_y, batch_x, batch_y
-    else:
-        half, other, b_in, b_target = model.net_y, model.net_x, batch_y, batch_x
-    mu, lv = half.encode(ad.constant(b_in))
-    z = ad.gaussian_reparam(mu, lv, rng)
-    target_const = ad.Tensor(other.encode_mean(b_target))
-    loss = ad.mse(half.decode(z), ad.constant(b_target))
-    loss = ad.add(loss, ad.mul(ad.kl_standard_normal(mu, lv),
-                               cfg.beta / cfg.bottleneck_dim))
-    return ad.add(loss, ad.mul(ad.mse(half.cross_predict(z), target_const), cfg.gamma))
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -341,7 +289,6 @@ class TrainHistory:
     terms: dict[str, list[float]] = field(default_factory=lambda: {n: [] for n in TERM_NAMES})
     val: list[dict] = field(default_factory=list)
     epochs_run: int = 0
-    early_stopped: bool = False
     seconds: float = 0.0
 
 
@@ -385,9 +332,8 @@ def evaluate_model(model: CaeModel, x: np.ndarray, y: np.ndarray,
     }
 
 
-def train_cae(pair: DatasetPair, config: CaeConfig,
-              standardize_inputs: bool = True) -> tuple[CaeModel, TrainHistory]:
-    """Minibatch Adam on the combined loss (or the alternating baseline).
+def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHistory]:
+    """Minibatch Adam on the combined loss.
 
     Inputs are standardized per column with train-split statistics (stored
     in the model; all downstream consumers see the standardized units).
@@ -402,19 +348,14 @@ def train_cae(pair: DatasetPair, config: CaeConfig,
         raise DataError("training requires non-empty train and val splits")
 
     model = build_cae(pair.x.shape[1], pair.y.shape[1], config)
-    if standardize_inputs:
-        from .dataio import standardize
-        pair, stats = standardize(pair)
-        dx = stats.split_point
-        model.norm = {"x_mean": stats.means[:dx], "x_std": stats.stds[:dx],
-                      "y_mean": stats.means[dx:], "y_std": stats.stds[dx:]}
+    pair, stats = standardize(pair)
+    dx = stats.split_point
+    model.norm = {"x_mean": stats.means[:dx], "x_std": stats.stds[:dx],
+                  "y_mean": stats.means[dx:], "y_std": stats.stds[dx:]}
     x_train, y_train = pair.x[train_idx], pair.y[train_idx]
     x_val, y_val = pair.x[val_idx], pair.y[val_idx]
     rng = np.random.default_rng([config.seed, 0x7E41])
     history = TrainHistory()
-    best_val = np.inf
-    stale = 0
-    alt_counter = 0
 
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_idx))
@@ -422,26 +363,12 @@ def train_cae(pair: DatasetPair, config: CaeConfig,
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             sel = order[start:start + config.batch_size]
-            bx, by = x_train[sel], y_train[sel]
-            if config.training_mode == "combined":
-                terms = loss_terms(model, bx, by, rng)
-                total = combine(terms, config.beta, config.gamma)
-                term_values = {k: t.item() for k, t in terms.items()}
-                model.net_x.store.zero_grad()
-                model.net_y.store.zero_grad()
-                ad.backward(total)
-                model.net_x.store.adam_step(config.learning_rate)
-                model.net_y.store.adam_step(config.learning_rate)
-            else:
-                which = "x" if alt_counter % 2 == 0 else "y"
-                alt_counter += 1
-                total = _alternating_loss(model, which, bx, by, rng)
-                term_values = {k: np.nan for k in TERM_NAMES}
-                term_values[f"recon_{which}"] = total.item()
-                half = model.net_x if which == "x" else model.net_y
-                half.store.zero_grad()
-                ad.backward(total)
-                half.store.adam_step(config.learning_rate)
+            terms = loss_terms(model, x_train[sel], y_train[sel], rng)
+            total = combine(terms, config.beta, config.gamma)
+            term_values = {k: t.item() for k, t in terms.items()}
+            model.store.zero_grad()
+            ad.backward(total)
+            model.store.adam_step(config.learning_rate)
             if not np.isfinite(total.item()):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}: "
@@ -452,19 +379,8 @@ def train_cae(pair: DatasetPair, config: CaeConfig,
 
         for k in TERM_NAMES:
             history.terms[k].append(sums[k] / n_batches)
-        val_metrics = evaluate_model(model, x_val, y_val)
-        history.val.append(val_metrics)
+        history.val.append(evaluate_model(model, x_val, y_val))
         history.epochs_run = epoch + 1
-
-        if config.early_stop_patience > 0:
-            if val_metrics["val_loss"] < best_val - config.early_stop_min_delta:
-                best_val = val_metrics["val_loss"]
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    history.early_stopped = True
-                    break
 
     history.seconds = time.monotonic() - t0
     return model, history

@@ -36,6 +36,18 @@ def _fallback_seed(value: int | None) -> int:
     return int(env) if env else 0
 
 
+def _load_json(path: str) -> dict:
+    """The JSON object in a file; anything else is a data error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise DataError(f"{path}: invalid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return doc
+
+
 def _fmt(v) -> str:
     if v is None:
         return "n/a"
@@ -87,26 +99,24 @@ def _load_dataset(data_dir: Path, seed: int) -> datagen.DatasetPair:
     return pair
 
 
-def _train_metrics(model: cae.CaeModel, history: cae.TrainHistory,
-                   pair: datagen.DatasetPair) -> tuple[dict, list]:
-    pair = model.standardized_view(pair)
+def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair, epochs_run: int):
+    """Report metrics and pair-table rows on the TEST rows of a pair in the
+    model's units, plus the pair table and informative masks behind them."""
     te = pair.rows(datagen.TEST)
     final = cae.evaluate_model(model, pair.x[te], pair.y[te])
+    final.pop("val_loss")
+    final["epochs_run"] = epochs_run
     mask_x = metrics.informative_mask(np.array(final["kl_x"]), model.config.kl_threshold)
     mask_y = metrics.informative_mask(np.array(final["kl_y"]), model.config.kl_threshold)
     table = metrics.pair_table(model, mask_x, mask_y, pair.x[te], pair.y[te])
-    final["epochs_run"] = history.epochs_run
-    final["early_stopped"] = history.early_stopped
-    final.pop("val_loss", None)
     rows = [vars(r) for r in table.pairs]
     rows += [{"index": i, "unpaired_side": "x"} for i in table.unpaired_x]
     rows += [{"index": i, "unpaired_side": "y"} for i in table.unpaired_y]
-    return final, rows
+    return final, rows, table, (mask_x, mask_y)
 
 
-def _run_cell(x_path: str, y_path: str, config_dict: dict, cell_dir: str) -> dict:
+def _run_cell(x_path: str, y_path: str, config: cae.CaeConfig, cell_dir: str) -> dict:
     """Worker for one sweep cell; returns the report metrics for the summary."""
-    config = cae.CaeConfig.from_dict(config_dict)
     cell = Path(cell_dir)
     cell.mkdir(parents=True, exist_ok=True)
     pair = dataio.load_pair_csv(x_path, y_path)
@@ -118,7 +128,8 @@ def _run_cell(x_path: str, y_path: str, config_dict: dict, cell_dir: str) -> dic
         with open(cell / "error.txt", "w", encoding="utf-8") as fh:
             fh.write(str(err))
         return {"beta": config.beta, "gamma": config.gamma, "failed": str(err)}
-    final, table_rows = _train_metrics(model, history, pair)
+    final, table_rows, _, _ = _test_report(model, model.standardized_view(pair),
+                                           history.epochs_run)
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
@@ -155,21 +166,19 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    base = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            base = json.load(fh)
+    base = _load_json(args.config) if args.config else {}
     if args.seed is not None or SEED_ENV_VAR in os.environ:
         base["seed"] = _fallback_seed(args.seed)
     if args.epochs is not None:
         base["epochs"] = args.epochs
 
     if args.sweep:
-        with open(args.sweep, encoding="utf-8") as fh:
-            sweep = json.load(fh)
-        cells = sweep["cells"]
-        if not cells:
-            raise DataError("sweep needs at least one cell")
+        sweep = _load_json(args.sweep)
+        cells = sweep.get("cells")
+        if not isinstance(cells, list) or not cells:
+            raise DataError('sweep needs a non-empty "cells" list')
+        if not all(isinstance(c, dict) and {"beta", "gamma"} <= c.keys() for c in cells):
+            raise DataError('every sweep cell needs "beta" and "gamma"')
         if len({(c["beta"], c["gamma"]) for c in cells}) != len(cells):
             raise DataError("sweep cells must be unique")
         base.update(sweep.get("base", {}))
@@ -183,8 +192,8 @@ def cmd_train(args) -> int:
         cfg["gamma"] = cell["gamma"]
         cfg["seed"] = cfg.get("seed", 0) + i  # independent seeds per cell
         cell_dir = out / f"cell_b{cell['beta']}_g{cell['gamma']}"
-        jobs.append((str(data_dir / "X.csv"), str(data_dir / "Y.csv"), cfg,
-                     str(cell_dir)))
+        jobs.append((str(data_dir / "X.csv"), str(data_dir / "Y.csv"),
+                     cae.CaeConfig.from_dict(cfg), str(cell_dir)))
 
     if args.parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:
@@ -228,6 +237,13 @@ def _informative_pairs(model: cae.CaeModel, pair: datagen.DatasetPair):
 
 
 def cmd_direction(args) -> int:
+    fields = {"seed": _fallback_seed(args.seed)}
+    if args.anm_config:
+        fields.update(_load_json(args.anm_config))
+    try:
+        anm_config = anm.AnmConfig(**fields)
+    except TypeError as err:
+        raise DataError(f"invalid ANM config: {err}") from err
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = cae.CaeModel.load(args.checkpoint)
@@ -242,11 +258,6 @@ def cmd_direction(args) -> int:
             print(f"pair {want} is not an informative pair (have {list(paired)})")
             return EXIT_NO_PAIRS
         paired = np.array([want])
-
-    anm_config = anm.AnmConfig(seed=_fallback_seed(args.seed))
-    if args.anm_config:
-        with open(args.anm_config, encoding="utf-8") as fh:
-            anm_config = anm.AnmConfig(**{**vars(anm_config), **json.load(fh)})
 
     mu_x = model.net_x.encode_mean(pair.x)
     mu_y = model.net_y.encode_mean(pair.y)
@@ -271,7 +282,7 @@ def cmd_direction(args) -> int:
                  "ev_y_from_x": None, "ev_x_from_y": None,
                  "cross_ev_y_from_x": None, "cross_ev_x_from_y": None,
                  "kl_x": mask_x.kl.tolist(), "kl_y": mask_y.kl.tolist(),
-                 "epochs_run": 0, "early_stopped": False},
+                 "epochs_run": 0},
         verdicts=[v.to_dict() for v in verdicts])
     dataio.save_report(out / "direction_report.json", report)
     return EXIT_OK
@@ -291,12 +302,7 @@ def cmd_inspect(args) -> int:
     else:
         layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
 
-    te = pair.rows(datagen.TEST)
-    final = cae.evaluate_model(model, pair.x[te], pair.y[te])
-    mask_x = metrics.informative_mask(np.array(final["kl_x"]), model.config.kl_threshold)
-    mask_y = metrics.informative_mask(np.array(final["kl_y"]), model.config.kl_threshold)
-    table = metrics.pair_table(model, mask_x, mask_y, pair.x[te], pair.y[te])
-
+    final, rows, table, (mask_x, mask_y) = _test_report(model, pair, epochs_run=0)
     k = args.k if args.k else max(1, pair.n // 50)
     for side, mask in (("x", mask_x), ("y", mask_y)):
         for neuron in mask.indices:
@@ -305,12 +311,6 @@ def cmd_inspect(args) -> int:
                 out / f"anomaly_{side}_n{neuron}_low.csv",
                 model, pair, layout, int(neuron), k, side, informative=True)
 
-    final["epochs_run"] = 0
-    final["early_stopped"] = False
-    final.pop("val_loss", None)
-    rows = [vars(r) for r in table.pairs]
-    rows += [{"index": i, "unpaired_side": "x"} for i in table.unpaired_x]
-    rows += [{"index": i, "unpaired_side": "y"} for i in table.unpaired_y]
     report = dataio.RunReport(seed=model.config.seed, config=model.config.to_dict(),
                               metrics=final, pair_table=rows)
     dataio.save_report(out / "inspect_report.json", report)

@@ -19,7 +19,7 @@ from jsonschema import validate as _validate_schema
 from .datagen import TRAIN, DatasetPair, GroundTruth
 from .errors import DataError, ParseError
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +113,6 @@ class ColumnStats:
     def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         joined = np.hstack([x, y])
         out = (joined - self.means) / self.stds
-        return out[:, :self.split_point], out[:, self.split_point:]
-
-    def invert(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        joined = np.hstack([x, y])
-        out = joined * self.stds + self.means
         return out[:, :self.split_point], out[:, self.split_point:]
 
 
@@ -260,7 +255,7 @@ REPORT_SCHEMA = {
             "type": "object",
             "required": ["informative_x", "informative_y", "ev_y_from_x",
                          "ev_x_from_y", "cross_ev_y_from_x", "cross_ev_x_from_y",
-                         "kl_x", "kl_y", "epochs_run", "early_stopped"],
+                         "kl_x", "kl_y", "epochs_run"],
             "properties": {
                 "informative_x": {"type": "integer"},
                 "informative_y": {"type": "integer"},
@@ -271,7 +266,6 @@ REPORT_SCHEMA = {
                 "kl_x": {"type": "array", "items": {"type": ["number", "null"]}},
                 "kl_y": {"type": "array", "items": {"type": ["number", "null"]}},
                 "epochs_run": {"type": "integer"},
-                "early_stopped": {"type": "boolean"},
             },
         },
         "loss_history": {

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from macrobottle import autodiff as ad
-from macrobottle.errors import DimensionError, TapeError
+from macrobottle.errors import DataError, DimensionError, TapeError
 
 
 def finite_diff_grad(store: ad.ParamStore, name: str, loss_fn, h: float = 1e-5) -> np.ndarray:
@@ -216,7 +216,7 @@ class TestAdam:
         # => step = lr * 1 / (1 + eps)
         store = ad.ParamStore()
         p = store.add("p", np.array([0.0]))
-        p.grad = np.array([1.0])
+        p.grad[...] = 1.0
         store.adam_step(0.1)
         expected = -0.1 * 1.0 / (1.0 + ad.ADAM_EPS)
         assert abs(p.data[0] - expected) < 1e-15
@@ -226,20 +226,41 @@ class TestAdam:
         p = store.add("p", np.array([0.5]))
         values = [p.data[0]]
         for _ in range(100):
-            p.grad = np.array([2.0])
+            p.grad[...] = 2.0
             store.adam_step(0.01)
             values.append(p.data[0])
         diffs = np.diff(values)
         assert np.all(diffs < 0)
 
-    def test_nonnegative_projection(self):
+    def test_flat_step_matches_per_array_reference(self):
+        # the per-array loop the flat buffers replaced; elementwise ops in
+        # the same order, so the two must agree bit for bit
+        rng = np.random.default_rng(21)
+        shapes = {"w0": (3, 4), "b0": (4,), "w1": (4, 1), "s": ()}
         store = ad.ParamStore()
-        p = store.add("p", np.array([0.01, 0.5]), nonnegative=True)
-        for _ in range(20):
-            p.grad = np.array([1.0, -1.0])
-            store.adam_step(0.05)
-        assert p.data[0] == 0.0
-        assert p.data[1] > 0.5
+        for name, shape in shapes.items():
+            store.add(name, rng.normal(size=shape))
+        ref = {n: store[n].data.copy() for n in shapes}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        lr = 0.01
+        for t in range(1, 6):
+            grads = {n: rng.normal(size=a.shape) for n, a in ref.items()}
+            for n, g in grads.items():
+                store[n].grad[...] = g
+            store.adam_step(lr)
+            bc1 = 1.0 - ad.ADAM_BETA1 ** t
+            bc2 = 1.0 - ad.ADAM_BETA2 ** t
+            for n, g in grads.items():
+                m[n] *= ad.ADAM_BETA1
+                m[n] += (1.0 - ad.ADAM_BETA1) * g
+                v[n] *= ad.ADAM_BETA2
+                v[n] += (1.0 - ad.ADAM_BETA2) * (g * g)
+                mhat = m[n] / bc1
+                vhat = v[n] / bc2
+                ref[n] -= lr * mhat / (np.sqrt(vhat) + ad.ADAM_EPS)
+            for n in shapes:
+                assert np.array_equal(store[n].data, ref[n]), (t, n)
 
 
 class TestGaussianReparam:
@@ -312,6 +333,14 @@ class TestKl:
         assert rel_err(lv.grad, finite_diff_grad(store, "lv", lambda: loss().item())) < 1e-4
 
 
+def _saved_store(path):
+    store = ad.ParamStore()
+    store.add("w", np.arange(6.0).reshape(2, 3))
+    store.add("b", np.ones(3))
+    ad.save_checkpoint(path, store.arrays())
+    return store
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -341,6 +370,27 @@ class TestCheckpoint:
         store2.load_arrays(arrays)
         after = ad.mlp_forward(spec, store2, x).data
         assert np.array_equal(before, after)
+
+    def test_truncated_blob_is_data_error(self, tmp_path):
+        _saved_store(tmp_path / "ck")
+        blob = tmp_path / "ck" / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(DataError, match="bytes"):
+            ad.load_checkpoint(tmp_path / "ck")
+
+    def test_missing_array_is_data_error(self, tmp_path):
+        store = _saved_store(tmp_path / "ck")
+        arrays, _ = ad.load_checkpoint(tmp_path / "ck")
+        del arrays["b"]
+        with pytest.raises(DataError, match=r"missing \['b'\]"):
+            store.load_arrays(arrays)
+
+    def test_extra_array_is_data_error(self, tmp_path):
+        store = _saved_store(tmp_path / "ck")
+        arrays, _ = ad.load_checkpoint(tmp_path / "ck")
+        arrays["stray"] = np.zeros(2)
+        with pytest.raises(DataError, match=r"extra \['stray'\]"):
+            store.load_arrays(arrays)
 
 
 def test_forward_sample_step_deterministic_per_seed():

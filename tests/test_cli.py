@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from macrobottle import autodiff as ad
 from macrobottle import cli, dataio
 
 
@@ -120,8 +122,8 @@ class TestDirection:
         cell = next(iter(tiny_run["train"].glob("cell_*")))
         model = cae.CaeModel.load(cell / "checkpoint")
         for half in (model.net_x, model.net_y):
-            half.store["enc.w1"].data[...] = 0.0  # all-noise bottleneck
-            half.store["enc.b1"].data[...] = 0.0
+            half.param("enc.w1").data[...] = 0.0  # all-noise bottleneck
+            half.param("enc.b1").data[...] = 0.0
         model.save(tmp_path / "noise_ck")
         code = run(["direction", "--checkpoint", str(tmp_path / "noise_ck"),
                     "--data", str(tiny_run["data"]), "--out", str(tmp_path / "dir")])
@@ -133,3 +135,81 @@ class TestDirection:
         code = run(["direction", "--checkpoint", str(cell / "checkpoint"),
                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "d")])
         assert code == cli.EXIT_DATA
+
+
+def _write(path, doc):
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+def _train(tiny, tmp, config=None, sweep=None):
+    argv = ["train", "--data", str(tiny["data"]), "--out", str(tmp / "o")]
+    if config is not None:
+        argv += ["--config", _write(tmp / "config.json", config)]
+    if sweep is not None:
+        argv += ["--config", str(tiny["config"]), "--sweep", _write(tmp / "sweep.json", sweep)]
+    return argv
+
+
+def _checkpoint(tiny):
+    return next(iter(tiny["train"].glob("cell_*"))) / "checkpoint"
+
+
+def _truncated(tiny, tmp):
+    ck = tmp / "ck"
+    shutil.copytree(_checkpoint(tiny), ck)
+    blob = ck / "params.bin"
+    blob.write_bytes(blob.read_bytes()[:-8])
+    return ["inspect", "--checkpoint", str(ck), "--data", str(tiny["data"]),
+            "--out", str(tmp / "ins")]
+
+
+def _constant_x(tiny, tmp):
+    # every X row at the training mean standardizes to exact zeros, so the
+    # explained variance of X is undefined
+    data = tmp / "data"
+    shutil.copytree(tiny["data"], data)
+    x, header = dataio.load_matrix_csv(data / "X.csv")
+    arrays, _ = ad.load_checkpoint(_checkpoint(tiny))
+    dataio.save_matrix_csv(data / "X.csv", np.tile(arrays["norm.x_mean"], (len(x), 1)),
+                           header)
+    return ["inspect", "--checkpoint", str(_checkpoint(tiny)), "--data", str(data),
+            "--out", str(tmp / "ins")]
+
+
+def _direction(tiny, tmp, *extra):
+    return ["direction", "--checkpoint", str(_checkpoint(tiny)),
+            "--data", str(tiny["data"]), "--out", str(tmp / "dir"), *extra]
+
+
+EXIT_CASES = {
+    "gen": (lambda t, tmp: ["gen", "--n", "40", "--out", str(tmp / "g")], cli.EXIT_OK),
+    "unknown-scenario": (lambda t, tmp: ["gen", "--scenario", "bogus", "--out", str(tmp)],
+                         cli.EXIT_USAGE),
+    "negative-beta": (lambda t, tmp: _train(t, tmp, config={"beta": -1}), cli.EXIT_DATA),
+    "removed-variant": (lambda t, tmp: _train(t, tmp, config={"cross_map": "mlp"}),
+                        cli.EXIT_DATA),
+    "config-not-json": (lambda t, tmp: _train(t, tmp, config="{beta"), cli.EXIT_DATA),
+    "sweep-without-cells": (lambda t, tmp: _train(t, tmp, sweep={"base": {}}),
+                            cli.EXIT_DATA),
+    "sweep-cell-without-gamma": (lambda t, tmp: _train(t, tmp, sweep={"cells": [{"beta": 1}]}),
+                                 cli.EXIT_DATA),
+    "unknown-anm-field": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"bogus": 1})), cli.EXIT_DATA),
+    "truncated-checkpoint": (_truncated, cli.EXIT_DATA),
+    "zero-variance-data": (_constant_x, cli.EXIT_NUMERIC),
+    "pair-not-informative": (lambda t, tmp: _direction(t, tmp, "--pairs", "7"),
+                             cli.EXIT_NO_PAIRS),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_CASES))
+def test_documented_exit_codes(case, tiny_run, tmp_path, capsys):
+    make_argv, expected = EXIT_CASES[case]
+    try:
+        code = run(make_argv(tiny_run, tmp_path))
+    except SystemExit as exc:  # argparse reports usage errors this way
+        code = exc.code
+    assert code == expected
+    if expected == cli.EXIT_DATA:
+        assert "data error" in capsys.readouterr().err
