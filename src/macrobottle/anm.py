@@ -45,6 +45,18 @@ class AnmConfig:
     eval_points: int = 8000  # held-out points for the independence test
     seed: int = 0
 
+    def __post_init__(self):
+        # fit_transform skips minibatches under 8 points, and the gamma
+        # threshold needs at least 6 test points
+        if min(self.batch_size, self.fit_points) < 8 or self.eval_points < 6:
+            raise ValueError("batch_size and fit_points must be >= 8, eval_points >= 6")
+        if self.epochs < 0 or self.hidden < 0:
+            raise ValueError("epochs and hidden must be >= 0")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.activation not in ("tanh", "identity"):
+            raise ValueError(f"unknown activation: {self.activation!r}")
+
 
 def standardize_vector(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)

@@ -10,6 +10,7 @@ fixed seed on a fixed platform.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -436,19 +437,22 @@ _BLOB_NAME = "params.bin"
 def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
     """Write named arrays as one little-endian binary blob plus a JSON
-    manifest recording names, shapes and byte offsets."""
+    manifest recording names, shapes, byte offsets and the blob's sha256."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     manifest = {"format": CHECKPOINT_FORMAT, "dtype": "<f8", "arrays": []}
     offset = 0
+    digest = hashlib.sha256()
     with open(dirpath / _BLOB_NAME, "wb") as fh:
         for name in sorted(arrays):
             src = np.asarray(arrays[name], dtype=np.float64)
-            a = np.ascontiguousarray(src, dtype="<f8")
-            fh.write(a.tobytes())
+            a = np.ascontiguousarray(src, dtype="<f8").tobytes()
+            fh.write(a)
+            digest.update(a)
             manifest["arrays"].append(
                 {"name": name, "shape": list(src.shape), "offset": offset})
-            offset += a.nbytes
+            offset += len(a)
+    manifest["sha256"] = digest.hexdigest()
     if extra is not None:
         manifest["extra"] = extra
     with open(dirpath / _MANIFEST_NAME, "w", encoding="utf-8") as fh:
@@ -466,6 +470,9 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if len(blob) != 8 * sum(counts):
         raise DataError(f"{dirpath / _BLOB_NAME} holds {len(blob)} bytes, "
                         f"the manifest lists {8 * sum(counts)}")
+    digest = manifest.get("sha256")  # absent from manifests of older versions
+    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+        raise DataError(f"{dirpath / _BLOB_NAME} does not match the sha256 in its manifest")
     arrays = {}
     for entry, count in zip(manifest["arrays"], counts):
         a = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])

@@ -32,7 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .datagen import TRAIN, VAL, DatasetPair
-from .dataio import standardize
+from .dataio import ColumnStats, standardize
 from .errors import DataError, DimensionError, NumericalError
 
 TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
@@ -197,29 +197,16 @@ class CaeModel:
     net_y: CaeHalf
     config: CaeConfig
     store: ad.ParamStore  # every parameter of both halves
-    norm: dict | None = None  # per-column means/stds captured at training
-
-    def standardized_view(self, pair: DatasetPair) -> DatasetPair:
-        """The pair in the model's training units (identity if untrained)."""
-        if self.norm is None:
-            return pair
-        x = (pair.x - self.norm["x_mean"]) / self.norm["x_std"]
-        y = (pair.y - self.norm["y_mean"]) / self.norm["y_std"]
-        return DatasetPair(x, y, pair.split, pair.ground_truth)
-
-    def informative_masks(self, inputs_x: np.ndarray, inputs_y: np.ndarray,
-                          threshold: float | None = None,
-                          ) -> tuple[metrics.InformativeMask, metrics.InformativeMask]:
-        thr = self.config.kl_threshold if threshold is None else threshold
-        mu_x, lv_x = self.net_x.encode_np(inputs_x)
-        mu_y, lv_y = self.net_y.encode_np(inputs_y)
-        return (metrics.informative_mask(metrics.per_neuron_kl(mu_x, lv_x), thr),
-                metrics.informative_mask(metrics.per_neuron_kl(mu_y, lv_y), thr))
+    stats: ColumnStats | None = None  # training standardization; None if untrained
 
     def save(self, dirpath) -> None:
         arrays = self.store.arrays()
-        if self.norm is not None:
-            arrays.update({f"norm.{k}": v for k, v in self.norm.items()})
+        if self.stats is not None:
+            dx = self.stats.split_point
+            arrays.update({"norm.x_mean": self.stats.means[:dx],
+                           "norm.x_std": self.stats.stds[:dx],
+                           "norm.y_mean": self.stats.means[dx:],
+                           "norm.y_std": self.stats.stds[dx:]})
         extra = {
             "kind": "cae",
             "config": self.config.to_dict(),
@@ -237,7 +224,14 @@ class CaeModel:
         model = build_cae(extra["input_dim_x"], extra["input_dim_y"], config)
         norm = {n[5:]: arrays.pop(n) for n in list(arrays) if n.startswith("norm.")}
         model.store.load_arrays(arrays)
-        model.norm = norm or None
+        if norm:
+            try:
+                model.stats = ColumnStats(
+                    means=np.concatenate([norm["x_mean"], norm["y_mean"]]),
+                    stds=np.concatenate([norm["x_std"], norm["y_std"]]),
+                    split_point=len(norm["x_mean"]))
+            except KeyError as err:
+                raise DataError(f"checkpoint at {dirpath} lacks norm.{err.args[0]}") from err
         return model
 
 
@@ -292,19 +286,29 @@ class TrainHistory:
     seconds: float = 0.0
 
 
-def evaluate_model(model: CaeModel, x: np.ndarray, y: np.ndarray,
-                   threshold: float | None = None) -> dict:
-    """Noiseless validation metrics; deterministic for fixed inputs."""
-    cfg = model.config
-    thr = cfg.kl_threshold if threshold is None else threshold
+def encode_block(model: CaeModel, x: np.ndarray, y: np.ndarray) -> metrics.Encoding:
+    """One noiseless encode of a block of (x, y) rows in the model's units,
+    with each side's informative neurons at `config.kl_threshold`. Every
+    choice of macrovariable pairs goes through here."""
+    thr = model.config.kl_threshold
     mu_x, lv_x = model.net_x.encode_np(x)
     mu_y, lv_y = model.net_y.encode_np(y)
+    return metrics.Encoding(
+        mu_x, mu_y,
+        metrics.informative_mask(metrics.per_neuron_kl(mu_x, lv_x), thr),
+        metrics.informative_mask(metrics.per_neuron_kl(mu_y, lv_y), thr))
+
+
+def evaluate_model(model: CaeModel, x: np.ndarray,
+                   y: np.ndarray) -> tuple[dict, metrics.Encoding]:
+    """Noiseless metrics on one block of rows, and the encoding behind them;
+    deterministic for fixed inputs."""
+    cfg = model.config
+    enc = encode_block(model, x, y)
+    mu_x, mu_y, mask_x, mask_y = enc.mu_x, enc.mu_y, enc.mask_x, enc.mask_y
+    kl_x, kl_y = mask_x.kl, mask_y.kl
     pred_y = model.net_x.decode_np(mu_x)
     pred_x = model.net_y.decode_np(mu_y)
-    kl_x = metrics.per_neuron_kl(mu_x, lv_x)
-    kl_y = metrics.per_neuron_kl(mu_y, lv_y)
-    mask_x = metrics.informative_mask(kl_x, thr)
-    mask_y = metrics.informative_mask(kl_y, thr)
     cy = model.net_x.cross_predict_np(mu_x)
     cx = model.net_y.cross_predict_np(mu_y)
 
@@ -329,7 +333,7 @@ def evaluate_model(model: CaeModel, x: np.ndarray, y: np.ndarray,
         "kl_x": kl_x.tolist(),
         "kl_y": kl_y.tolist(),
         "val_loss": val_loss,
-    }
+    }, enc
 
 
 def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHistory]:
@@ -348,10 +352,7 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
         raise DataError("training requires non-empty train and val splits")
 
     model = build_cae(pair.x.shape[1], pair.y.shape[1], config)
-    pair, stats = standardize(pair)
-    dx = stats.split_point
-    model.norm = {"x_mean": stats.means[:dx], "x_std": stats.stds[:dx],
-                  "y_mean": stats.means[dx:], "y_std": stats.stds[dx:]}
+    pair, model.stats = standardize(pair)
     x_train, y_train = pair.x[train_idx], pair.y[train_idx]
     x_val, y_val = pair.x[val_idx], pair.y[val_idx]
     rng = np.random.default_rng([config.seed, 0x7E41])
@@ -379,7 +380,7 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
 
         for k in TERM_NAMES:
             history.terms[k].append(sums[k] / n_batches)
-        history.val.append(evaluate_model(model, x_val, y_val))
+        history.val.append(evaluate_model(model, x_val, y_val)[0])
         history.epochs_run = epoch + 1
 
     history.seconds = time.monotonic() - t0
@@ -387,22 +388,12 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
 
 
 def extract_macrovariables(model: CaeModel, inputs_x: np.ndarray,
-                           inputs_y: np.ndarray,
-                           mask_x: metrics.InformativeMask | None = None,
-                           mask_y: metrics.InformativeMask | None = None,
-                           ) -> tuple[np.ndarray, np.ndarray]:
+                           inputs_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Noiseless bottleneck means restricted to indices informative on both
-    sides, so column i of the first matrix cross-predicts column i of the
-    second. Masks default to ones computed on the given inputs; pass masks
-    derived from a validation set to keep extraction and detection separate.
-    """
-    if mask_x is None or mask_y is None:
-        auto_x, auto_y = model.informative_masks(inputs_x, inputs_y)
-        mask_x = mask_x or auto_x
-        mask_y = mask_y or auto_y
-    paired = np.flatnonzero(mask_x.flags & mask_y.flags)
+    sides of the given inputs, so column i of the first matrix
+    cross-predicts column i of the second."""
+    enc = encode_block(model, inputs_x, inputs_y)
+    paired = enc.paired
     if len(paired) == 0:
         warnings.warn("no informative bottleneck pair; returning empty macrovariables")
-    mu_x = model.net_x.encode_mean(inputs_x)
-    mu_y = model.net_y.encode_mean(inputs_y)
-    return mu_x[:, paired], mu_y[:, paired]
+    return enc.mu_x[:, paired], enc.mu_y[:, paired]

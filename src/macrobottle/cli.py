@@ -93,26 +93,27 @@ def cmd_gen(args) -> int:
 # train
 
 
-def _load_dataset(data_dir: Path, seed: int) -> datagen.DatasetPair:
+def _load_dataset(data_dir: Path, model: cae.CaeModel) -> datagen.DatasetPair:
+    """The pair in a data directory, split as the model's training split it,
+    in the model's units."""
     pair = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
-    pair.split = datagen.assign_splits(pair.n, seed)
-    return pair
+    pair.split = datagen.assign_splits(pair.n, model.config.seed)
+    return model.stats.apply(pair) if model.stats is not None else pair
 
 
 def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair, epochs_run: int):
     """Report metrics and pair-table rows on the TEST rows of a pair in the
-    model's units, plus the pair table and informative masks behind them."""
+    model's units, plus the pair table and the encoding behind them. This is
+    where `train`, `inspect` and `direction` choose the informative pairs."""
     te = pair.rows(datagen.TEST)
-    final = cae.evaluate_model(model, pair.x[te], pair.y[te])
+    final, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
     final.pop("val_loss")
     final["epochs_run"] = epochs_run
-    mask_x = metrics.informative_mask(np.array(final["kl_x"]), model.config.kl_threshold)
-    mask_y = metrics.informative_mask(np.array(final["kl_y"]), model.config.kl_threshold)
-    table = metrics.pair_table(model, mask_x, mask_y, pair.x[te], pair.y[te])
+    table = metrics.pair_table(model, enc)
     rows = [vars(r) for r in table.pairs]
     rows += [{"index": i, "unpaired_side": "x"} for i in table.unpaired_x]
     rows += [{"index": i, "unpaired_side": "y"} for i in table.unpaired_y]
-    return final, rows, table, (mask_x, mask_y)
+    return final, rows, table, enc
 
 
 def _run_cell(x_path: str, y_path: str, config: cae.CaeConfig, cell_dir: str) -> dict:
@@ -128,7 +129,7 @@ def _run_cell(x_path: str, y_path: str, config: cae.CaeConfig, cell_dir: str) ->
         with open(cell / "error.txt", "w", encoding="utf-8") as fh:
             fh.write(str(err))
         return {"beta": config.beta, "gamma": config.gamma, "failed": str(err)}
-    final, table_rows, _, _ = _test_report(model, model.standardized_view(pair),
+    final, table_rows, _, _ = _test_report(model, model.stats.apply(pair),
                                            history.epochs_run)
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
@@ -229,26 +230,20 @@ def cmd_train(args) -> int:
 # direction
 
 
-def _informative_pairs(model: cae.CaeModel, pair: datagen.DatasetPair):
-    va = pair.rows(datagen.VAL)
-    mask_x, mask_y = model.informative_masks(pair.x[va], pair.y[va])
-    paired = np.flatnonzero(mask_x.flags & mask_y.flags)
-    return paired, mask_x, mask_y
-
-
 def cmd_direction(args) -> int:
     fields = {"seed": _fallback_seed(args.seed)}
     if args.anm_config:
         fields.update(_load_json(args.anm_config))
     try:
         anm_config = anm.AnmConfig(**fields)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise DataError(f"invalid ANM config: {err}") from err
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = cae.CaeModel.load(args.checkpoint)
-    pair = model.standardized_view(_load_dataset(Path(args.data), model.config.seed))
-    paired, mask_x, mask_y = _informative_pairs(model, pair)
+    pair = _load_dataset(Path(args.data), model)
+    final, rows, _, enc = _test_report(model, pair, epochs_run=0)
+    paired = enc.paired
     if len(paired) == 0:
         print("no informative macrovariable pair detected; nothing to analyze")
         return EXIT_NO_PAIRS
@@ -278,12 +273,7 @@ def cmd_direction(args) -> int:
     report = dataio.RunReport(
         seed=anm_config.seed,
         config={"anm": vars(anm_config), "checkpoint": str(args.checkpoint)},
-        metrics={"informative_x": mask_x.count, "informative_y": mask_y.count,
-                 "ev_y_from_x": None, "ev_x_from_y": None,
-                 "cross_ev_y_from_x": None, "cross_ev_x_from_y": None,
-                 "kl_x": mask_x.kl.tolist(), "kl_y": mask_y.kl.tolist(),
-                 "epochs_run": 0},
-        verdicts=[v.to_dict() for v in verdicts])
+        metrics=final, pair_table=rows, verdicts=[v.to_dict() for v in verdicts])
     dataio.save_report(out / "direction_report.json", report)
     return EXIT_OK
 
@@ -296,26 +286,29 @@ def cmd_inspect(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = cae.CaeModel.load(args.checkpoint)
-    pair = model.standardized_view(_load_dataset(Path(args.data), model.config.seed))
+    pair = _load_dataset(Path(args.data), model)
     if args.layout:
         layout = dataio.GridLayout.load(args.layout)
     else:
         layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
 
-    final, rows, table, (mask_x, mask_y) = _test_report(model, pair, epochs_run=0)
+    final, rows, table, enc = _test_report(model, pair, epochs_run=0)
     k = args.k if args.k else max(1, pair.n // 50)
-    for side, mask in (("x", mask_x), ("y", mask_y)):
+    for side, data, half, mask in (("x", pair.x, model.net_x, enc.mask_x),
+                                   ("y", pair.y, model.net_y, enc.mask_y)):
+        mu = half.encode_mean(data)
         for neuron in mask.indices:
             dataio.emit_anomaly_grid(
                 out / f"anomaly_{side}_n{neuron}_high.csv",
                 out / f"anomaly_{side}_n{neuron}_low.csv",
-                model, pair, layout, int(neuron), k, side, informative=True)
+                data, mu[:, neuron], layout, k)
 
     report = dataio.RunReport(seed=model.config.seed, config=model.config.to_dict(),
                               metrics=final, pair_table=rows)
     dataio.save_report(out / "inspect_report.json", report)
 
-    print(f"informative neurons: X {list(mask_x.indices)}  Y {list(mask_y.indices)}")
+    print(f"informative neurons: X {list(enc.mask_x.indices)}  "
+          f"Y {list(enc.mask_y.indices)}")
     print(f"paired: {[r.index for r in table.pairs]}  "
           f"unpaired X {table.unpaired_x}  unpaired Y {table.unpaired_y}")
     for r in table.pairs:

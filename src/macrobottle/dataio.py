@@ -9,7 +9,6 @@ float in a report is finite or explicitly null.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -106,20 +105,19 @@ def save_ground_truth(path: str | Path, truth: GroundTruth,
 class ColumnStats:
     means: np.ndarray
     stds: np.ndarray
-    constant_columns_x: list[int]
-    constant_columns_y: list[int]
     split_point: int  # X columns come first
 
-    def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        joined = np.hstack([x, y])
-        out = (joined - self.means) / self.stds
-        return out[:, :self.split_point], out[:, self.split_point:]
+    def apply(self, pair: DatasetPair) -> DatasetPair:
+        """The pair centered and scaled column by column."""
+        dx = self.split_point
+        x = (pair.x - self.means[:dx]) / self.stds[:dx]
+        y = (pair.y - self.means[dx:]) / self.stds[dx:]
+        return DatasetPair(x, y, pair.split, pair.ground_truth)
 
 
 def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
     """Center/scale every column by its train-split statistics (all rows if
-    no split is assigned); zero-variance columns pass through untouched and
-    are recorded."""
+    no split is assigned); zero-variance columns pass through untouched."""
     if pair.split is not None:
         ref_rows = pair.rows(TRAIN)
         if len(ref_rows) == 0:
@@ -133,14 +131,8 @@ def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
     constant = stds == 0.0
     means[constant] = 0.0
     stds[constant] = 1.0
-    dx = pair.x.shape[1]
-    stats = ColumnStats(
-        means=means, stds=stds,
-        constant_columns_x=[int(j) for j in np.flatnonzero(constant[:dx])],
-        constant_columns_y=[int(j) for j in np.flatnonzero(constant[dx:])],
-        split_point=dx)
-    new_x, new_y = stats.apply(pair.x, pair.y)
-    return DatasetPair(new_x, new_y, pair.split, pair.ground_truth), stats
+    stats = ColumnStats(means=means, stds=stds, split_point=pair.x.shape[1])
+    return stats.apply(pair), stats
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +147,8 @@ class GridLayout:
     channel_y: str = "y"
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise DataError("grid layout needs positive dimensions")
+        if not all(isinstance(v, int) and v >= 1 for v in (self.rows, self.cols)):
+            raise DataError("grid layout needs positive integer dimensions")
 
     @property
     def dim(self) -> int:
@@ -169,26 +161,25 @@ class GridLayout:
     @classmethod
     def load(cls, path: str | Path) -> "GridLayout":
         with open(path, encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            try:
+                return cls(**json.load(fh))
+            except (TypeError, ValueError) as err:  # ValueError: not JSON
+                raise DataError(f"{path}: invalid grid layout: {err}") from err
 
 
-def anomaly_grids(model, pair: DatasetPair, layout: GridLayout, neuron: int,
-                  k: int, side: str = "y",
-                  informative: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean input over the k samples with the highest (and, separately, the
-    lowest) value of one macrovariable, minus the full-dataset mean, shaped
-    to the grid layout."""
-    data = pair.y if side == "y" else pair.x
-    half = model.net_y if side == "y" else model.net_x
+def anomaly_grids(data: np.ndarray, values: np.ndarray, layout: GridLayout,
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean row of `data` over the k samples with the highest (and,
+    separately, the lowest) value of one macrovariable column `values`,
+    minus the mean row, shaped to the grid layout."""
+    n = len(data)
     if data.shape[1] != layout.dim:
         raise DataError(f"layout {layout.rows}x{layout.cols} does not match "
                         f"sample dimensionality {data.shape[1]}")
-    if not 1 <= k <= pair.n:
-        raise DataError(f"k must be in [1, {pair.n}], got {k}")
-    if informative is False:
-        warnings.warn(f"neuron {neuron} of side {side} is not informative; "
-                      "its anomaly grid is likely noise")
-    values = half.encode_mean(data)[:, neuron]
+    if len(values) != n:
+        raise DataError(f"{len(values)} macrovariable values for {n} samples")
+    if not 1 <= k <= n:
+        raise DataError(f"k must be in [1, {n}], got {k}")
     order = np.argsort(values, kind="stable")
     base = data.mean(axis=0)
     lo = data[order[:k]].mean(axis=0) - base
@@ -197,11 +188,10 @@ def anomaly_grids(model, pair: DatasetPair, layout: GridLayout, neuron: int,
     return hi.reshape(shape), lo.reshape(shape)
 
 
-def emit_anomaly_grid(path_high: str | Path, path_low: str | Path, model,
-                      pair: DatasetPair, layout: GridLayout, neuron: int,
-                      k: int, side: str = "y",
-                      informative: bool | None = None) -> None:
-    hi, lo = anomaly_grids(model, pair, layout, neuron, k, side, informative)
+def emit_anomaly_grid(path_high: str | Path, path_low: str | Path,
+                      data: np.ndarray, values: np.ndarray, layout: GridLayout,
+                      k: int) -> None:
+    hi, lo = anomaly_grids(data, values, layout, k)
     header = [f"c{j}" for j in range(layout.cols)]
     save_matrix_csv(path_high, hi, header)
     save_matrix_csv(path_low, lo, header)

@@ -39,12 +39,6 @@ def median_bandwidth(x: np.ndarray, max_points: int = MEDIAN_SUBSAMPLE,
     return med
 
 
-def gaussian_gram(x: np.ndarray, bandwidth: float) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    d = x[:, None] - x[None, :]
-    return np.exp(d * d * (-0.5 / (bandwidth * bandwidth)))
-
-
 def _center(m: np.ndarray) -> np.ndarray:
     """H m H for the centering matrix H, via row/column means."""
     rm = m.mean(axis=1, keepdims=True)

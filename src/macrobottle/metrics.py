@@ -70,6 +70,23 @@ def informative_mask(kl: np.ndarray, threshold: float = DEFAULT_KL_THRESHOLD) ->
 
 
 @dataclass
+class Encoding:
+    """Noiseless bottleneck means of one block of (x, y) rows and, per side,
+    which neurons are informative on that block (`mask_*.kl` is the
+    per-neuron divergence behind the decision)."""
+
+    mu_x: np.ndarray
+    mu_y: np.ndarray
+    mask_x: InformativeMask
+    mask_y: InformativeMask
+
+    @property
+    def paired(self) -> np.ndarray:
+        """Indices informative on both sides: the macrovariable pairs."""
+        return np.flatnonzero(self.mask_x.flags & self.mask_y.flags)
+
+
+@dataclass
 class PairRow:
     """One index-aligned macrovariable pair across the two halves."""
 
@@ -89,29 +106,21 @@ class PairTable:
     unpaired_y: list[int]
 
 
-def pair_table(model, mask_x: InformativeMask, mask_y: InformativeMask,
-               inputs_x: np.ndarray, inputs_y: np.ndarray) -> PairTable:
+def pair_table(model, enc: Encoding) -> PairTable:
     """Pairs are index-aligned by the diagonal cross-map: neuron i of one
     half predicts neuron i of the other. Indices informative on both sides
     become rows; one-sided informative neurons are listed as unpaired."""
-    mu_x = model.net_x.encode_mean(inputs_x)
-    mu_y = model.net_y.encode_mean(inputs_y)
-    pred_y = model.net_x.cross_predict_np(mu_x)
-    pred_x = model.net_y.cross_predict_np(mu_y)
+    pred_y = model.net_x.cross_predict_np(enc.mu_x)
+    pred_x = model.net_y.cross_predict_np(enc.mu_y)
     a_x, b_x = model.net_x.cross_params()
     a_y, b_y = model.net_y.cross_params()
-
-    paired = [i for i in range(len(mask_x.flags))
-              if mask_x.flags[i] and mask_y.flags[i]]
-    rows = []
-    for i in paired:
-        rows.append(PairRow(
-            index=i,
-            a_x_to_y=float(a_x[i]), b_x_to_y=float(b_x[i]),
-            a_y_to_x=float(a_y[i]), b_y_to_x=float(b_y[i]),
-            cross_ev_y_from_x=explained_variance(mu_y[:, i], pred_y[:, i]),
-            cross_ev_x_from_y=explained_variance(mu_x[:, i], pred_x[:, i]),
-        ))
-    unpaired_x = [int(i) for i in mask_x.indices if i not in paired]
-    unpaired_y = [int(i) for i in mask_y.indices if i not in paired]
-    return PairTable(pairs=rows, unpaired_x=unpaired_x, unpaired_y=unpaired_y)
+    paired = enc.paired
+    rows = [PairRow(index=int(i),
+                    a_x_to_y=float(a_x[i]), b_x_to_y=float(b_x[i]),
+                    a_y_to_x=float(a_y[i]), b_y_to_x=float(b_y[i]),
+                    cross_ev_y_from_x=explained_variance(enc.mu_y[:, i], pred_y[:, i]),
+                    cross_ev_x_from_y=explained_variance(enc.mu_x[:, i], pred_x[:, i]))
+            for i in paired]
+    return PairTable(pairs=rows,
+                     unpaired_x=[int(i) for i in enc.mask_x.indices if i not in paired],
+                     unpaired_y=[int(i) for i in enc.mask_y.indices if i not in paired])

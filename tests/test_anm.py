@@ -14,6 +14,15 @@ from macrobottle import autodiff as ad
 from macrobottle.errors import DataError
 
 
+@pytest.mark.parametrize("fields", [
+    {"batch_size": 0}, {"batch_size": 4}, {"fit_points": 7}, {"eval_points": 5},
+    {"epochs": -1}, {"alpha": 0.0}, {"alpha": 1.5}, {"hidden": -1},
+    {"activation": "relu"}])
+def test_config_rejects_invalid_fields(fields):
+    with pytest.raises(ValueError):
+        anm.AnmConfig(**fields)
+
+
 def test_standardize_vector():
     v = np.array([1.0, 2.0, 3.0, 4.0])
     s = anm.standardize_vector(v)

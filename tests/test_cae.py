@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from macrobottle import autodiff as ad
-from macrobottle import cae, metrics
+from macrobottle import cae, dataio, metrics
 from macrobottle.errors import DataError, DimensionError
 
 
@@ -246,6 +246,29 @@ class TestCheckpointRoundTrip:
         assert loaded.config == model.config
         assert np.array_equal(loaded.net_x.encode_mean(x), mu_before)
 
+    def test_column_stats_round_trip(self, tmp_path):
+        model = small_model(seed=33)
+        rng = np.random.default_rng(34)
+        model.stats = dataio.ColumnStats(means=rng.normal(size=11),
+                                         stds=rng.uniform(0.5, 2.0, size=11),
+                                         split_point=6)
+        model.save(tmp_path / "ck")
+        arrays, _ = ad.load_checkpoint(tmp_path / "ck")
+        assert {"norm.x_mean", "norm.x_std", "norm.y_mean", "norm.y_std"} <= set(arrays)
+        stats = cae.CaeModel.load(tmp_path / "ck").stats
+        assert stats.split_point == 6
+        assert np.array_equal(stats.means, model.stats.means)
+        assert np.array_equal(stats.stds, model.stats.stds)
+
+    def test_partial_column_stats_is_data_error(self, tmp_path):
+        model = small_model(seed=35)
+        arrays = {**model.store.arrays(), "norm.x_mean": np.zeros(6), "norm.x_std": np.ones(6)}
+        ad.save_checkpoint(tmp_path / "ck", arrays,
+                           {"kind": "cae", "config": model.config.to_dict(),
+                            "input_dim_x": 6, "input_dim_y": 5})
+        with pytest.raises(DataError, match="norm.y_mean"):
+            cae.CaeModel.load(tmp_path / "ck")
+
     def test_config_json_round_trip(self):
         config = cae.CaeConfig(bottleneck_dim=5, beta=0.3, gamma=0.7, seed=9)
         again = cae.CaeConfig.from_dict(config.to_dict())
@@ -297,6 +320,10 @@ def test_training_smoke_and_history():
     assert len(history.val) == 3
     # validation metrics are deterministic (no noise at evaluation)
     val_idx = pair.rows(datagen.VAL)
-    m1 = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
-    m2 = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
+    m1, enc = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
+    m2, _ = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
     assert m1 == m2
+    # the metrics and the encoding come from one encode of the same rows
+    assert m1["kl_x"] == enc.mask_x.kl.tolist() and m1["kl_y"] == enc.mask_y.kl.tolist()
+    assert m1["informative_x"] == enc.mask_x.count
+    assert np.array_equal(enc.mu_x, model.net_x.encode_mean(pair.x[val_idx]))

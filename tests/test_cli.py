@@ -130,6 +130,27 @@ class TestDirection:
         assert code == cli.EXIT_NO_PAIRS
         assert "no informative" in capsys.readouterr().out
 
+    def test_pairs_chosen_as_inspect_reports(self, tiny_run, tmp_path):
+        # direction must test the pairs inspect lists, chosen on the same rows
+        from macrobottle import cae
+        model = cae.CaeModel.load(_checkpoint(tiny_run))
+        for half in (model.net_x, model.net_y):
+            half.param("enc.w1").data[...] *= 200.0  # informative neurons
+        model.save(tmp_path / "ck")
+        common = ["--checkpoint", str(tmp_path / "ck"), "--data", str(tiny_run["data"])]
+        anm_config = _write(tmp_path / "anm.json", {"epochs": 1, "batch_size": 100,
+                                                    "fit_points": 100, "eval_points": 100})
+        assert run(["inspect", *common, "--out", str(tmp_path / "ins")]) == cli.EXIT_OK
+        assert run(["direction", *common, "--anm-config", anm_config,
+                    "--out", str(tmp_path / "dir")]) == cli.EXIT_OK
+        inspected = dataio.load_report(tmp_path / "ins" / "inspect_report.json")
+        directed = dataio.load_report(tmp_path / "dir" / "direction_report.json")
+        paired = [r["index"] for r in inspected["pair_table"] if "unpaired_side" not in r]
+        assert paired
+        assert [v["pair_index"] for v in directed["verdicts"]] == paired
+        for key in ("kl_x", "kl_y", "informative_x", "informative_y"):
+            assert directed["metrics"][key] == inspected["metrics"][key], key
+
     def test_missing_data_is_data_error(self, tiny_run, tmp_path):
         cell = next(iter(tiny_run["train"].glob("cell_*")))
         code = run(["direction", "--checkpoint", str(cell / "checkpoint"),
@@ -164,6 +185,22 @@ def _truncated(tiny, tmp):
             "--out", str(tmp / "ins")]
 
 
+def _flipped_byte(tiny, tmp):
+    # same size as the manifest lists, so only the digest can tell
+    ck = tmp / "ck"
+    shutil.copytree(_checkpoint(tiny), ck)
+    blob = bytearray((ck / "params.bin").read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    (ck / "params.bin").write_bytes(bytes(blob))
+    return ["inspect", "--checkpoint", str(ck), "--data", str(tiny["data"]),
+            "--out", str(tmp / "ins")]
+
+
+def _inspect_with_layout(tiny, tmp, layout):
+    return ["inspect", "--checkpoint", str(_checkpoint(tiny)), "--data", str(tiny["data"]),
+            "--layout", _write(tmp / "layout.json", layout), "--out", str(tmp / "ins")]
+
+
 def _constant_x(tiny, tmp):
     # every X row at the training mean standardizes to exact zeros, so the
     # explained variance of X is undefined
@@ -196,7 +233,14 @@ EXIT_CASES = {
                                  cli.EXIT_DATA),
     "unknown-anm-field": (lambda t, tmp: _direction(
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"bogus": 1})), cli.EXIT_DATA),
+    "anm-batch-size-zero": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"batch_size": 0})), cli.EXIT_DATA),
+    "anm-alpha-above-one": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"alpha": 1.5})), cli.EXIT_DATA),
     "truncated-checkpoint": (_truncated, cli.EXIT_DATA),
+    "checkpoint-byte-flipped": (_flipped_byte, cli.EXIT_DATA),
+    "layout-unknown-field": (lambda t, tmp: _inspect_with_layout(
+        t, tmp, {"rows": 8, "cols": 8, "colour": "red"}), cli.EXIT_DATA),
     "zero-variance-data": (_constant_x, cli.EXIT_NUMERIC),
     "pair-not-informative": (lambda t, tmp: _direction(t, tmp, "--pairs", "7"),
                              cli.EXIT_NO_PAIRS),

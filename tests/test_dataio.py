@@ -74,7 +74,7 @@ class TestStandardize:
         x[:, 1] = 7.0
         pair = datagen.DatasetPair(x, rng.normal(size=(100, 2)))
         out, stats = dataio.standardize(pair)
-        assert stats.constant_columns_x == [1]
+        assert stats.means[1] == 0.0 and stats.stds[1] == 1.0
         assert np.array_equal(out.x[:, 1], x[:, 1])
 
     def test_inverse_recovers_originals(self):
@@ -95,32 +95,26 @@ class TestStandardize:
         assert abs(out.x.mean()) > 0
 
 
-class _StubHalf:
-    """Macrovariable = (left-half mean, right-half mean) of each sample."""
-
-    def encode_mean(self, data):
-        img = data.reshape(-1, 8, 8)
-        return np.column_stack([img[:, :, :4].mean(axis=(1, 2)),
-                                img[:, :, 4:].mean(axis=(1, 2))])
-
-
-class _StubModel:
-    net_x = _StubHalf()
-    net_y = _StubHalf()
+def _half_means(data):
+    """Stand-in macrovariables: (left-half mean, right-half mean) of each
+    8x8 sample."""
+    img = data.reshape(-1, 8, 8)
+    return np.column_stack([img[:, :, :4].mean(axis=(1, 2)),
+                            img[:, :, 4:].mean(axis=(1, 2))])
 
 
 class TestAnomalyGrids:
     def test_k_equals_n_gives_zeros(self):
         pair = datagen.gen_main_synthetic(100, seed=4)
         layout = dataio.GridLayout(8, 8)
-        hi, lo = dataio.anomaly_grids(_StubModel(), pair, layout, 0, k=100, side="x")
+        hi, lo = dataio.anomaly_grids(pair.x, _half_means(pair.x)[:, 0], layout, k=100)
         assert np.abs(hi).max() < 1e-12
         assert np.abs(lo).max() < 1e-12
 
     def test_x1_neuron_localizes_left_half(self):
         pair = datagen.gen_main_synthetic(2000, seed=5)
         layout = dataio.GridLayout(8, 8)
-        hi, lo = dataio.anomaly_grids(_StubModel(), pair, layout, 0, k=40, side="x")
+        hi, lo = dataio.anomaly_grids(pair.x, _half_means(pair.x)[:, 0], layout, k=40)
         assert np.abs(hi[:, :4]).min() > np.abs(hi[:, 4:]).max()
         assert np.abs(lo[:, :4]).min() > np.abs(lo[:, 4:]).max()
 
@@ -128,27 +122,35 @@ class TestAnomalyGrids:
         pair = datagen.gen_main_synthetic(60, seed=6)
         layout = dataio.GridLayout(8, 8)
         dataio.emit_anomaly_grid(tmp_path / "hi.csv", tmp_path / "lo.csv",
-                                 _StubModel(), pair, layout, 1, k=5, side="y")
+                                 pair.y, _half_means(pair.y)[:, 1], layout, k=5)
         hi, _ = dataio.load_matrix_csv(tmp_path / "hi.csv")
         assert hi.shape == (8, 8)
 
     def test_layout_mismatch(self):
         pair = datagen.gen_main_synthetic(10, seed=7)
         with pytest.raises(DataError):
-            dataio.anomaly_grids(_StubModel(), pair, dataio.GridLayout(9, 55), 0, 5)
+            dataio.anomaly_grids(pair.y, _half_means(pair.y)[:, 0],
+                                 dataio.GridLayout(9, 55), 5)
 
-    def test_uninformative_neuron_warns(self):
-        pair = datagen.gen_main_synthetic(50, seed=8)
-        layout = dataio.GridLayout(8, 8)
-        with pytest.warns(UserWarning):
-            dataio.anomaly_grids(_StubModel(), pair, layout, 1, k=5, side="x",
-                                 informative=False)
+    def test_value_count_mismatch(self):
+        pair = datagen.gen_main_synthetic(10, seed=8)
+        with pytest.raises(DataError):
+            dataio.anomaly_grids(pair.x, _half_means(pair.x)[:5, 0],
+                                 dataio.GridLayout(8, 8), 2)
 
     def test_layout_json_round_trip(self, tmp_path):
         layout = dataio.GridLayout(9, 55, "zonal-wind", "sea-surface-temperature")
         layout.save(tmp_path / "layout.json")
         again = dataio.GridLayout.load(tmp_path / "layout.json")
         assert again == layout
+
+    @pytest.mark.parametrize("doc", [
+        '{"rows": 8, "cols": 8, "colour": "red"}', '{"rows": "8", "cols": 8}',
+        '{"rows": 8.5, "cols": 8}', '{"rows": 0, "cols": 8}', '[8, 8]', '{rows'])
+    def test_bad_layout_file_is_data_error(self, tmp_path, doc):
+        (tmp_path / "layout.json").write_text(doc)
+        with pytest.raises(DataError):
+            dataio.GridLayout.load(tmp_path / "layout.json")
 
 
 class TestResidualScatter:

@@ -87,16 +87,12 @@ class TestInformativeMask:
             metrics.informative_mask(np.zeros(2), 0.0)
 
 
-class _IdentityHalf:
-    """Stub half whose macrovariables are the first columns of the input."""
+class _AffineHalf:
+    """Stub half with a fixed diagonal cross-map."""
 
-    def __init__(self, d, a, b):
-        self.d = d
+    def __init__(self, a, b):
         self._a = np.asarray(a, dtype=np.float64)
         self._b = np.asarray(b, dtype=np.float64)
-
-    def encode_mean(self, data):
-        return data[:, :self.d].copy()
 
     def cross_predict_np(self, z):
         return self._a * z + self._b
@@ -106,37 +102,39 @@ class _IdentityHalf:
 
 
 class _StubModel:
-    def __init__(self, d, a_x, b_x, a_y, b_y):
-        self.net_x = _IdentityHalf(d, a_x, b_x)
-        self.net_y = _IdentityHalf(d, a_y, b_y)
+    def __init__(self, a_x, b_x, a_y, b_y):
+        self.net_x = _AffineHalf(a_x, b_x)
+        self.net_y = _AffineHalf(a_y, b_y)
 
 
 class TestPairTable:
     def test_empty_masks_give_empty_table(self):
-        model = _StubModel(2, [1, 1], [0, 0], [1, 1], [0, 0])
+        model = _StubModel([1, 1], [0, 0], [1, 1], [0, 0])
         mask = metrics.informative_mask(np.zeros(2), 0.01)
-        table = metrics.pair_table(model, mask, mask,
-                                   np.zeros((5, 4)), np.zeros((5, 4)))
+        enc = metrics.Encoding(np.zeros((5, 2)), np.zeros((5, 2)), mask, mask)
+        table = metrics.pair_table(model, enc)
         assert table.pairs == [] and table.unpaired_x == [] and table.unpaired_y == []
 
     def test_partial_overlap(self):
-        model = _StubModel(2, [1, 1], [0, 0], [1, 1], [0, 0])
+        model = _StubModel([1, 1], [0, 0], [1, 1], [0, 0])
         mask_x = metrics.informative_mask(np.array([1.0, 0.0]), 0.01)
         mask_y = metrics.informative_mask(np.array([1.0, 1.0]), 0.01)
         rng = np.random.default_rng(6)
-        data = rng.normal(size=(20, 4))
-        table = metrics.pair_table(model, mask_x, mask_y, data, data)
+        mu = rng.normal(size=(20, 2))
+        enc = metrics.Encoding(mu, mu, mask_x, mask_y)
+        assert list(enc.paired) == [0]
+        table = metrics.pair_table(model, enc)
         assert [r.index for r in table.pairs] == [0]
         assert table.unpaired_x == []
         assert table.unpaired_y == [1]
 
     def test_perfect_cross_prediction_scores_one(self):
         # y macrovariables equal x macrovariables; identity cross-map
-        model = _StubModel(2, [1, 1], [0, 0], [1, 1], [0, 0])
+        model = _StubModel([1, 1], [0, 0], [1, 1], [0, 0])
         mask = metrics.informative_mask(np.array([1.0, 1.0]), 0.01)
         rng = np.random.default_rng(7)
-        data = rng.normal(size=(30, 4))
-        table = metrics.pair_table(model, mask, mask, data, data)
+        mu = rng.normal(size=(30, 2))
+        table = metrics.pair_table(model, metrics.Encoding(mu, mu, mask, mask))
         for row in table.pairs:
             assert abs(row.cross_ev_y_from_x - 1.0) < 1e-12
             assert abs(row.cross_ev_x_from_y - 1.0) < 1e-12
