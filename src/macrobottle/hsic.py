@@ -1,11 +1,12 @@
 """Kernel independence testing with Gaussian kernels.
 
 The test statistic is n times the biased HSIC estimator,
-trace(K H L H) / n with H = I - (1/n) 11^T, compared against a level-alpha
-critical value from a gamma distribution moment-matched to the statistic's
-null mean and variance. A differentiable variant of the same formula serves
-as a training loss; bandwidths are always set by the median heuristic and
-treated as constants.
+trace(K H L H) / n with H = I - (1/n) 11^T, computed exactly from the
+upper-triangle Gram blocks in two _CHUNK x _CHUNK buffers and compared with
+a level-alpha critical value from a gamma distribution moment-matched to
+the statistic's null mean and variance. A differentiable variant of the
+same formula serves as a training loss; bandwidths are always set by the
+median heuristic and treated as constants.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.stats import gamma as gamma_dist
 
 from . import autodiff as ad
@@ -32,8 +34,7 @@ def median_bandwidth(x: np.ndarray, max_points: int = MEDIAN_SUBSAMPLE,
     if x.size > max_points:
         idx = np.random.default_rng(seed).choice(x.size, max_points, replace=False)
         x = x[idx]
-    diffs = np.abs(x[:, None] - x[None, :])
-    med = float(np.median(diffs[np.triu_indices(x.size, k=1)]))
+    med = float(np.median(pdist(x[:, None], "cityblock")))
     if med == 0.0:
         raise DegenerateDataError("degenerate bandwidth: pairwise distances have zero median")
     return med
@@ -60,48 +61,49 @@ class HsicResult:
         return self.statistic >= self.threshold
 
 
-_CHUNK = 2048
+_CHUNK = 512  # two float64 blocks of this size (2 MB each) stay in cache
 
 
 def _blockwise_moments(x: np.ndarray, y: np.ndarray, bwx: float, bwy: float,
                        n: int) -> tuple[float, float, float, float]:
-    """(statistic, variance, mu_x, mu_y) accumulated over Gram blocks, so
-    the full n x n matrices are never materialized."""
-    cx = -0.5 / (bwx * bwx)
-    cy = -0.5 / (bwy * bwy)
+    """(statistic, variance, mu_x, mu_y) in two exact passes over the Gram
+    blocks with j >= i, each built in place in a preallocated buffer."""
+    uv = (x * (np.sqrt(0.5) / bwx), y * (np.sqrt(0.5) / bwy))  # k = exp(-(u_i - u_j)^2)
+    bufs = (np.empty((_CHUNK, _CHUNK)), np.empty((_CHUNK, _CHUNK)))
+    blocks = [(i, j) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)]
 
-    def block(v, c, i, j):
-        d = v[i:i + _CHUNK, None] - v[None, j:j + _CHUNK]
-        return np.exp(d * d * c)
+    def gram(side, i, j):
+        w, out = uv[side], bufs[side][:min(_CHUNK, n - i), :min(_CHUNK, n - j)]
+        np.subtract(w[i:i + _CHUNK, None], w[None, j:j + _CHUNK], out=out)
+        return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
 
-    # pass 1: row sums and grand sums of both Gram matrices
-    rk = np.zeros(n)
-    rl = np.zeros(n)
-    for i in range(0, n, _CHUNK):
-        for j in range(0, n, _CHUNK):
-            rk[i:i + _CHUNK] += block(x, cx, i, j).sum(axis=1)
-            rl[i:i + _CHUNK] += block(y, cy, i, j).sum(axis=1)
-    sk, sl = rk.sum(), rl.sum()
-    mk, ml = sk / (n * n), sl / (n * n)
-    mu_x = (sk - n) / (n * (n - 1))  # unit diagonal of the Gaussian kernel
-    mu_y = (sl - n) / (n * (n - 1))
+    # pass 1: row sums; block (i, j) gives those of its mirror as column sums
+    rows = np.zeros((2, n))
+    for i, j in blocks:
+        for side in (0, 1):
+            b = gram(side, i, j)
+            rows[side, i:i + _CHUNK] += b.sum(axis=1)
+            if j > i:
+                rows[side, j:j + _CHUNK] += b.sum(axis=0)
+    sums = rows.sum(axis=1)
+    offsets = rows / n - sums[:, None] / (2 * n * n)  # Kc = K - offset_i - offset_j
 
-    # pass 2: statistic and the off-diagonal variance accumulator
-    stat = 0.0
-    var_sum = 0.0
-    var_diag = 0.0
-    for i in range(0, n, _CHUNK):
-        for j in range(0, n, _CHUNK):
-            kb = block(x, cx, i, j)
-            lb = block(y, cy, i, j)
-            kc = kb - rk[i:i + _CHUNK, None] / n - rk[None, j:j + _CHUNK] / n + mk
-            lc = lb - rl[i:i + _CHUNK, None] / n - rl[None, j:j + _CHUNK] / n + ml
-            stat += float((kc * lb).sum())
-            prod = (kc * lc / 6.0) ** 2
-            var_sum += float(prod.sum())
-            if i == j:
-                var_diag += float(np.trace(prod))
-    var = (var_sum - var_diag) / (n * (n - 1))
+    # pass 2: sum(Kc o Lc) equals trace(K H L H) because H is idempotent;
+    # the variance needs the off-diagonal sum of (Kc o Lc)^2
+    stat = var_sum = var_diag = 0.0
+    for i, j in blocks:
+        weight = 1.0 if j == i else 2.0  # the mirror block counts too
+        kc, lc = gram(0, i, j), gram(1, i, j)
+        for side, b in ((0, kc), (1, lc)):
+            b -= offsets[side, i:i + _CHUNK, None]
+            b -= offsets[side, None, j:j + _CHUNK]
+        prod = np.multiply(kc, lc, out=kc)
+        stat += weight * float(prod.sum())
+        var_sum += weight * float(np.square(prod, out=prod).sum())
+        if j == i:
+            var_diag += float(np.trace(prod))
+    mu_x, mu_y = (sums - n) / (n * (n - 1))  # unit diagonal of the Gaussian kernel
+    var = (var_sum - var_diag) / (36.0 * n * (n - 1))
     var *= 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
     return stat / n, var, mu_x, mu_y
 
@@ -111,8 +113,9 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                    seed: int = 0) -> HsicResult:
     """Biased-estimator test statistic n*HSIC_b with its gamma threshold.
 
-    Large inputs are processed in Gram blocks, so memory stays bounded while
-    the statistic keeps its full-sample power.
+    Exact over all n points: two passes over the symmetric Gram blocks with
+    j >= i, in two _CHUNK x _CHUNK buffers. Non-finite samples and
+    bandwidths that are not finite and > 0 raise DataError.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -121,8 +124,12 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
     n = x.size
     if n < 6:
         raise DataError("hsic_statistic needs at least 6 samples")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("hsic_statistic needs finite samples")
     if bandwidths is None:
         bandwidths = (median_bandwidth(x, seed=seed), median_bandwidth(y, seed=seed))
+    if not all(np.isfinite(bw) and bw > 0 for bw in bandwidths):
+        raise DataError(f"bandwidths must be finite and positive, got {bandwidths}")
     stat, var, mu_x, mu_y = _blockwise_moments(x, y, bandwidths[0], bandwidths[1], n)
     # gamma moment-matched to the null mean/variance of the statistic
     mean = max((1.0 + mu_x * mu_y - mu_x - mu_y) / n, 1e-300)
@@ -137,14 +144,15 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
 def _trace_pairing(k: ad.Tensor, l: ad.Tensor, n: int) -> ad.Tensor:
     """trace(K H L H) / n as one custom node; the gradient of the trace
     w.r.t. either Gram matrix is the centered other one, divided by n."""
-    out = np.array((_center(k.data) * l.data).sum() / n)
+    kc = _center(k.data)
+    out = np.array((kc * l.data).sum() / n)
     req = k.requires_grad or l.requires_grad
 
     def backward_fn(g, sink):
         if k.requires_grad:
             sink(k, g * _center(l.data) / n)
         if l.requires_grad:
-            sink(l, g * _center(k.data) / n)
+            sink(l, g * kc / n)
 
     return ad.Tensor(out, req, (k, l), backward_fn if req else None)
 

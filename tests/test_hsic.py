@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import gamma as gamma_dist
 
 from macrobottle import autodiff as ad
 from macrobottle import hsic
@@ -23,6 +24,24 @@ def brute_force_statistic(x, y, bw_x, bw_y):
     term2 = k.sum() * l.sum() / n**4
     term3 = sum(k[i, :].sum() * l[i, :].sum() for i in range(n)) * 2 / n**3
     return n * (term1 + term2 - term3)
+
+
+def dense_reference(x, y, bw_x, bw_y, alpha=hsic.DEFAULT_ALPHA):
+    """(n * HSIC_b, gamma threshold) from full n x n Gram matrices."""
+    n = len(x)
+    k = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2 * bw_x ** 2))
+    l = np.exp(-((y[:, None] - y[None, :]) ** 2) / (2 * bw_y ** 2))
+    h = np.eye(n) - 1.0 / n
+    kc, lc = h @ k @ h, h @ l @ h
+    statistic = np.trace(kc @ l) / n
+    prod = (kc * lc / 6.0) ** 2
+    var = (prod.sum() - np.trace(prod)) / (n * (n - 1))
+    var *= 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
+    mu_x = (k.sum() - n) / (n * (n - 1))
+    mu_y = (l.sum() - n) / (n * (n - 1))
+    mean = (1.0 + mu_x * mu_y - mu_x - mu_y) / n
+    threshold = gamma_dist.ppf(1.0 - alpha, a=mean * mean / var, scale=var * n / mean)
+    return statistic, threshold
 
 
 class TestMedianBandwidth:
@@ -82,9 +101,37 @@ class TestStatistic:
             y = rng.normal(size=30)
             assert hsic.hsic_statistic(x, y).statistic >= 0.0
 
+    @pytest.mark.parametrize("n", [200, 2 * hsic._CHUNK + 37])
+    @pytest.mark.parametrize("dependent", [True, False])
+    def test_blocks_match_dense_reference(self, n, dependent):
+        # above _CHUNK this covers off-diagonal blocks and a ragged last block
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=n)
+        y = np.tanh(x) + 0.3 * rng.normal(size=n) if dependent else rng.normal(size=n)
+        bw = (0.9, 1.1)
+        res = hsic.hsic_statistic(x, y, bandwidths=bw)
+        statistic, threshold = dense_reference(x, y, *bw)
+        assert abs(res.statistic - statistic) <= 1e-9 * abs(statistic)
+        assert abs(res.threshold - threshold) <= 1e-9 * abs(threshold)
+
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             hsic.hsic_statistic(np.zeros(10), np.zeros(11))
+
+    @pytest.mark.parametrize("bad", ["x", "y"])
+    def test_non_finite_sample_is_data_error(self, bad):
+        # a NaN statistic would compare below any threshold and read as independent
+        x = np.linspace(-1.0, 1.0, 20)
+        y = x ** 2
+        (x if bad == "x" else y)[3] = np.nan
+        with pytest.raises(DataError):
+            hsic.hsic_statistic(x, y)
+
+    @pytest.mark.parametrize("bw", [(0.0, 1.0), (-1.0, 1.0), (1.0, np.inf), (np.nan, 1.0)])
+    def test_bad_bandwidth_is_data_error(self, bw):
+        x = np.linspace(-1.0, 1.0, 20)
+        with pytest.raises(DataError):
+            hsic.hsic_statistic(x, x ** 2, bandwidths=bw)
 
     def test_independent_level(self):
         # independent pairs stay below threshold in >= 90% of trials
