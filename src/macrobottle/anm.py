@@ -34,7 +34,6 @@ INCONCLUSIVE = "inconclusive"
 @dataclass
 class AnmConfig:
     hidden: int = 16
-    activation: str = "tanh"
     beta_t: float = 0.01
     epochs: int = 450
     batch_size: int = 1000  # >= fit_points means full-batch steps
@@ -54,8 +53,6 @@ class AnmConfig:
             raise ValueError("epochs and hidden must be >= 0")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.activation not in ("tanh", "identity"):
-            raise ValueError(f"unknown activation: {self.activation!r}")
 
 
 def standardize_vector(v: np.ndarray) -> np.ndarray:
@@ -78,9 +75,8 @@ class TransformNetPair:
         self.config = config
         self.store = ad.ParamStore()
         widths = (1, config.hidden, 1) if config.hidden > 0 else (1, 1)
-        self.mono_spec = ad.MlpSpec(widths, activation=config.activation,
-                                    weight_constraint="nonnegative")
-        self.free_spec = ad.MlpSpec(widths, activation=config.activation)
+        self.mono_spec = ad.MlpSpec(widths, weight_constraint="nonnegative")
+        self.free_spec = ad.MlpSpec(widths)
         rng = np.random.default_rng(seed)
         for side in ("p", "t"):
             # small output scale starts each transform near-affine, so

@@ -159,11 +159,6 @@ def clip(a, lo: float, hi: float) -> Tensor:
     return _unary(a, np.clip(a.data, lo, hi), lambda g: g * mask)
 
 
-def transpose(a) -> Tensor:
-    a = constant(a)
-    return _unary(a, a.data.T.copy(), lambda g: g.T)
-
-
 def cols(a, j0: int, j1: int) -> Tensor:
     """Column slice [:, j0:j1] of a 2-D tensor."""
     a = constant(a)
@@ -328,14 +323,13 @@ class ParamStore:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Dense feed-forward network: hidden activation after every layer but
-    the last. weight_constraint='nonnegative' stores raw weights and maps
-    them through softplus in the forward pass, which combined with a
-    non-decreasing activation makes the whole map monotone non-decreasing.
+    """Dense feed-forward network: tanh after every layer but the last.
+    weight_constraint='nonnegative' stores raw weights and maps them through
+    softplus in the forward pass, which combined with the non-decreasing tanh
+    makes the whole map monotone non-decreasing.
     """
 
     layer_widths: tuple[int, ...]
-    activation: str = "tanh"  # "tanh" | "identity"
     weight_constraint: str = "free"  # "free" | "nonnegative"
 
     def __post_init__(self):
@@ -343,8 +337,6 @@ class MlpSpec:
             raise ValueError("MlpSpec needs at least input and output widths")
         if any(w < 1 for w in self.layer_widths):
             raise ValueError("layer widths must be >= 1")
-        if self.activation not in ("tanh", "identity"):
-            raise ValueError(f"unknown activation: {self.activation}")
         if self.weight_constraint not in ("free", "nonnegative"):
             raise ValueError(f"unknown weight constraint: {self.weight_constraint}")
 
@@ -393,7 +385,7 @@ def mlp_forward(spec: MlpSpec, store: ParamStore, x, prefix: str = "") -> Tensor
         if spec.weight_constraint == "nonnegative":
             w = softplus(w)
         h = add(matmul(h, w), store[f"{prefix}b{i}"])
-        if i < n_layers - 1 and spec.activation == "tanh":
+        if i < n_layers - 1:
             h = tanh(h)
     return h
 

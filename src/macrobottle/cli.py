@@ -48,6 +48,16 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def all_or_index(text: str) -> str | int:
+    return text if text == "all" else int(text)  # argparse: ValueError -> exit 2
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
 def _fmt(v) -> str:
     if v is None:
         return "n/a"
@@ -208,16 +218,9 @@ def cmd_train(args) -> int:
         fh.write(table + "\n")
     header = ["beta", "gamma", "informative_x", "informative_y",
               "ev_y_from_x", "ev_x_from_y", "cross_ev_y_from_x", "cross_ev_x_from_y"]
-    rows = []
-    for r in results:
-        if "failed" in r:
-            continue
-        rows.append([r["beta"], r["gamma"], r["informative_x"], r["informative_y"],
-                     r["ev_y_from_x"], r["ev_x_from_y"],
-                     r["cross_ev_y_from_x"] if r["cross_ev_y_from_x"] is not None else np.nan,
-                     r["cross_ev_x_from_y"] if r["cross_ev_x_from_y"] is not None else np.nan])
+    rows = [[r[h] for h in header] for r in results if "failed" not in r]
     if rows:
-        m = np.array(rows, dtype=np.float64)
+        m = np.array(rows, dtype=np.float64)  # a None metric becomes NaN
         m = np.nan_to_num(m, nan=-999.0)  # CSV matrices must be finite
         dataio.save_matrix_csv(out / "summary.csv", m, header)
     failed = [r for r in results if "failed" in r]
@@ -234,6 +237,8 @@ def cmd_direction(args) -> int:
     fields = {"seed": _fallback_seed(args.seed)}
     if args.anm_config:
         fields.update(_load_json(args.anm_config))
+    if fields.pop("activation", "tanh") != "tanh":  # a field of older configs
+        raise DataError("invalid ANM config: hidden layers are tanh; activation must be 'tanh'")
     try:
         anm_config = anm.AnmConfig(**fields)
     except (TypeError, ValueError) as err:
@@ -248,11 +253,10 @@ def cmd_direction(args) -> int:
         print("no informative macrovariable pair detected; nothing to analyze")
         return EXIT_NO_PAIRS
     if args.pairs != "all":
-        want = int(args.pairs)
-        if want not in paired:
-            print(f"pair {want} is not an informative pair (have {list(paired)})")
+        if args.pairs not in paired:
+            print(f"pair {args.pairs} is not an informative pair (have {paired.tolist()})")
             return EXIT_NO_PAIRS
-        paired = np.array([want])
+        paired = np.array([args.pairs])
 
     mu_x = model.net_x.encode_mean(pair.x)
     mu_y = model.net_y.encode_mean(pair.y)
@@ -293,7 +297,7 @@ def cmd_inspect(args) -> int:
         layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
 
     final, rows, table, enc = _test_report(model, pair, epochs_run=0)
-    k = args.k if args.k else max(1, pair.n // 50)
+    k = args.k or max(1, pair.n // 50)
     for side, data, half, mask in (("x", pair.x, model.net_x, enc.mask_x),
                                    ("y", pair.y, model.net_y, enc.mask_y)):
         mu = half.encode_mean(data)
@@ -307,8 +311,8 @@ def cmd_inspect(args) -> int:
                               metrics=final, pair_table=rows)
     dataio.save_report(out / "inspect_report.json", report)
 
-    print(f"informative neurons: X {list(enc.mask_x.indices)}  "
-          f"Y {list(enc.mask_y.indices)}")
+    print(f"informative neurons: X {enc.mask_x.indices.tolist()}  "
+          f"Y {enc.mask_y.indices.tolist()}")
     print(f"paired: {[r.index for r in table.pairs]}  "
           f"unpaired X {table.unpaired_x}  unpaired Y {table.unpaired_y}")
     for r in table.pairs:
@@ -352,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("direction", help="infer causal direction per macrovariable pair")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--pairs", default="all", help='"all" or one pair index')
+    p.add_argument("--pairs", type=all_or_index, default="all",
+                   help='"all" or one pair index')
     p.add_argument("--anm-config", help="JSON file mirroring AnmConfig fields")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -362,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--layout", help="layout.json; defaults to the 8x8 synthetic grid")
-    p.add_argument("--k", type=int, default=None, help="top/bottom sample count")
+    p.add_argument("--k", type=positive_int, default=None,
+                   help="top/bottom sample count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inspect)
     return parser

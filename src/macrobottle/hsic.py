@@ -4,9 +4,10 @@ The test statistic is n times the biased HSIC estimator,
 trace(K H L H) / n with H = I - (1/n) 11^T, computed exactly from the
 upper-triangle Gram blocks in two _CHUNK x _CHUNK buffers and compared with
 a level-alpha critical value from a gamma distribution moment-matched to
-the statistic's null mean and variance. A differentiable variant of the
-same formula serves as a training loss; bandwidths are always set by the
-median heuristic and treated as constants.
+the statistic's null mean and variance. The same statistic, built with the
+same kernel code (_gram), serves as a training loss: one autodiff node with
+an analytic gradient. Bandwidths are set by the median heuristic and treated
+as constants.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ def median_bandwidth(x: np.ndarray, max_points: int = MEDIAN_SUBSAMPLE,
     return med
 
 
-def _center(m: np.ndarray) -> np.ndarray:
-    """H m H for the centering matrix H, via row/column means."""
-    rm = m.mean(axis=1, keepdims=True)
-    cm = m.mean(axis=0, keepdims=True)
-    return m - rm - cm + m.mean()
-
-
 @dataclass
 class HsicResult:
     statistic: float
@@ -64,18 +58,31 @@ class HsicResult:
 _CHUNK = 512  # two float64 blocks of this size (2 MB each) stay in cache
 
 
-def _blockwise_moments(x: np.ndarray, y: np.ndarray, bwx: float, bwy: float,
-                       n: int) -> tuple[float, float, float, float]:
-    """(statistic, variance, mu_x, mu_y) in two exact passes over the Gram
-    blocks with j >= i, each built in place in a preallocated buffer."""
-    uv = (x * (np.sqrt(0.5) / bwx), y * (np.sqrt(0.5) / bwy))  # k = exp(-(u_i - u_j)^2)
+def _kernel_scales(bandwidths: tuple[float, float]) -> list[float]:
+    """sqrt(0.5) / bandwidth per side, the factor _gram's inputs carry;
+    bandwidths that are not finite and > 0 raise DataError."""
+    if not all(np.isfinite(bw) and bw > 0 for bw in bandwidths):
+        raise DataError(f"bandwidths must be finite and positive, got {bandwidths}")
+    return [np.sqrt(0.5) / bw for bw in bandwidths]
+
+
+def _gram(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with the Gaussian kernel exp(-(u_i - v_j)^2), in place, from
+    inputs already scaled by sqrt(0.5) / bandwidth."""
+    np.subtract(u[:, None], v[None, :], out=out)
+    return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
+
+
+def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, float, float, float]:
+    """(statistic, variance, mu_x, mu_y) of scaled inputs in two exact passes
+    over the Gram blocks with j >= i, each built in place in a buffer."""
+    uv = (u, v)
     bufs = (np.empty((_CHUNK, _CHUNK)), np.empty((_CHUNK, _CHUNK)))
     blocks = [(i, j) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)]
 
     def gram(side, i, j):
-        w, out = uv[side], bufs[side][:min(_CHUNK, n - i), :min(_CHUNK, n - j)]
-        np.subtract(w[i:i + _CHUNK, None], w[None, j:j + _CHUNK], out=out)
-        return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
+        a, b = uv[side][i:i + _CHUNK], uv[side][j:j + _CHUNK]
+        return _gram(a, b, bufs[side][:a.size, :b.size])
 
     # pass 1: row sums; block (i, j) gives those of its mirror as column sums
     rows = np.zeros((2, n))
@@ -128,9 +135,8 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
         raise DataError("hsic_statistic needs finite samples")
     if bandwidths is None:
         bandwidths = (median_bandwidth(x, seed=seed), median_bandwidth(y, seed=seed))
-    if not all(np.isfinite(bw) and bw > 0 for bw in bandwidths):
-        raise DataError(f"bandwidths must be finite and positive, got {bandwidths}")
-    stat, var, mu_x, mu_y = _blockwise_moments(x, y, bandwidths[0], bandwidths[1], n)
+    sx, sy = _kernel_scales(bandwidths)
+    stat, var, mu_x, mu_y = _blockwise_moments(x * sx, y * sy, n)
     # gamma moment-matched to the null mean/variance of the statistic
     mean = max((1.0 + mu_x * mu_y - mu_x - mu_y) / n, 1e-300)
     var = max(var, 1e-300)
@@ -141,25 +147,10 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                       bandwidths=bandwidths, n=n, alpha=alpha)
 
 
-def _trace_pairing(k: ad.Tensor, l: ad.Tensor, n: int) -> ad.Tensor:
-    """trace(K H L H) / n as one custom node; the gradient of the trace
-    w.r.t. either Gram matrix is the centered other one, divided by n."""
-    kc = _center(k.data)
-    out = np.array((kc * l.data).sum() / n)
-    req = k.requires_grad or l.requires_grad
-
-    def backward_fn(g, sink):
-        if k.requires_grad:
-            sink(k, g * _center(l.data) / n)
-        if l.requires_grad:
-            sink(l, g * kc / n)
-
-    return ad.Tensor(out, req, (k, l), backward_fn if req else None)
-
-
 def hsic_loss(x: ad.Tensor, y: ad.Tensor,
               bandwidths: tuple[float, float] | None = None) -> ad.Tensor:
-    """Differentiable n*HSIC_b for column vectors (n x 1).
+    """Differentiable n*HSIC_b for column vectors (n x 1): one node with an
+    analytic gradient, its Grams built and centred as in hsic_statistic.
 
     Bandwidths default to the median heuristic on the current values and are
     excluded from differentiation; a degenerate (constant) input falls back
@@ -182,9 +173,23 @@ def hsic_loss(x: ad.Tensor, y: ad.Tensor,
 
     if bandwidths is None:
         bandwidths = (safe_bw(x.data), safe_bw(y.data))
+    scales = _kernel_scales(bandwidths)
+    u, v = x.data[:, 0] * scales[0], y.data[:, 0] * scales[1]
 
-    def gram(t: ad.Tensor, bw: float) -> ad.Tensor:
-        d = ad.sub(t, ad.transpose(t))
-        return ad.exp(ad.mul(ad.square(d), -0.5 / (bw * bw)))
+    def centred(w):
+        k = _gram(w, w, np.empty((n, n)))
+        offset = k.mean(axis=1) - k.mean() / 2  # Kc = K - offset_i - offset_j
+        return k, k - offset[:, None] - offset[None, :]
 
-    return _trace_pairing(gram(x, bandwidths[0]), gram(y, bandwidths[1]), n)
+    (k, kc), (l, lc) = centred(u), centred(v)
+
+    def backward_fn(g, sink):
+        # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with
+        # m = K o Lc for x and m = L o Kc for y, then the chain through scale
+        for t, w, gram, other_c, scale in ((x, u, k, lc, scales[0]), (y, v, l, kc, scales[1])):
+            if t.requires_grad:
+                m = gram * other_c
+                sink(t, (g * (-4.0 * scale / n)) * (w * m.sum(axis=1) - m @ w)[:, None])
+
+    req = x.requires_grad or y.requires_grad
+    return ad.Tensor(np.array((kc * l).sum() / n), req, (x, y), backward_fn if req else None)

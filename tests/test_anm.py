@@ -16,8 +16,7 @@ from macrobottle.errors import DataError
 
 @pytest.mark.parametrize("fields", [
     {"batch_size": 0}, {"batch_size": 4}, {"fit_points": 7}, {"eval_points": 5},
-    {"epochs": -1}, {"alpha": 0.0}, {"alpha": 1.5}, {"hidden": -1},
-    {"activation": "relu"}])
+    {"epochs": -1}, {"alpha": 0.0}, {"alpha": 1.5}, {"hidden": -1}])
 def test_config_rejects_invalid_fields(fields):
     with pytest.raises(ValueError):
         anm.AnmConfig(**fields)
@@ -57,7 +56,7 @@ class TestResiduals:
     def make_identity_net(self):
         # single linear layer with softplus-inverse weights set so the
         # composite map is the identity; cross-map a=1, b=0
-        cfg = anm.AnmConfig(hidden=0, activation="identity")
+        cfg = anm.AnmConfig(hidden=0)
         net = anm.TransformNetPair(cfg, seed=0)
         for side in ("p", "t"):
             net.store[f"{side}.mono.w0"].data[...] = ad.softplus_inv(1.0)

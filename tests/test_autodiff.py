@@ -31,7 +31,7 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(a - b).max() / denom)
 
 
-def naive_mlp(widths, params, x, activation="tanh"):
+def naive_mlp(widths, params, x):
     """Nested-loop forward pass, independent of the Tensor graph."""
     h = x.copy()
     for li in range(len(widths) - 1):
@@ -44,7 +44,7 @@ def naive_mlp(widths, params, x, activation="tanh"):
                 for k in range(widths[li]):
                     acc += h[r, k] * w[k, c]
                 out[r, c] = acc
-        if li < len(widths) - 2 and activation == "tanh":
+        if li < len(widths) - 2:
             out = np.tanh(out)
         h = out
     return h
@@ -52,7 +52,7 @@ def naive_mlp(widths, params, x, activation="tanh"):
 
 class TestMlpForward:
     def test_identity_single_layer(self):
-        spec = ad.MlpSpec((2, 2), activation="identity")
+        spec = ad.MlpSpec((2, 2))
         store = ad.ParamStore()
         store.add("w0", np.eye(2))
         store.add("b0", np.zeros(2))
@@ -90,7 +90,7 @@ class TestMlpForward:
 
 class TestBackward:
     def test_bias_gradient_of_sum_is_ones(self):
-        spec = ad.MlpSpec((3, 3), activation="identity")
+        spec = ad.MlpSpec((3, 3))
         store = ad.ParamStore()
         store.add("w0", np.eye(3))
         store.add("b0", np.zeros(3))

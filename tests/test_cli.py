@@ -237,6 +237,18 @@ EXIT_CASES = {
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"batch_size": 0})), cli.EXIT_DATA),
     "anm-alpha-above-one": (lambda t, tmp: _direction(
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"alpha": 1.5})), cli.EXIT_DATA),
+    "anm-activation-identity": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"activation": "identity"})),
+        cli.EXIT_DATA),
+    # an older config naming the one activation still loads: the run reaches the pair check
+    "anm-activation-tanh": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"activation": "tanh"}),
+        "--pairs", "7"), cli.EXIT_NO_PAIRS),
+    "pairs-not-an-index": (lambda t, tmp: _direction(t, tmp, "--pairs", "abc"),
+                           cli.EXIT_USAGE),
+    "inspect-k-zero": (lambda t, tmp: ["inspect", "--checkpoint", str(_checkpoint(t)),
+                                       "--data", str(t["data"]), "--k", "0",
+                                       "--out", str(tmp / "ins")], cli.EXIT_USAGE),
     "truncated-checkpoint": (_truncated, cli.EXIT_DATA),
     "checkpoint-byte-flipped": (_flipped_byte, cli.EXIT_DATA),
     "layout-unknown-field": (lambda t, tmp: _inspect_with_layout(
