@@ -75,36 +75,24 @@ class TransformNetPair:
         self.config = config
         self.store = ad.ParamStore()
         widths = (1, config.hidden, 1) if config.hidden > 0 else (1, 1)
-        self.mono_spec = ad.MlpSpec(widths, weight_constraint="nonnegative")
-        self.free_spec = ad.MlpSpec(widths)
+        mono_spec = ad.MlpSpec(widths, weight_constraint="nonnegative")
+        free_spec = ad.MlpSpec(widths)
         rng = np.random.default_rng(seed)
+        self.layers = {}  # "<side>.<path>." -> the path's layers
         for side in ("p", "t"):
             # small output scale starts each transform near-affine, so
             # gradient flow reaches the mildest warp compatible with the
             # objective before any exotic one
-            ad.init_mlp(self.mono_spec, self.store, rng, f"{side}.mono.",
-                        out_scale=0.3)
-            ad.init_mlp(self.free_spec, self.store, rng, f"{side}.lv.", out_scale=0.1)
-            ad.init_mlp(self.free_spec, self.store, rng, f"{side}.dec.")
+            for path, spec, scale in (("mono", mono_spec, 0.3), ("lv", free_spec, 0.1),
+                                      ("dec", free_spec, 1.0)):
+                prefix = f"{side}.{path}."
+                ad.init_mlp(spec, self.store, rng, prefix, out_scale=scale)
+                self.layers[prefix] = ad.mlp_layers(spec, self.store, prefix)
         self.store.add("cross.a", np.array([[1.0]]))
         self.store.add("cross.b", np.array([0.0]))
 
-    def encode_mean(self, v, side: str) -> ad.Tensor:
-        return ad.mlp_forward(self.mono_spec, self.store, v, f"{side}.mono.")
-
-    def encode_logvar(self, v, side: str) -> ad.Tensor:
-        out = ad.mlp_forward(self.free_spec, self.store, v, f"{side}.lv.")
-        return ad.clip(out, ad.LOGVAR_MIN, ad.LOGVAR_MAX)
-
-    def decode(self, z, side: str) -> ad.Tensor:
-        return ad.mlp_forward(self.free_spec, self.store, z, f"{side}.dec.")
-
-    def cross(self, p) -> ad.Tensor:
-        return ad.add(ad.matmul(ad.constant(p), self.store["cross.a"]),
-                      self.store["cross.b"])
-
     def transform_mean(self, v: np.ndarray, side: str) -> np.ndarray:
-        return self.encode_mean(ad.Tensor(np.reshape(v, (-1, 1))), side).data[:, 0]
+        return ad.mlp_forward(self.layers[f"{side}.mono."], np.reshape(v, (-1, 1)))[-1][:, 0]
 
 
 def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
@@ -144,32 +132,47 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
 
 def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
                     config: AnmConfig, rng: np.random.Generator) -> ad.Tensor:
-    mu_p = net.encode_mean(ad.Tensor(bp), "p")
-    lv_p = net.encode_logvar(ad.Tensor(bp), "p")
-    mu_t = net.encode_mean(ad.Tensor(bt), "t")
-    lv_t = net.encode_logvar(ad.Tensor(bt), "t")
-    z_p = ad.gaussian_reparam(mu_p, lv_p, rng)
-    z_t = ad.gaussian_reparam(mu_t, lv_t, rng)
-
+    """The objective in the module docstring as one node with a hand-written
+    backward."""
+    n = bp.shape[0]
+    a, b = net.store["cross.a"], net.store["cross.b"]
+    inputs = {"p": bp, "t": bt}
+    mono = {s: ad.mlp_forward(net.layers[f"{s}.mono."], v) for s, v in inputs.items()}
+    lv = {s: ad.mlp_forward(net.layers[f"{s}.lv."], v) for s, v in inputs.items()}
+    noisy = {s: ad.gaussian_bottleneck(mono[s][-1], lv[s][-1], rng) for s in inputs}
+    dec = {s: ad.mlp_forward(net.layers[f"{s}.dec."], noisy[s][0]) for s in inputs}
     # reconstruction normalized by (standardized) input variance, ~1
-    vae_p = ad.add(ad.mse(net.decode(z_p, "p"), ad.constant(bp)),
-                   ad.mul(ad.kl_standard_normal(mu_p, lv_p), config.beta_t))
-    vae_t = ad.add(ad.mse(net.decode(z_t, "t"), ad.constant(bt)),
-                   ad.mul(ad.kl_standard_normal(mu_t, lv_t), config.beta_t))
+    recon = {s: dec[s][-1] - v for s, v in inputs.items()}
+    value = sum(np.mean(recon[s] * recon[s]) + config.beta_t * noisy[s][1].sum() / n
+                for s in inputs)
 
-    var_t = max(float(mu_t.data.var()), 1e-3)  # constant per batch
-    fit = ad.mul(ad.mse(net.cross(z_p), mu_t), 1.0 / var_t)
+    mu_p, mu_t, z_p = mono["p"][-1], mono["t"][-1], noisy["p"][0]
+    var_t = max(float(mu_t.var()), 1e-3)  # constant per batch
+    fit = z_p @ a.data + b.data - mu_t
 
     # detached per-batch standardization keeps the independence term's
     # kernel geometry stationary: shrinking or rescaling a transform can
     # not lower the statistic, only reshaping the dependence can
-    res = ad.sub(mu_t, net.cross(mu_p))
-    u = ad.mul(ad.sub(mu_p, float(mu_p.data.mean())),
-               1.0 / max(float(mu_p.data.std()), 1e-6))
-    r = ad.mul(ad.sub(res, float(res.data.mean())),
-               1.0 / max(float(res.data.std()), 1e-6))
-    dep = hsic.hsic_loss(u, r)
-    return ad.add(ad.add(vae_p, vae_t), ad.add(fit, dep))
+    res = mu_t - (mu_p @ a.data + b.data)
+    inv_u = 1.0 / max(float(mu_p.std()), 1e-6)
+    inv_r = 1.0 / max(float(res.std()), 1e-6)
+    dep, g_u, g_r = hsic.hsic_loss((mu_p - mu_p.mean()) * inv_u, (res - res.mean()) * inv_r)
+    value += np.mean(fit * fit) / var_t + dep
+
+    def backward_fn(g, sink):
+        g_fit = (2.0 * g / (n * var_t)) * fit
+        g_res = (g * inv_r) * g_r
+        a.grad += z_p.T @ g_fit - mu_p.T @ g_res
+        b.grad += (g_fit - g_res).sum(axis=0)
+        g_mu = {"p": (g * inv_u) * g_u - g_res @ a.data.T, "t": g_res - g_fit}
+        g_z = {"p": g_fit @ a.data.T, "t": 0.0}
+        for s in inputs:
+            g_z[s] += ad.mlp_backward(net.layers[f"{s}.dec."], dec[s], (2.0 * g / n) * recon[s])
+            g_mu_s, g_lv = ad.gaussian_bottleneck_grad(noisy[s][2], g_z[s], g * config.beta_t / n)
+            ad.mlp_backward(net.layers[f"{s}.mono."], mono[s], g_mu[s] + g_mu_s)
+            ad.mlp_backward(net.layers[f"{s}.lv."], lv[s], g_lv)
+
+    return ad.Tensor(value, True, (), backward_fn)
 
 
 def residuals(net: TransformNetPair, x: np.ndarray, y: np.ndarray,

@@ -1,11 +1,13 @@
-"""Minimal reverse-mode differentiation over dense float64 arrays.
+"""Hand-derived gradients over one flat parameter store.
 
-Everything trained in this package (bottleneck networks, additive decoders,
-monotone 1-D transforms) is an MLP-shaped graph, so the op set is deliberately
-small: affine maps, elementwise nonlinearities, reductions and broadcasting.
-Gradients accumulate into named parameters held by a ParamStore, which also
-owns the Adam state. All computations are float64 and deterministic for a
-fixed seed on a fixed platform.
+Everything trained in this package (bottleneck encoders, additive decoders,
+monotone 1-D transforms) is a tanh MLP feeding a Gaussian bottleneck, so each
+trained loss is one Tensor node whose backward function is written out by
+hand from two shared pairs: mlp_forward/mlp_backward and
+gaussian_bottleneck/gaussian_bottleneck_grad. Gradients accumulate into named
+parameters held by a ParamStore, whose flat buffers also hold the Adam state.
+All computations are float64 and deterministic for a fixed seed on a fixed
+platform.
 """
 
 from __future__ import annotations
@@ -26,32 +28,26 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
+SOFTPLUS = "softplus"  # weight map of a "nonnegative" layer
 
 
 class Tensor:
-    """A node in the reverse-mode graph.
+    """A loss node, or a parameter.
 
-    Leaf tensors created through ParamStore.add have requires_grad=True and
-    receive accumulated gradients in .grad; everything else is an internal
-    node whose gradient lives only for the duration of one backward pass.
+    Parameters created through ParamStore.add have requires_grad=True and
+    receive accumulated gradients in .grad. A loss node's _backward_fn(g,
+    sink) adds its gradients into the parameters' .grad itself, or hands them
+    to its _parents through sink.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward_fn = _backward_fn
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -60,178 +56,23 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
 
-def constant(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
-    a = constant(a)
-    b = constant(b)
-    req = a.requires_grad or b.requires_grad
-    out_data = forward(a.data, b.data)
-
-    def backward_fn(g, sink):
-        if a.requires_grad:
-            sink(a, _unbroadcast(grad_a(g), a.data.shape))
-        if b.requires_grad:
-            sink(b, _unbroadcast(grad_b(g), b.data.shape))
-
-    return Tensor(out_data, req, (a, b), backward_fn if req else None)
-
-
-def add(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x + y, lambda g: g, lambda g: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g: g, lambda g: -g)
-
-
-def mul(a, b) -> Tensor:
-    a = constant(a)
-    b = constant(b)
-    return _binary(a, b, lambda x, y: x * y,
-                   lambda g: g * b.data, lambda g: g * a.data)
-
-
-def matmul(a, b) -> Tensor:
-    a = constant(a)
-    b = constant(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul shapes incompatible: {a.data.shape} @ {b.data.shape}")
-    return _binary(a, b, lambda x, y: x @ y,
-                   lambda g: g @ b.data.T, lambda g: a.data.T @ g)
-
-
-def _unary(a, out_data, grad_fn) -> Tensor:
-    a = constant(a)
-
-    def backward_fn(g, sink):
-        sink(a, grad_fn(g))
-
-    return Tensor(out_data, a.requires_grad, (a,),
-                  backward_fn if a.requires_grad else None)
-
-
-def tanh(a) -> Tensor:
-    a = constant(a)
-    t = np.tanh(a.data)
-    return _unary(a, t, lambda g: g * (1.0 - t * t))
-
-
-def exp(a) -> Tensor:
-    a = constant(a)
-    e = np.exp(a.data)
-    return _unary(a, e, lambda g: g * e)
-
-
-def square(a) -> Tensor:
-    a = constant(a)
-    return _unary(a, a.data * a.data, lambda g: g * (2.0 * a.data))
-
-
-def softplus(a) -> Tensor:
-    """log(1 + e^x), overflow-safe; gradient is the logistic function."""
-    a = constant(a)
-    out = np.logaddexp(0.0, a.data)
-    sig = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, out, lambda g: g * sig)
-
-
-def clip(a, lo: float, hi: float) -> Tensor:
-    """Clamp with zero gradient outside [lo, hi]."""
-    a = constant(a)
-    mask = (a.data >= lo) & (a.data <= hi)
-    return _unary(a, np.clip(a.data, lo, hi), lambda g: g * mask)
-
-
-def cols(a, j0: int, j1: int) -> Tensor:
-    """Column slice [:, j0:j1] of a 2-D tensor."""
-    a = constant(a)
-    if a.data.ndim != 2:
-        raise DimensionError("cols expects a 2-D tensor")
-
-    def grad_fn(g):
-        full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
-        return full
-
-    return _unary(a, a.data[:, j0:j1].copy(), grad_fn)
-
-
-def total_sum(a) -> Tensor:
-    a = constant(a)
-    return _unary(a, np.array(a.data.sum()),
-                  lambda g: np.broadcast_to(g, a.data.shape).copy())
-
-
-def mean(a) -> Tensor:
-    a = constant(a)
-    n = a.data.size
-    return _unary(a, np.array(a.data.mean()),
-                  lambda g: np.broadcast_to(g / n, a.data.shape).copy())
-
-
-def mse(pred, target) -> Tensor:
-    """Mean squared error pooled over every entry."""
-    return mean(square(sub(pred, target)))
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into every reachable parameter's .grad.
 
-    Repeated calls on the same graph keep accumulating (callers zero grads
-    between steps); gradients of internal nodes are discarded after the pass.
+    Each gradient a node hands to a parent through sink is propagated on its
+    own; backward functions are linear in g, so a parent reached along two
+    paths gets the sum. Repeated calls keep accumulating (callers zero grads
+    between steps).
     """
     if loss.data.size != 1:
         raise TapeError("backward expects a scalar loss")
     if not loss._parents and not loss.requires_grad:
         raise TapeError("backward called on a tensor with no forward graph")
-
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
-
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-
-    # accumulation is out-of-place: pass-through gradients may be shared
-    # between parents, so stored arrays must never be mutated
-    def sink(node: Tensor, g: np.ndarray):
-        cur = grads.get(id(node))
-        grads[id(node)] = g if cur is None else cur + g
-
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+    pending = [(loss, np.ones_like(loss.data))]
+    while pending:
+        node, g = pending.pop()
         if node._backward_fn is not None:
-            node._backward_fn(g, sink)
+            node._backward_fn(g, lambda parent, pg: pending.append((parent, pg)))
         elif node.requires_grad:
             node.grad += g
 
@@ -309,7 +150,7 @@ class ParamStore:
             raise DataError(f"parameter arrays do not match: missing {missing}, "
                             f"extra {extra}")
         for name, t in self._tensors.items():
-            src = _as_array(arrays[name])
+            src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != t.data.shape:
                 raise DimensionError(
                     f"checkpoint shape mismatch for {name}: "
@@ -371,51 +212,75 @@ def init_mlp(spec: MlpSpec, store: ParamStore, rng: np.random.Generator,
         store.add(f"{prefix}b{i}", b)
 
 
-def mlp_forward(spec: MlpSpec, store: ParamStore, x, prefix: str = "") -> Tensor:
-    """Forward pass; the graph it builds is what backward() differentiates."""
-    x = constant(x)
-    if x.data.ndim != 2 or x.data.shape[1] != spec.layer_widths[0]:
-        raise DimensionError(
-            f"input shape {x.data.shape} does not match "
-            f"first layer width {spec.layer_widths[0]}")
-    h = x
-    n_layers = len(spec.layer_widths) - 1
-    for i in range(n_layers):
-        w = store[f"{prefix}w{i}"]
-        if spec.weight_constraint == "nonnegative":
-            w = softplus(w)
-        h = add(matmul(h, w), store[f"{prefix}b{i}"])
-        if i < n_layers - 1:
-            h = tanh(h)
-    return h
+def mlp_layers(spec: MlpSpec, store: ParamStore, prefix: str = "") -> list[tuple]:
+    """The (weight, bias, weight map) of every layer init_mlp made under prefix."""
+    wmap = SOFTPLUS if spec.weight_constraint == "nonnegative" else None
+    return [(store[f"{prefix}w{i}"], store[f"{prefix}b{i}"], wmap)
+            for i in range(len(spec.layer_widths) - 1)]
 
 
-def gaussian_reparam(mu: Tensor, logvar: Tensor, rng: np.random.Generator) -> Tensor:
-    """Differentiable sample mu + sigma * eps with eps ~ N(0, 1).
-
-    logvar is clamped to [LOGVAR_MIN, LOGVAR_MAX] before exponentiation, so
-    at the lower clamp the sample collapses to mu.
-    """
-    mu = constant(mu)
-    logvar = constant(logvar)
-    if mu.data.shape != logvar.data.shape:
-        raise DimensionError(
-            f"mu/logvar shapes differ: {mu.data.shape} vs {logvar.data.shape}")
-    eps = rng.standard_normal(mu.data.shape)
-    sigma = exp(mul(clip(logvar, LOGVAR_MIN, LOGVAR_MAX), 0.5))
-    return add(mu, mul(sigma, eps))
+def _weight(w: Tensor, wmap) -> np.ndarray:
+    """The weight a layer applies: the raw one, its softplus or its masked copy."""
+    if wmap is None:
+        return w.data
+    if wmap is SOFTPLUS:
+        return np.logaddexp(0.0, w.data)
+    return w.data * wmap
 
 
-def kl_standard_normal(mu: Tensor, logvar: Tensor) -> Tensor:
-    """Mean over samples of the per-sample sum over neurons of
-    0.5 * (mu^2 + sigma^2 - 1 - log sigma^2), the closed-form divergence of
-    a diagonal Gaussian from the standard normal."""
-    mu = constant(mu)
-    logvar = constant(logvar)
-    lv = clip(logvar, LOGVAR_MIN, LOGVAR_MAX)
-    n = mu.data.shape[0]
-    per_entry = sub(sub(add(square(mu), exp(lv)), 1.0), lv)
-    return mul(total_sum(per_entry), 0.5 / n)
+def mlp_forward(layers: list[tuple], x) -> list[np.ndarray]:
+    """Every layer's input, then the output; tanh between layers. Layers are
+    (weight, bias, weight map) with the map None, SOFTPLUS or a 0/1 mask."""
+    x = np.asarray(x, dtype=np.float64)
+    width = layers[0][0].data.shape[0]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise DimensionError(f"input shape {x.shape} does not match first layer width {width}")
+    hs = [x]
+    for i, (w, b, wmap) in enumerate(layers):
+        h = hs[-1] @ _weight(w, wmap) + b.data
+        hs.append(np.tanh(h) if i < len(layers) - 1 else h)
+    return hs
+
+
+def mlp_backward(layers: list[tuple], hs: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+    """Add into every weight's and bias's .grad the gradient of a loss whose
+    gradient with respect to the output hs[-1] is g; return the gradient
+    with respect to the input hs[0]."""
+    for i in reversed(range(len(layers))):
+        w, b, wmap = layers[i]
+        if i < len(layers) - 1:
+            g = g * (1.0 - hs[i + 1] * hs[i + 1])
+        gw = hs[i].T @ g
+        if wmap is SOFTPLUS:
+            gw *= 1.0 / (1.0 + np.exp(-w.data))
+        elif wmap is not None:
+            gw *= wmap  # off-block weights stay where they are
+        w.grad += gw
+        b.grad += g.sum(axis=0)
+        g = g @ _weight(w, wmap).T
+    return g
+
+
+def gaussian_bottleneck(mu: np.ndarray, logvar: np.ndarray, rng: np.random.Generator):
+    """The sample z = mu + sigma * eps, eps ~ N(0, 1), and per entry the
+    closed-form divergence 0.5 * (mu^2 + sigma^2 - 1 - log sigma^2) of the
+    Gaussian from the standard normal, with logvar clamped to
+    [LOGVAR_MIN, LOGVAR_MAX] (at the lower clamp z collapses to mu).
+    Returns (z, kl, cache) for gaussian_bottleneck_grad."""
+    lv = np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX)
+    var = np.exp(lv)
+    noise = np.exp(lv * 0.5) * rng.standard_normal(mu.shape)
+    kl = 0.5 * (((mu * mu + var) - 1.0) - lv)
+    inside = (logvar >= LOGVAR_MIN) & (logvar <= LOGVAR_MAX)
+    return mu + noise, kl, (mu, var, noise, inside)
+
+
+def gaussian_bottleneck_grad(cache, g_z: np.ndarray, g_kl) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dmu, d/dlogvar) from the gradient with respect to z and that with
+    respect to every kl entry (an array, or one weight for all); zero where
+    logvar was clamped."""
+    mu, var, noise, inside = cache
+    return g_z + g_kl * mu, (0.5 * (g_z * noise + g_kl * (var - 1.0))) * inside
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +317,24 @@ def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
 
 
 def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Named arrays and the extra dict of a checkpoint; a manifest that is not
+    JSON, lacks its array list or does not match the blob raises DataError."""
     dirpath = Path(dirpath)
     with open(dirpath / _MANIFEST_NAME, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+        try:
+            manifest = json.load(fh)
+        except ValueError as err:  # invalid JSON or invalid UTF-8
+            raise DataError(f"{dirpath / _MANIFEST_NAME}: invalid JSON: {err}") from err
+    if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unrecognized checkpoint format in {dirpath}")
+    try:
+        entries = [(e["name"], [int(k) for k in e["shape"]], int(e["offset"]))
+                   for e in manifest["arrays"]]
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{dirpath / _MANIFEST_NAME}: malformed array list "
+                        f"({type(err).__name__}: {err})") from err
     blob = (dirpath / _BLOB_NAME).read_bytes()
-    counts = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
+    counts = [int(np.prod(shape)) for _, shape, _ in entries]
     if len(blob) != 8 * sum(counts):
         raise DataError(f"{dirpath / _BLOB_NAME} holds {len(blob)} bytes, "
                         f"the manifest lists {8 * sum(counts)}")
@@ -466,7 +342,7 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
         raise DataError(f"{dirpath / _BLOB_NAME} does not match the sha256 in its manifest")
     arrays = {}
-    for entry, count in zip(manifest["arrays"], counts):
-        a = np.frombuffer(blob, dtype="<f8", count=count, offset=entry["offset"])
-        arrays[entry["name"]] = a.reshape(entry["shape"]).astype(np.float64)
+    for (name, shape, offset), count in zip(entries, counts):
+        a = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        arrays[name] = a.reshape(shape).astype(np.float64)
     return arrays, manifest.get("extra", {})

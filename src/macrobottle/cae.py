@@ -33,7 +33,7 @@ from . import autodiff as ad
 from . import metrics
 from .datagen import TRAIN, VAL, DatasetPair
 from .dataio import ColumnStats, standardize
-from .errors import DataError, DimensionError, NumericalError
+from .errors import DataError, NumericalError
 
 TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
 
@@ -120,25 +120,25 @@ class CaeHalf:
         self.prefix = f"{name}."
         d = config.bottleneck_dim
 
-        self.enc_spec = ad.MlpSpec((input_dim, *config.encoder_hidden, 2 * d))
-        ad.init_mlp(self.enc_spec, store, rng, self.prefix + "enc.")
+        enc_spec = ad.MlpSpec((input_dim, *config.encoder_hidden, 2 * d))
+        ad.init_mlp(enc_spec, store, rng, self.prefix + "enc.")
+        self.enc = ad.mlp_layers(enc_spec, store, self.prefix + "enc.")
 
         widths_per = (1, *config.decoder_hidden_per_variable)
-        self.dec_masks: list[np.ndarray] = []
+        self.dec = []
         for i in range(len(widths_per) - 1):
             in_per, out_per = widths_per[i], widths_per[i + 1]
             mask = _block_mask(d, in_per, out_per)
             bound = 1.0 / np.sqrt(in_per)
             w = rng.uniform(-bound, bound, size=mask.shape) * mask
             b = rng.uniform(-bound, bound, size=mask.shape[1])
-            store.add(f"{self.prefix}dec.w{i}", w)
-            store.add(f"{self.prefix}dec.b{i}", b)
-            self.dec_masks.append(mask)
+            self.dec.append((store.add(f"{self.prefix}dec.w{i}", w),
+                             store.add(f"{self.prefix}dec.b{i}", b), mask))
         h_last = widths_per[-1]
         bound = 1.0 / np.sqrt(d * h_last)
-        store.add(self.prefix + "dec.w_out",
-                  rng.uniform(-bound, bound, size=(d * h_last, target_dim)))
-        store.add(self.prefix + "dec.bias", np.zeros(target_dim))
+        self.dec.append((store.add(self.prefix + "dec.w_out",
+                                   rng.uniform(-bound, bound, size=(d * h_last, target_dim))),
+                         store.add(self.prefix + "dec.bias", np.zeros(target_dim)), None))
         store.add(self.prefix + "cross.a", 0.1 * rng.uniform(-1.0, 1.0, size=(d,)))
         store.add(self.prefix + "cross.b", np.zeros(d))
 
@@ -146,46 +146,20 @@ class CaeHalf:
         """This half's parameter `key`, e.g. "dec.bias"."""
         return self.store[self.prefix + key]
 
-    # --- encoder -----------------------------------------------------------
-
-    def encode(self, inputs) -> tuple[ad.Tensor, ad.Tensor]:
-        out = ad.mlp_forward(self.enc_spec, self.store, inputs, self.prefix + "enc.")
-        d = self.config.bottleneck_dim
-        mu = ad.cols(out, 0, d)
-        logvar = ad.clip(ad.cols(out, d, 2 * d), ad.LOGVAR_MIN, ad.LOGVAR_MAX)
-        return mu, logvar
-
     def encode_np(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mu, logvar = self.encode(ad.Tensor(inputs))
-        return mu.data, logvar.data
+        """Bottleneck means and clamped log-variances."""
+        out = ad.mlp_forward(self.enc, inputs)[-1]
+        d = self.config.bottleneck_dim
+        return out[:, :d], np.clip(out[:, d:], ad.LOGVAR_MIN, ad.LOGVAR_MAX)
 
     def encode_mean(self, inputs: np.ndarray) -> np.ndarray:
         return self.encode_np(inputs)[0]
 
-    # --- additive decoder --------------------------------------------------
-
-    def decode(self, z) -> ad.Tensor:
-        z = ad.constant(z)
-        if z.data.shape[1] != self.config.bottleneck_dim:
-            raise DimensionError(
-                f"decoder expects {self.config.bottleneck_dim} bottleneck "
-                f"columns, got {z.data.shape[1]}")
-        h = z
-        for i, mask in enumerate(self.dec_masks):
-            w = ad.mul(self.param(f"dec.w{i}"), mask)
-            h = ad.tanh(ad.add(ad.matmul(h, w), self.param(f"dec.b{i}")))
-        return ad.add(ad.matmul(h, self.param("dec.w_out")), self.param("dec.bias"))
-
     def decode_np(self, z: np.ndarray) -> np.ndarray:
-        return self.decode(ad.Tensor(z)).data
-
-    # --- cross-map ---------------------------------------------------------
-
-    def cross_predict(self, z) -> ad.Tensor:
-        return ad.add(ad.mul(z, self.param("cross.a")), self.param("cross.b"))
+        return ad.mlp_forward(self.dec, z)[-1]
 
     def cross_predict_np(self, z: np.ndarray) -> np.ndarray:
-        return self.cross_predict(ad.Tensor(z)).data
+        return z * self.param("cross.a").data + self.param("cross.b").data
 
     def cross_params(self) -> tuple[np.ndarray, np.ndarray]:
         return self.param("cross.a").data.copy(), self.param("cross.b").data.copy()
@@ -218,10 +192,13 @@ class CaeModel:
     @classmethod
     def load(cls, dirpath) -> "CaeModel":
         arrays, extra = ad.load_checkpoint(dirpath)
-        if extra.get("kind") != "cae":
+        if not isinstance(extra, dict) or extra.get("kind") != "cae":
             raise DataError(f"checkpoint at {dirpath} is not a CAE checkpoint")
-        config = CaeConfig.from_dict(extra["config"])
-        model = build_cae(extra["input_dim_x"], extra["input_dim_y"], config)
+        config, dims = extra.get("config"), (extra.get("input_dim_x"), extra.get("input_dim_y"))
+        if not isinstance(config, dict) or not all(isinstance(v, int) and v > 0 for v in dims):
+            raise DataError(f"checkpoint manifest at {dirpath} needs an object extra.config and "
+                            f"positive integers extra.input_dim_x and extra.input_dim_y")
+        model = build_cae(*dims, CaeConfig.from_dict(config))
         norm = {n[5:]: arrays.pop(n) for n in list(arrays) if n.startswith("norm.")}
         model.store.load_arrays(arrays)
         if norm:
@@ -247,31 +224,56 @@ def build_cae(input_dim_x: int, input_dim_y: int, config: CaeConfig) -> CaeModel
 # losses
 
 
-def loss_terms(model: CaeModel, batch_x, batch_y,
-               rng: np.random.Generator) -> dict[str, ad.Tensor]:
-    """The six unweighted terms, with cross-prediction targets being the
-    other half's noiseless means (gradients flow into both halves). The kl
-    terms here are per-neuron means (see the module docstring)."""
-    d = float(model.config.bottleneck_dim)
-    mu_x, lv_x = model.net_x.encode(ad.constant(batch_x))
-    mu_y, lv_y = model.net_y.encode(ad.constant(batch_y))
-    z_x = ad.gaussian_reparam(mu_x, lv_x, rng)
-    z_y = ad.gaussian_reparam(mu_y, lv_y, rng)
-    return {
-        "recon_x": ad.mse(model.net_x.decode(z_x), ad.constant(batch_y)),
-        "kl_x": ad.mul(ad.kl_standard_normal(mu_x, lv_x), 1.0 / d),
-        "cross_x": ad.mse(model.net_x.cross_predict(z_x), mu_y),
-        "recon_y": ad.mse(model.net_y.decode(z_y), ad.constant(batch_x)),
-        "kl_y": ad.mul(ad.kl_standard_normal(mu_y, lv_y), 1.0 / d),
-        "cross_y": ad.mse(model.net_y.cross_predict(z_y), mu_x),
-    }
+def loss_terms(model: CaeModel, batch_x: np.ndarray, batch_y: np.ndarray,
+               rng: np.random.Generator) -> ad.Tensor:
+    """The six unweighted terms in TERM_NAMES order, as one node. Cross
+    targets are the other half's noiseless means, so gradients flow into both
+    halves; the kl terms are per-neuron means (see the module docstring).
+    The node's backward takes the (6,) term weights and runs one pass over
+    both halves."""
+    halves = (model.net_x, model.net_y)
+    batches = (batch_x, batch_y)
+    d = model.config.bottleneck_dim
+    enc = [ad.mlp_forward(h.enc, b) for h, b in zip(halves, batches)]
+    mus = [hs[-1][:, :d] for hs in enc]
+    samples = [ad.gaussian_bottleneck(hs[-1][:, :d], hs[-1][:, d:], rng) for hs in enc]
+    values, saved = [], []
+    for side, half in enumerate(halves):
+        z, kl, _ = samples[side]
+        dec = ad.mlp_forward(half.dec, z)
+        recon = dec[-1] - batches[1 - side]
+        cross = z * half.param("cross.a").data + half.param("cross.b").data - mus[1 - side]
+        values += [np.mean(recon * recon), kl.mean(), np.mean(cross * cross)]
+        saved.append((dec, recon, cross))
+
+    def backward_fn(g, sink):
+        g_mu = [np.zeros_like(mu) for mu in mus]
+        g_lv = []
+        for side, half in enumerate(halves):
+            (dec, recon, cross), (z, kl, cache) = saved[side], samples[side]
+            w_recon, w_kl, w_cross = g[3 * side:3 * side + 3]
+            g_cross = (2.0 * w_cross / cross.size) * cross
+            a, b = half.param("cross.a"), half.param("cross.b")
+            a.grad += (g_cross * z).sum(axis=0)
+            b.grad += g_cross.sum(axis=0)
+            g_mu[1 - side] -= g_cross
+            g_z = ad.mlp_backward(half.dec, dec, (2.0 * w_recon / recon.size) * recon)
+            g_mu_side, g_lv_side = ad.gaussian_bottleneck_grad(
+                cache, g_z + g_cross * a.data, w_kl / kl.size)
+            g_mu[side] += g_mu_side
+            g_lv.append(g_lv_side)
+        for side, half in enumerate(halves):
+            ad.mlp_backward(half.enc, enc[side], np.hstack([g_mu[side], g_lv[side]]))
+
+    return ad.Tensor(values, True, (), backward_fn)
 
 
-def combine(terms: dict[str, ad.Tensor], beta: float, gamma: float) -> ad.Tensor:
-    recon = ad.add(terms["recon_x"], terms["recon_y"])
-    kl = ad.add(terms["kl_x"], terms["kl_y"])
-    cross = ad.add(terms["cross_x"], terms["cross_y"])
-    return ad.add(ad.add(recon, ad.mul(kl, beta)), ad.mul(cross, gamma))
+def combine(terms: ad.Tensor, beta: float, gamma: float) -> ad.Tensor:
+    """recon + beta * kl + gamma * cross over both halves, as one node."""
+    t = terms.data
+    weights = np.array([1.0, beta, gamma] * 2)
+    return ad.Tensor((t[0] + t[3]) + (t[1] + t[4]) * beta + (t[2] + t[5]) * gamma,
+                     True, (terms,), lambda g, sink: sink(terms, g * weights))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,7 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
             sel = order[start:start + config.batch_size]
             terms = loss_terms(model, x_train[sel], y_train[sel], rng)
             total = combine(terms, config.beta, config.gamma)
-            term_values = {k: t.item() for k, t in terms.items()}
+            term_values = dict(zip(TERM_NAMES, terms.data.tolist()))
             model.store.zero_grad()
             ad.backward(total)
             model.store.adam_step(config.learning_rate)

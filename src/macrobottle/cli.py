@@ -29,13 +29,6 @@ EXIT_NO_PAIRS = 5
 SEED_ENV_VAR = "MACROBOTTLE_SEED"
 
 
-def _fallback_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
-
-
 def _load_json(path: str) -> dict:
     """The JSON object in a file; anything else is a data error."""
     with open(path, encoding="utf-8") as fh:
@@ -69,19 +62,18 @@ def _fmt(v) -> str:
 
 
 def cmd_gen(args) -> int:
-    seed = _fallback_seed(args.seed)
     out = Path(args.out)
     if args.scenario == "main":
-        pair = datagen.gen_main_synthetic(args.n, seed)
+        pair = datagen.gen_main_synthetic(args.n, args.seed)
     else:
-        pair = datagen.gen_asymmetric(args.n, seed)
+        pair = datagen.gen_asymmetric(args.n, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     dataio.save_pair(out, pair)
     dataio.save_ground_truth(out / "ground_truth.csv", pair.ground_truth, pair.split)
     layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
     layout.save(out / "layout.json")
     with open(out / "gen.json", "w", encoding="utf-8") as fh:
-        json.dump({"scenario": args.scenario, "n": args.n, "seed": seed}, fh, indent=2)
+        json.dump({"scenario": args.scenario, "n": args.n, "seed": args.seed}, fh, indent=2)
 
     if args.verify:
         lat = pair.ground_truth.latents
@@ -107,6 +99,10 @@ def _load_dataset(data_dir: Path, model: cae.CaeModel) -> datagen.DatasetPair:
     """The pair in a data directory, split as the model's training split it,
     in the model's units."""
     pair = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
+    widths = (pair.x.shape[1], pair.y.shape[1])
+    if widths != (model.net_x.input_dim, model.net_y.input_dim):
+        raise DataError(f"{data_dir} has {widths[0]} X and {widths[1]} Y columns; the model "
+                        f"expects {model.net_x.input_dim} and {model.net_y.input_dim}")
     pair.split = datagen.assign_splits(pair.n, model.config.seed)
     return model.stats.apply(pair) if model.stats is not None else pair
 
@@ -178,8 +174,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base = _load_json(args.config) if args.config else {}
-    if args.seed is not None or SEED_ENV_VAR in os.environ:
-        base["seed"] = _fallback_seed(args.seed)
+    if args.seed is not None:
+        base["seed"] = args.seed
     if args.epochs is not None:
         base["epochs"] = args.epochs
 
@@ -192,7 +188,10 @@ def cmd_train(args) -> int:
             raise DataError('every sweep cell needs "beta" and "gamma"')
         if len({(c["beta"], c["gamma"]) for c in cells}) != len(cells):
             raise DataError("sweep cells must be unique")
-        base.update(sweep.get("base", {}))
+        sweep_base = sweep.get("base", {})
+        if not isinstance(sweep_base, dict):
+            raise DataError('sweep "base" must be a JSON object')
+        base.update(sweep_base)
     else:
         cells = [{"beta": base.get("beta", 0.01), "gamma": base.get("gamma", 1.0)}]
 
@@ -234,7 +233,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_direction(args) -> int:
-    fields = {"seed": _fallback_seed(args.seed)}
+    fields = {"seed": args.seed}
     if args.anm_config:
         fields.update(_load_json(args.anm_config))
     if fields.pop("activation", "tanh") != "tanh":  # a field of older configs
@@ -326,6 +325,9 @@ def cmd_inspect(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse converts a string default with `type`, so a bad $MACROBOTTLE_SEED
+    # is a usage error like a bad --seed
+    env_seed = os.environ.get(SEED_ENV_VAR) or None
     parser = argparse.ArgumentParser(
         prog="macrobottle",
         description="Discover causal macrovariables in paired datasets and "
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic paired dataset")
     p.add_argument("--scenario", choices=("main", "asymmetric"), default="main")
     p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=env_seed or 0,
                    help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true",
@@ -347,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file mirroring CaeConfig fields")
     p.add_argument("--sweep", help='JSON file: {"cells": [{"beta": ..., "gamma": ...}]}')
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=env_seed,
+                   help=f"defaults to ${SEED_ENV_VAR}, else the config's seed")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--parallel", type=int, default=1,
                    help="run sweep cells in this many worker processes")
@@ -359,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=all_or_index, default="all",
                    help='"all" or one pair index')
     p.add_argument("--anm-config", help="JSON file mirroring AnmConfig fields")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=env_seed or 0,
+                   help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_direction)
 
@@ -382,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, FileNotFoundError) as err:
+    except (DataError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except MacrobottleError as err:

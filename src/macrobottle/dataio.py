@@ -44,8 +44,11 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
 
 def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}", str(path)) from err
     if not lines:
         raise ParseError(f"{path}: empty file", str(path), 1)
     header = lines[0].split(",")

@@ -5,8 +5,8 @@ trace(K H L H) / n with H = I - (1/n) 11^T, computed exactly from the
 upper-triangle Gram blocks in two _CHUNK x _CHUNK buffers and compared with
 a level-alpha critical value from a gamma distribution moment-matched to
 the statistic's null mean and variance. The same statistic, built with the
-same kernel code (_gram), serves as a training loss: one autodiff node with
-an analytic gradient. Bandwidths are set by the median heuristic and treated
+same kernel code (_gram), serves as a training loss with an analytic
+gradient. Bandwidths are set by the median heuristic and treated
 as constants.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.stats import gamma as gamma_dist
 
-from . import autodiff as ad
 from .errors import DataError, DegenerateDataError
 
 DEFAULT_ALPHA = 0.05
@@ -147,21 +146,22 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                       bandwidths=bandwidths, n=n, alpha=alpha)
 
 
-def hsic_loss(x: ad.Tensor, y: ad.Tensor,
-              bandwidths: tuple[float, float] | None = None) -> ad.Tensor:
-    """Differentiable n*HSIC_b for column vectors (n x 1): one node with an
-    analytic gradient, its Grams built and centred as in hsic_statistic.
+def hsic_loss(x: np.ndarray, y: np.ndarray,
+              bandwidths: tuple[float, float] | None = None
+              ) -> tuple[float, np.ndarray, np.ndarray]:
+    """n*HSIC_b of column vectors (n x 1) and its analytic gradients with
+    respect to x and y, the Grams built and centred as in hsic_statistic.
 
     Bandwidths default to the median heuristic on the current values and are
     excluded from differentiation; a degenerate (constant) input falls back
     to bandwidth 1, where the centered statistic is 0 anyway.
     """
-    x = ad.constant(x)
-    y = ad.constant(y)
-    if x.data.ndim != 2 or x.data.shape[1] != 1 or x.data.shape != y.data.shape:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != 1 or x.shape != y.shape:
         raise DataError(f"hsic_loss expects matching (n, 1) batches, got "
-                        f"{x.data.shape} and {y.data.shape}")
-    n = x.data.shape[0]
+                        f"{x.shape} and {y.shape}")
+    n = x.shape[0]
     if n < 8:
         raise DataError("hsic_loss needs a minibatch of at least 8")
 
@@ -172,9 +172,9 @@ def hsic_loss(x: ad.Tensor, y: ad.Tensor,
             return 1.0
 
     if bandwidths is None:
-        bandwidths = (safe_bw(x.data), safe_bw(y.data))
+        bandwidths = (safe_bw(x), safe_bw(y))
     scales = _kernel_scales(bandwidths)
-    u, v = x.data[:, 0] * scales[0], y.data[:, 0] * scales[1]
+    u, v = x[:, 0] * scales[0], y[:, 0] * scales[1]
 
     def centred(w):
         k = _gram(w, w, np.empty((n, n)))
@@ -182,14 +182,12 @@ def hsic_loss(x: ad.Tensor, y: ad.Tensor,
         return k, k - offset[:, None] - offset[None, :]
 
     (k, kc), (l, lc) = centred(u), centred(v)
-
-    def backward_fn(g, sink):
-        # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with
-        # m = K o Lc for x and m = L o Kc for y, then the chain through scale
-        for t, w, gram, other_c, scale in ((x, u, k, lc, scales[0]), (y, v, l, kc, scales[1])):
-            if t.requires_grad:
-                m = gram * other_c
-                sink(t, (g * (-4.0 * scale / n)) * (w * m.sum(axis=1) - m @ w)[:, None])
-
-    req = x.requires_grad or y.requires_grad
-    return ad.Tensor(np.array((kc * l).sum() / n), req, (x, y), backward_fn if req else None)
+    # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
+    # for x and m = L o Kc for y, then the chain through the scale; each m
+    # is built in its Gram's own buffer
+    m_y = np.multiply(l, kc, out=l)
+    value = m_y.sum() / n
+    m_x = np.multiply(k, lc, out=k)
+    grads = [(-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
+             for w, m, scale in ((u, m_x, scales[0]), (v, m_y, scales[1]))]
+    return float(value), grads[0], grads[1]

@@ -1,6 +1,9 @@
-"""Core engine checks: shapes, gradients vs finite differences, Adam, reparam."""
+"""Core engine checks: the shared MLP pass and Gaussian bottleneck, gradients
+vs finite differences, Adam, checkpoints."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -26,13 +29,24 @@ def finite_diff_grad(store: ad.ParamStore, name: str, loss_fn, h: float = 1e-5) 
     return g
 
 
+def central_diff(fn, a: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Central finite differences of fn(array) at a, entry by entry."""
+    g = np.zeros_like(a)
+    for i in np.ndindex(a.shape):
+        up, down = a.copy(), a.copy()
+        up[i] += h
+        down[i] -= h
+        g[i] = (fn(up) - fn(down)) / (2.0 * h)
+    return g
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return float(np.abs(a - b).max() / denom)
 
 
 def naive_mlp(widths, params, x):
-    """Nested-loop forward pass, independent of the Tensor graph."""
+    """Nested-loop forward pass, independent of mlp_forward."""
     h = x.copy()
     for li in range(len(widths) - 1):
         w = params[f"w{li}"]
@@ -50,14 +64,30 @@ def naive_mlp(widths, params, x):
     return h
 
 
+def forward(spec, store, x):
+    return ad.mlp_forward(ad.mlp_layers(spec, store), x)[-1]
+
+
+def mse_node(spec, store, x, target):
+    """Mean squared error of the MLP's output as one loss node."""
+    layers = ad.mlp_layers(spec, store)
+    hs = ad.mlp_forward(layers, x)
+    diff = hs[-1] - target
+
+    def backward_fn(g, sink):
+        ad.mlp_backward(layers, hs, (2.0 * g / diff.size) * diff)
+
+    return ad.Tensor(np.mean(diff * diff), True, (), backward_fn)
+
+
 class TestMlpForward:
     def test_identity_single_layer(self):
         spec = ad.MlpSpec((2, 2))
         store = ad.ParamStore()
         store.add("w0", np.eye(2))
         store.add("b0", np.zeros(2))
-        out = ad.mlp_forward(spec, store, np.array([[1.0, 2.0]]))
-        assert np.array_equal(out.data, [[1.0, 2.0]])
+        out = forward(spec, store, np.array([[1.0, 2.0]]))
+        assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_zero_weights_zero_bias(self):
         spec = ad.MlpSpec((3, 4, 2))
@@ -66,8 +96,8 @@ class TestMlpForward:
         store.add("b0", np.zeros(4))
         store.add("w1", np.zeros((4, 2)))
         store.add("b1", np.zeros(2))
-        out = ad.mlp_forward(spec, store, np.random.default_rng(0).normal(size=(5, 3)))
-        assert np.all(out.data == 0.0)
+        out = forward(spec, store, np.random.default_rng(0).normal(size=(5, 3)))
+        assert np.all(out == 0.0)
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -76,16 +106,19 @@ class TestMlpForward:
         store = ad.ParamStore()
         ad.init_mlp(spec, store, rng, "")
         x = rng.normal(size=(7, 4))
-        out = ad.mlp_forward(spec, store, x)
+        hs = ad.mlp_forward(ad.mlp_layers(spec, store), x)
         expected = naive_mlp(widths, {n: store[n].data for n in store.names()}, x)
-        assert np.abs(out.data - expected).max() < 1e-12
+        assert np.abs(hs[-1] - expected).max() < 1e-12
+        # every layer's input is kept for the backward pass, then the output
+        assert [h.shape[1] for h in hs] == list(widths)
+        assert np.array_equal(hs[0], x)
 
     def test_shape_mismatch_rejected(self):
         spec = ad.MlpSpec((4, 3))
         store = ad.ParamStore()
         ad.init_mlp(spec, store, np.random.default_rng(0), "")
         with pytest.raises(DimensionError):
-            ad.mlp_forward(spec, store, np.zeros((2, 5)))
+            forward(spec, store, np.zeros((2, 5)))
 
 
 class TestBackward:
@@ -94,8 +127,9 @@ class TestBackward:
         store = ad.ParamStore()
         store.add("w0", np.eye(3))
         store.add("b0", np.zeros(3))
-        out = ad.mlp_forward(spec, store, np.random.default_rng(1).normal(size=(4, 3)))
-        ad.backward(ad.total_sum(out))
+        layers = ad.mlp_layers(spec, store)
+        hs = ad.mlp_forward(layers, np.random.default_rng(1).normal(size=(4, 3)))
+        ad.mlp_backward(layers, hs, np.ones((4, 3)))
         assert np.array_equal(store["b0"].grad, np.full(3, 4.0))
 
     def test_gradients_match_finite_differences(self):
@@ -107,15 +141,10 @@ class TestBackward:
         x = rng.normal(size=(6, 3))
         target = rng.normal(size=(6, 2))
 
-        def loss_value():
-            out = ad.mlp_forward(spec, store, x)
-            return ad.mse(out, target).item()
-
-        out = ad.mlp_forward(spec, store, x)
         store.zero_grad()
-        ad.backward(ad.mse(out, target))
+        ad.backward(mse_node(spec, store, x, target))
         for name in store.names():
-            fd = finite_diff_grad(store, name, loss_value)
+            fd = finite_diff_grad(store, name, lambda: mse_node(spec, store, x, target).item())
             assert rel_err(store[name].grad, fd) < 1e-4, name
 
     def test_nonnegative_constraint_gradients(self):
@@ -124,82 +153,92 @@ class TestBackward:
         store = ad.ParamStore()
         ad.init_mlp(spec, store, rng, "")
         x = rng.normal(size=(5, 1))
-
-        def loss_value():
-            return ad.mean(ad.square(ad.mlp_forward(spec, store, x))).item()
+        zero = np.zeros((5, 1))
 
         store.zero_grad()
-        ad.backward(ad.mean(ad.square(ad.mlp_forward(spec, store, x))))
+        ad.backward(mse_node(spec, store, x, zero))
         for name in store.names():
-            fd = finite_diff_grad(store, name, loss_value)
+            fd = finite_diff_grad(store, name, lambda: mse_node(spec, store, x, zero).item())
             assert rel_err(store[name].grad, fd) < 1e-4, name
 
     def test_double_backward_doubles_gradients(self):
+        rng = np.random.default_rng(12)
+        spec = ad.MlpSpec((2, 3, 1))
         store = ad.ParamStore()
-        w = store.add("w", np.array([[2.0, -1.0]]))
-        loss = ad.total_sum(ad.square(w))
+        ad.init_mlp(spec, store, rng, "")
+        loss = mse_node(spec, store, rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
         ad.backward(loss)
-        once = w.grad.copy()
+        once = {n: store[n].grad.copy() for n in store.names()}
         ad.backward(loss)
-        assert np.array_equal(w.grad, 2.0 * once)
+        for name, g in once.items():
+            assert np.array_equal(store[name].grad, 2.0 * g), name
 
     def test_backward_without_forward_raises(self):
         with pytest.raises(TapeError):
             ad.backward(ad.Tensor(3.0))
 
     def test_shared_subexpression_gradient(self):
-        # u feeds the loss through two paths; finite differences catch
-        # any accumulation aliasing
+        # the bottleneck mean reaches the loss through the sample and the
+        # divergence; both contributions must add up in the encoder
+        rng = np.random.default_rng(13)
+        spec = ad.MlpSpec((3, 4, 2))
         store = ad.ParamStore()
-        store.add("u", np.array([[0.3, -0.7]]))
+        ad.init_mlp(spec, store, rng, "")
+        layers = ad.mlp_layers(spec, store)
+        x = rng.normal(size=(5, 3))
 
-        def make_loss():
-            u = store["u"]
-            t = ad.tanh(u)
-            return ad.total_sum(ad.add(ad.mul(t, t), ad.mul(t, 2.0)))
+        def loss():
+            hs = ad.mlp_forward(layers, x)
+            z, kl, cache = ad.gaussian_bottleneck(hs[-1][:, :1], hs[-1][:, 1:],
+                                                  np.random.default_rng(77))
+
+            def backward_fn(g, sink):
+                g_mu, g_lv = ad.gaussian_bottleneck_grad(cache, g * 2.0 * z, g * 0.7)
+                ad.mlp_backward(layers, hs, np.hstack([g_mu, g_lv]))
+
+            return ad.Tensor((z * z).sum() + 0.7 * kl.sum(), True, (), backward_fn)
 
         store.zero_grad()
-        ad.backward(make_loss())
-        fd = finite_diff_grad(store, "u", lambda: make_loss().item())
-        assert rel_err(store["u"].grad, fd) < 1e-6
+        ad.backward(loss())
+        for name in store.names():
+            fd = finite_diff_grad(store, name, lambda: loss().item())
+            assert rel_err(store[name].grad, fd) < 1e-6, name
 
 
 class TestOps:
     def test_broadcast_add_bias(self):
+        # the bias is added to every row, so its gradient sums over rows
         store = ad.ParamStore()
-        b = store.add("b", np.array([1.0, 2.0]))
-        x = ad.Tensor(np.zeros((3, 2)))
-        out = ad.add(x, b)
-        ad.backward(ad.total_sum(out))
-        assert np.array_equal(b.grad, [3.0, 3.0])
+        store.add("w0", np.zeros((2, 2)))
+        b = store.add("b0", np.array([1.0, 2.0]))
+        layers = ad.mlp_layers(ad.MlpSpec((2, 2)), store)
+        hs = ad.mlp_forward(layers, np.zeros((3, 2)))
+        assert np.array_equal(hs[-1], np.tile([1.0, 2.0], (3, 1)))
+        ad.mlp_backward(layers, hs, np.arange(6.0).reshape(3, 2))
+        assert np.array_equal(b.grad, [6.0, 9.0])
 
     def test_clip_zero_gradient_outside_range(self):
-        store = ad.ParamStore()
-        v = store.add("v", np.array([[-30.0, 0.0, 10.0]]))
-        out = ad.clip(v, -20.0, 5.0)
-        assert np.array_equal(out.data, [[-20.0, 0.0, 5.0]])
-        ad.backward(ad.total_sum(out))
-        assert np.array_equal(v.grad, [[0.0, 1.0, 0.0]])
+        mu = np.zeros((1, 3))
+        logvar = np.array([[-30.0, 0.0, 10.0]])
+        _, kl, cache = ad.gaussian_bottleneck(mu, logvar, np.random.default_rng(0))
+        lv = np.array([[-20.0, 0.0, 5.0]])  # the clamped values
+        assert np.array_equal(kl, 0.5 * (np.exp(lv) - 1.0 - lv))
+        _, g_lv = ad.gaussian_bottleneck_grad(cache, np.ones((1, 3)), 1.0)
+        assert g_lv[0, 0] == 0.0 and g_lv[0, 2] == 0.0
+        assert g_lv[0, 1] != 0.0
 
     def test_softplus_values_and_grad(self):
+        # a "nonnegative" layer applies softplus(raw weight); the raw
+        # weight's gradient carries the logistic factor
+        spec = ad.MlpSpec((1, 3), weight_constraint="nonnegative")
         store = ad.ParamStore()
-        v = store.add("v", np.array([[-4.0, 0.0, 3.0]]))
-        out = ad.softplus(v)
-        assert np.allclose(out.data, np.log1p(np.exp(v.data)))
-        ad.backward(ad.total_sum(out))
+        v = store.add("w0", np.array([[-4.0, 0.0, 3.0]]))
+        store.add("b0", np.zeros(3))
+        layers = ad.mlp_layers(spec, store)
+        hs = ad.mlp_forward(layers, np.ones((1, 1)))
+        assert np.allclose(hs[-1], np.log1p(np.exp(v.data)))
+        ad.mlp_backward(layers, hs, np.ones((1, 3)))
         assert np.allclose(v.grad, 1.0 / (1.0 + np.exp(-v.data)))
-
-    def test_cols_slice_gradient_scatter(self):
-        store = ad.ParamStore()
-        m = store.add("m", np.arange(6.0).reshape(2, 3))
-        out = ad.cols(m, 1, 3)
-        assert np.array_equal(out.data, [[1.0, 2.0], [4.0, 5.0]])
-        ad.backward(ad.total_sum(out))
-        assert np.array_equal(m.grad, [[0, 1, 1], [0, 1, 1]])
-
-    def test_matmul_shape_error(self):
-        with pytest.raises(DimensionError):
-            ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
 
 
 class TestAdam:
@@ -265,72 +304,63 @@ class TestAdam:
 
 class TestGaussianReparam:
     def test_lower_clamp_collapses_to_mu(self):
-        mu = ad.Tensor(np.array([[1.0, -2.0]]))
-        logvar = ad.Tensor(np.array([[-50.0, -50.0]]))
-        z = ad.gaussian_reparam(mu, logvar, np.random.default_rng(0))
-        assert np.abs(z.data - mu.data).max() < 1e-3
+        mu = np.array([[1.0, -2.0]])
+        z, _, _ = ad.gaussian_bottleneck(mu, np.full((1, 2), -50.0), np.random.default_rng(0))
+        assert np.abs(z - mu).max() < 1e-3
 
     def test_monte_carlo_moments(self):
         n = 100_000
-        mu = ad.Tensor(np.zeros((n, 1)))
-        logvar = ad.Tensor(np.zeros((n, 1)))
-        z = ad.gaussian_reparam(mu, logvar, np.random.default_rng(123))
-        assert abs(z.data.mean()) < 0.02
-        assert abs(z.data.std() - 1.0) < 0.02
+        z, _, _ = ad.gaussian_bottleneck(np.zeros((n, 1)), np.zeros((n, 1)),
+                                         np.random.default_rng(123))
+        assert abs(z.mean()) < 0.02
+        assert abs(z.std() - 1.0) < 0.02
 
     def test_fixed_seed_bit_identical(self):
-        mu = ad.Tensor(np.ones((4, 3)))
-        logvar = ad.Tensor(np.full((4, 3), -1.0))
-        z1 = ad.gaussian_reparam(mu, logvar, np.random.default_rng(9))
-        z2 = ad.gaussian_reparam(mu, logvar, np.random.default_rng(9))
-        assert np.array_equal(z1.data, z2.data)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.gaussian_reparam(ad.Tensor(np.zeros((2, 2))),
-                                ad.Tensor(np.zeros((2, 3))),
-                                np.random.default_rng(0))
+        mu = np.ones((4, 3))
+        logvar = np.full((4, 3), -1.0)
+        z1, _, _ = ad.gaussian_bottleneck(mu, logvar, np.random.default_rng(9))
+        z2, _, _ = ad.gaussian_bottleneck(mu, logvar, np.random.default_rng(9))
+        assert np.array_equal(z1, z2)
 
     def test_gradient_flows_through_sample(self):
-        store = ad.ParamStore()
-        mu = store.add("mu", np.zeros((3, 2)))
-        lv = store.add("lv", np.zeros((3, 2)))
         rng_data = np.random.default_rng(5)
+        mu = rng_data.normal(size=(3, 2))
+        lv = rng_data.normal(scale=0.5, size=(3, 2))
+        w = rng_data.normal(size=(3, 2))
 
-        def build():
-            return ad.mean(ad.square(ad.gaussian_reparam(mu, lv, np.random.default_rng(77))))
+        def value(mu, lv):  # a weighted sum of the sample only
+            return float((w * ad.gaussian_bottleneck(mu, lv, np.random.default_rng(77))[0]).sum())
 
-        store.zero_grad()
-        ad.backward(build())
-        fd_mu = finite_diff_grad(store, "mu", lambda: build().item())
-        fd_lv = finite_diff_grad(store, "lv", lambda: build().item())
-        assert rel_err(mu.grad, fd_mu) < 1e-4
-        assert rel_err(lv.grad, fd_lv) < 1e-4
-        del rng_data
+        _, _, cache = ad.gaussian_bottleneck(mu, lv, np.random.default_rng(77))
+        g_mu, g_lv = ad.gaussian_bottleneck_grad(cache, w, 0.0)
+        assert rel_err(g_mu, central_diff(lambda m: value(m, lv), mu)) < 1e-6
+        assert rel_err(g_lv, central_diff(lambda v: value(mu, v), lv)) < 1e-6
 
 
 class TestKl:
     def test_zero_at_prior(self):
-        kl = ad.kl_standard_normal(ad.Tensor(np.zeros((5, 3))), ad.Tensor(np.zeros((5, 3))))
-        assert kl.item() == 0.0
+        _, kl, _ = ad.gaussian_bottleneck(np.zeros((5, 3)), np.zeros((5, 3)),
+                                          np.random.default_rng(0))
+        assert not kl.any()
 
     def test_unit_mean_single_neuron(self):
-        kl = ad.kl_standard_normal(ad.Tensor(np.ones((4, 1))), ad.Tensor(np.zeros((4, 1))))
-        assert abs(kl.item() - 0.5) < 1e-15
+        _, kl, _ = ad.gaussian_bottleneck(np.ones((4, 1)), np.zeros((4, 1)),
+                                          np.random.default_rng(0))
+        assert np.array_equal(kl, np.full((4, 1), 0.5))
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(3)
-        store = ad.ParamStore()
-        mu = store.add("mu", rng.normal(size=(4, 2)))
-        lv = store.add("lv", rng.normal(scale=0.5, size=(4, 2)))
+        mu = rng.normal(size=(4, 2))
+        lv = rng.normal(scale=0.5, size=(4, 2))
+        w = rng.normal(size=(4, 2))  # one weight per divergence entry
 
-        def loss():
-            return ad.kl_standard_normal(mu, lv)
+        def value(mu, lv):
+            return float((w * ad.gaussian_bottleneck(mu, lv, np.random.default_rng(0))[1]).sum())
 
-        store.zero_grad()
-        ad.backward(loss())
-        assert rel_err(mu.grad, finite_diff_grad(store, "mu", lambda: loss().item())) < 1e-4
-        assert rel_err(lv.grad, finite_diff_grad(store, "lv", lambda: loss().item())) < 1e-4
+        _, _, cache = ad.gaussian_bottleneck(mu, lv, np.random.default_rng(0))
+        g_mu, g_lv = ad.gaussian_bottleneck_grad(cache, np.zeros((4, 2)), w)
+        assert rel_err(g_mu, central_diff(lambda m: value(m, lv), mu)) < 1e-6
+        assert rel_err(g_lv, central_diff(lambda v: value(mu, v), lv)) < 1e-6
 
 
 def _saved_store(path):
@@ -362,13 +392,13 @@ class TestCheckpoint:
         store = ad.ParamStore()
         ad.init_mlp(spec, store, rng, "")
         x = rng.normal(size=(5, 3))
-        before = ad.mlp_forward(spec, store, x).data
+        before = forward(spec, store, x)
         ad.save_checkpoint(tmp_path / "ck", store.arrays())
         arrays, _ = ad.load_checkpoint(tmp_path / "ck")
         store2 = ad.ParamStore()
         ad.init_mlp(spec, store2, np.random.default_rng(99), "")
         store2.load_arrays(arrays)
-        after = ad.mlp_forward(spec, store2, x).data
+        after = forward(spec, store2, x)
         assert np.array_equal(before, after)
 
     def test_truncated_blob_is_data_error(self, tmp_path):
@@ -376,6 +406,22 @@ class TestCheckpoint:
         blob = tmp_path / "ck" / "params.bin"
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(DataError, match="bytes"):
+            ad.load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("edit", ["not-json", "no-arrays", "entry-without-shape",
+                                      "not-an-object"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, edit):
+        _saved_store(tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if edit == "no-arrays":
+            del manifest["arrays"]
+        elif edit == "entry-without-shape":
+            del manifest["arrays"][0]["shape"]
+        elif edit == "not-an-object":
+            manifest = [manifest]
+        path.write_text("{format" if edit == "not-json" else json.dumps(manifest))
+        with pytest.raises(DataError):
             ad.load_checkpoint(tmp_path / "ck")
 
     def test_missing_array_is_data_error(self, tmp_path):
@@ -399,15 +445,14 @@ def test_forward_sample_step_deterministic_per_seed():
         spec = ad.MlpSpec((3, 4, 2))
         store = ad.ParamStore()
         ad.init_mlp(spec, store, rng, "")
+        layers = ad.mlp_layers(spec, store)
         x = rng.normal(size=(6, 3))
         for _ in range(3):
-            out = ad.mlp_forward(spec, store, x)
-            mu = ad.cols(out, 0, 1)
-            lv = ad.cols(out, 1, 2)
-            z = ad.gaussian_reparam(mu, lv, rng)
-            loss = ad.mean(ad.square(z))
+            hs = ad.mlp_forward(layers, x)
+            z, _, cache = ad.gaussian_bottleneck(hs[-1][:, :1], hs[-1][:, 1:], rng)
             store.zero_grad()
-            ad.backward(loss)
+            g_mu, g_lv = ad.gaussian_bottleneck_grad(cache, 2.0 * z / z.size, 0.0)
+            ad.mlp_backward(layers, hs, np.hstack([g_mu, g_lv]))
             store.adam_step(1e-3)
         return {n: store[n].data.copy() for n in store.names()}
 

@@ -108,6 +108,13 @@ class TestCrossMap:
             assert np.abs(off).max() == 0.0
 
 
+def select(terms: ad.Tensor, name: str) -> ad.Tensor:
+    """One term of the six-term node as a loss of its own."""
+    weights = np.array([n == name for n in cae.TERM_NAMES], dtype=np.float64)
+    return ad.Tensor(weights @ terms.data, True, (terms,),
+                     lambda g, sink: sink(terms, g * weights))
+
+
 class TestHalfLoss:
     def test_kl_zero_at_prior(self):
         kl = metrics.per_neuron_kl(np.zeros((10, 2)), np.zeros((10, 2)))
@@ -121,10 +128,11 @@ class TestHalfLoss:
         rng_data = np.random.default_rng(14)
         bx = rng_data.normal(size=(9, 6))
         by = rng_data.normal(size=(9, 5))
-        terms = cae.loss_terms(model, bx, by, np.random.default_rng(42))
-        recon = terms["recon_x"].item()
-        kl = terms["kl_x"].item() * model.config.bottleneck_dim
-        cross = terms["cross_x"].item()
+        node = cae.loss_terms(model, bx, by, np.random.default_rng(42))
+        terms = dict(zip(cae.TERM_NAMES, node.data))
+        recon = terms["recon_x"]
+        kl = terms["kl_x"] * model.config.bottleneck_dim
+        cross = terms["cross_x"]
         # straight-line recomputation with the same noise draw (x's comes first)
         mu, lv = model.net_x.encode_np(bx)
         eps = np.random.default_rng(42).standard_normal(mu.shape)
@@ -147,7 +155,7 @@ class TestCombinedLoss:
         by = rng_data.normal(size=(8, 5))
         terms = cae.loss_terms(model, bx, by, np.random.default_rng(1))
         total = cae.combine(terms, 0.0, 0.0)
-        assert abs(total.item() - terms["recon_x"].item() - terms["recon_y"].item()) < 1e-12
+        assert abs(total.item() - terms.data[0] - terms.data[3]) < 1e-12
 
     def test_swap_symmetry(self):
         model = small_model(seed=17, dim_x=6, dim_y=6)
@@ -174,7 +182,7 @@ class TestCombinedLoss:
         by = rng_data.normal(size=(8, 5))
 
         def masked_loss():
-            return cae.loss_terms(model, bx, by, np.random.default_rng(3))["cross_x"]
+            return select(cae.loss_terms(model, bx, by, np.random.default_rng(3)), "cross_x")
 
         model.store.zero_grad()
         ad.backward(masked_loss())
@@ -192,6 +200,48 @@ class TestCombinedLoss:
         w.data[0, 0] = orig
         fd = (up - down) / (2 * h)
         assert abs(g[0, 0] - fd) / max(abs(fd), 1e-12) < 1e-4
+
+
+class TestLossGradient:
+    BETA, GAMMA = 0.3, 0.7
+
+    @staticmethod
+    def model():
+        model = small_model(seed=36, beta=TestLossGradient.BETA, gamma=TestLossGradient.GAMMA)
+        # x's first log-variance sits below the clamp on every row: no gradient
+        model.net_x.param("enc.b1").data[3] = -40.0
+        return model
+
+    @pytest.mark.parametrize("name", small_model().store.names())
+    def test_matches_finite_differences(self, name):
+        model = self.model()
+        rng_data = np.random.default_rng(37)
+        bx = rng_data.normal(size=(9, 6))
+        by = rng_data.normal(size=(9, 5))
+
+        def loss():
+            terms = cae.loss_terms(model, bx, by, np.random.default_rng(38))
+            return cae.combine(terms, self.BETA, self.GAMMA)
+
+        model.store.zero_grad()
+        ad.backward(loss())
+        p = model.store[name]
+        fd = np.zeros_like(p.data)
+        h = 1e-6
+        for i in np.ndindex(p.data.shape):
+            orig = p.data[i]
+            p.data[i] = orig + h
+            up = loss().item()
+            p.data[i] = orig - h
+            down = loss().item()
+            p.data[i] = orig
+            fd[i] = (up - down) / (2 * h)
+        assert np.abs(p.grad - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1e-3), name
+        if name == "x.enc.b1":
+            assert p.grad[3] == 0.0  # the clamped log-variance
+        if name.endswith("dec.w0"):
+            mask = model.net_x.dec[0][2]
+            assert not (p.grad * (1.0 - mask)).any()  # off-block weights stay put
 
 
 class TestExtract:

@@ -214,6 +214,35 @@ def _constant_x(tiny, tmp):
             "--out", str(tmp / "ins")]
 
 
+def _edited_manifest(tiny, tmp, edit):
+    ck = tmp / "ck"
+    shutil.copytree(_checkpoint(tiny), ck)
+    path = ck / "manifest.json"
+    manifest = json.loads(path.read_text())
+    text = edit(manifest)  # the edit changes the manifest or returns the new text
+    path.write_text(text if isinstance(text, str) else json.dumps(manifest))
+    return ["inspect", "--checkpoint", str(ck), "--data", str(tiny["data"]),
+            "--out", str(tmp / "ins")]
+
+
+def _narrow_x(tiny, tmp, command):
+    # ten X columns against a model trained on 64
+    data = tmp / "data"
+    shutil.copytree(tiny["data"], data)
+    x, header = dataio.load_matrix_csv(data / "X.csv")
+    dataio.save_matrix_csv(data / "X.csv", x[:, :10], header[:10])
+    return [command, "--checkpoint", str(_checkpoint(tiny)), "--data", str(data),
+            "--out", str(tmp / "out")]
+
+
+def _x_not_utf8(tiny, tmp):
+    data = tmp / "data"
+    shutil.copytree(tiny["data"], data)
+    (data / "X.csv").write_bytes(b"\xff\xfe" + (data / "X.csv").read_bytes())
+    return ["train", "--data", str(data), "--config", str(tiny["config"]),
+            "--out", str(tmp / "o")]
+
+
 def _direction(tiny, tmp, *extra):
     return ["direction", "--checkpoint", str(_checkpoint(tiny)),
             "--data", str(tiny["data"]), "--out", str(tmp / "dir"), *extra]
@@ -256,12 +285,41 @@ EXIT_CASES = {
     "zero-variance-data": (_constant_x, cli.EXIT_NUMERIC),
     "pair-not-informative": (lambda t, tmp: _direction(t, tmp, "--pairs", "7"),
                              cli.EXIT_NO_PAIRS),
+    "manifest-not-json": (lambda t, tmp: _edited_manifest(t, tmp, lambda m: "{format"),
+                          cli.EXIT_DATA),
+    "manifest-without-arrays": (lambda t, tmp: _edited_manifest(
+        t, tmp, lambda m: m.pop("arrays")), cli.EXIT_DATA),
+    "manifest-without-config": (lambda t, tmp: _edited_manifest(
+        t, tmp, lambda m: m["extra"].pop("config")), cli.EXIT_DATA),
+    "manifest-without-input-dim": (lambda t, tmp: _edited_manifest(
+        t, tmp, lambda m: m["extra"].pop("input_dim_y")), cli.EXIT_DATA),
+    "manifest-config-not-an-object": (lambda t, tmp: _edited_manifest(
+        t, tmp, lambda m: m["extra"].update(config=[1])), cli.EXIT_DATA),
+    "manifest-input-dim-not-an-integer": (lambda t, tmp: _edited_manifest(
+        t, tmp, lambda m: m["extra"].update(input_dim_x="abc")), cli.EXIT_DATA),
+    "inspect-data-width-mismatch": (lambda t, tmp: _narrow_x(t, tmp, "inspect"),
+                                    cli.EXIT_DATA),
+    "direction-data-width-mismatch": (lambda t, tmp: _narrow_x(t, tmp, "direction"),
+                                      cli.EXIT_DATA),
+    "seed-env-not-an-integer": (lambda t, tmp: ["gen", "--n", "40", "--out", str(tmp / "g")],
+                                cli.EXIT_USAGE, {cli.SEED_ENV_VAR: "abc"}),
+    "sweep-base-not-an-object": (lambda t, tmp: _train(
+        t, tmp, sweep={"cells": [{"beta": 1, "gamma": 1}], "base": [1]}), cli.EXIT_DATA),
+    "x-csv-not-utf8": (_x_not_utf8, cli.EXIT_DATA),
+    "config-is-a-directory": (lambda t, tmp: ["train", "--data", str(t["data"]),
+                                              "--config", str(tmp), "--out", str(tmp / "o")],
+                              cli.EXIT_DATA),
+    "layout-is-a-directory": (lambda t, tmp: [
+        "inspect", "--checkpoint", str(_checkpoint(t)), "--data", str(t["data"]),
+        "--layout", str(tmp), "--out", str(tmp / "ins")], cli.EXIT_DATA),
 }
 
 
 @pytest.mark.parametrize("case", list(EXIT_CASES))
-def test_documented_exit_codes(case, tiny_run, tmp_path, capsys):
-    make_argv, expected = EXIT_CASES[case]
+def test_documented_exit_codes(case, tiny_run, tmp_path, capsys, monkeypatch):
+    make_argv, expected, *env = EXIT_CASES[case]
+    for name, value in (env[0] if env else {}).items():
+        monkeypatch.setenv(name, value)
     try:
         code = run(make_argv(tiny_run, tmp_path))
     except SystemExit as exc:  # argparse reports usage errors this way
