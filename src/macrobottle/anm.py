@@ -17,13 +17,14 @@ the two statistics is large enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import hsic
-from .errors import DataError, NumericalError
+from .dataio import JsonConfig
+from .errors import DataError, DegenerateDataError, NumericalError
 
 X_CAUSES_Y = "x->y"
 Y_CAUSES_X = "y->x"
@@ -32,7 +33,8 @@ INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
-class AnmConfig:
+class AnmConfig(JsonConfig):
+    REMOVED_FIELDS = {"activation": "tanh"}  # hidden layers are tanh
     hidden: int = 16
     beta_t: float = 0.01
     epochs: int = 450
@@ -47,12 +49,12 @@ class AnmConfig:
     def __post_init__(self):
         # fit_transform skips minibatches under 8 points, and the gamma
         # threshold needs at least 6 test points
-        if min(self.batch_size, self.fit_points) < 8 or self.eval_points < 6:
-            raise ValueError("batch_size and fit_points must be >= 8, eval_points >= 6")
-        if self.epochs < 0 or self.hidden < 0:
-            raise ValueError("epochs and hidden must be >= 0")
+        self.check_ints({"hidden": 0, "epochs": 0, "batch_size": 8, "fit_points": 8,
+                         "eval_points": 6, "seed": 0})
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (self.learning_rate > 0 and self.beta_t >= 0 and self.disparity_min > 0):
+            raise ValueError("learning_rate and disparity_min must be > 0, beta_t >= 0")
 
 
 def standardize_vector(v: np.ndarray) -> np.ndarray:
@@ -216,21 +218,15 @@ class AnmVerdict:
     seeds: tuple[int, int]
     pair_index: int | None = None
     diagnostics: str | None = None
-    artifacts: dict = field(default_factory=dict)
+    # "<test>_<column>" -> held-out values, in the order the tests ran
+    scatter: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "pair_index": self.pair_index,
-            "decision": self.decision,
-            "raw_fwd": vars(self.raw_fwd),
-            "raw_rev": vars(self.raw_rev),
-            "fwd": vars(self.fwd),
-            "rev": vars(self.rev),
-            "disparity": self.disparity,
-            "n": self.n,
-            "seeds": list(self.seeds),
-            "diagnostics": self.diagnostics,
-        }
+        """Every field but the scatter, JSON-shaped."""
+        doc = asdict(replace(self, scatter={}))
+        del doc["scatter"]
+        doc["seeds"] = list(self.seeds)
+        return doc
 
 
 def _decide(fwd: DirectionScores, rev: DirectionScores, disparity_min: float) -> str:
@@ -245,8 +241,7 @@ def _decide(fwd: DirectionScores, rev: DirectionScores, disparity_min: float) ->
 
 def direction_verdict(x: np.ndarray, y: np.ndarray,
                       config: AnmConfig | None = None,
-                      pair_index: int | None = None,
-                      keep_artifacts: bool = False) -> AnmVerdict:
+                      pair_index: int | None = None) -> AnmVerdict:
     """Fit the transform search in both directions with fresh seeds and
     apply the accept/reject decision rule.
 
@@ -271,55 +266,38 @@ def direction_verdict(x: np.ndarray, y: np.ndarray,
     eval_idx = perm[n_fit:n_fit + config.eval_points]
     xf, yf = x[fit_idx], y[fit_idx]
     xe, ye = x[eval_idx], y[eval_idx]
-    n = xe.size
+    scatter: dict[str, np.ndarray] = {}
 
-    def scores(p, res):
-        r = hsic.hsic_statistic(p, res, alpha=config.alpha)
+    def test(name, counterpart, value, residual) -> DirectionScores:
+        """One residual-independence test; records its four scatter columns."""
+        r = hsic.hsic_statistic(counterpart, residual, alpha=config.alpha)
+        scatter.update({f"{name}_value": value, f"{name}_prediction": value - residual,
+                        f"{name}_counterpart": counterpart, f"{name}_residual": residual})
         return DirectionScores(r.statistic, r.threshold)
 
     # pre-transform baseline: affine least squares, same protocol
-    slope_xy, icept_xy = _ols_coeffs(xf, yf)
-    slope_yx, icept_yx = _ols_coeffs(yf, xf)
-    pred_xy = slope_xy * xe + icept_xy
-    pred_yx = slope_yx * ye + icept_yx
-    raw_fwd = scores(xe, ye - pred_xy)
-    raw_rev = scores(ye, xe - pred_yx)
+    slope, icept = _ols_coeffs(xf, yf)
+    raw_fwd = test("fwd_raw", xe, ye, ye - (slope * xe + icept))
+    slope, icept = _ols_coeffs(yf, xf)
+    raw_rev = test("rev_raw", ye, xe, xe - (slope * ye + icept))
 
     seeds = (config.seed * 2 + 1, config.seed * 2 + 2)
-    artifacts: dict = {}
-    if keep_artifacts:
-        artifacts["fwd_raw"] = {"value": ye, "prediction": pred_xy,
-                                "counterpart": xe, "residual": ye - pred_xy}
-        artifacts["rev_raw"] = {"value": xe, "prediction": pred_yx,
-                                "counterpart": ye, "residual": xe - pred_yx}
-
-    try:
-        net_fwd = fit_transform(xf, yf, "x_to_y", config, seeds[0])
-        net_rev = fit_transform(xf, yf, "y_to_x", config, seeds[1])
-    except NumericalError as err:
-        missing = DirectionScores(float("nan"), float("nan"))
-        return AnmVerdict(decision=INCONCLUSIVE, raw_fwd=raw_fwd, raw_rev=raw_rev,
-                          fwd=missing, rev=missing, disparity=float("nan"), n=n,
-                          seeds=seeds, pair_index=pair_index, diagnostics=str(err))
-
-    xp, yp, res_f = residuals(net_fwd, xe, ye, "x_to_y")
-    yq, xq, res_r = residuals(net_rev, xe, ye, "y_to_x")
-    fwd = scores(xp, res_f)
-    rev = scores(yq, res_r)
-    pair = (fwd.statistic, rev.statistic)
-    disparity = max(pair) / max(min(pair), 1e-300)
-
-    if keep_artifacts:
-        a = float(net_fwd.store["cross.a"].data[0, 0])
-        b = float(net_fwd.store["cross.b"].data[0])
-        artifacts["fwd_transformed"] = {"value": yp, "prediction": a * xp + b,
-                                        "counterpart": xp, "residual": res_f}
-        a = float(net_rev.store["cross.a"].data[0, 0])
-        b = float(net_rev.store["cross.b"].data[0])
-        artifacts["rev_transformed"] = {"value": xq, "prediction": a * yq + b,
-                                        "counterpart": yq, "residual": res_r}
-
-    return AnmVerdict(decision=_decide(fwd, rev, config.disparity_min),
-                      raw_fwd=raw_fwd, raw_rev=raw_rev, fwd=fwd, rev=rev,
-                      disparity=disparity, n=n, seeds=seeds,
-                      pair_index=pair_index, artifacts=artifacts)
+    scores, failures = [], []
+    for name, direction, seed in (("fwd", "x_to_y", seeds[0]), ("rev", "y_to_x", seeds[1])):
+        try:
+            net = fit_transform(xf, yf, direction, config, seed)
+            p_prime, t_prime, res = residuals(net, xe, ye, direction)
+            scores.append(test(f"{name}_transformed", p_prime, t_prime, res))
+        except (NumericalError, DegenerateDataError) as err:
+            scores.append(DirectionScores(float("nan"), float("nan")))
+            failures.append(f"{direction} transform fit failed: {err}")
+    fwd, rev = scores
+    if failures:
+        decision, disparity = INCONCLUSIVE, float("nan")
+    else:
+        pair = (fwd.statistic, rev.statistic)
+        decision = _decide(fwd, rev, config.disparity_min)
+        disparity = max(pair) / max(min(pair), 1e-300)
+    return AnmVerdict(decision=decision, raw_fwd=raw_fwd, raw_rev=raw_rev, fwd=fwd, rev=rev,
+                      disparity=disparity, n=xe.size, seeds=seeds, pair_index=pair_index,
+                      diagnostics="; ".join(failures) or None, scatter=scatter)

@@ -23,7 +23,6 @@ noiseless encoder means.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -32,25 +31,18 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .datagen import TRAIN, VAL, DatasetPair
-from .dataio import ColumnStats, standardize
+from .dataio import ColumnStats, JsonConfig, standardize
 from .errors import DataError, NumericalError
 
 TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
 
 
-# Fields of removed variants, with the value that meant the kept path; old
-# checkpoints and config files carry them.
-_REMOVED_FIELDS = {
-    "training_mode": "combined",
-    "cross_map": "diagonal",
-    "cross_hidden": [16],
-    "early_stop_patience": 0,
-    "early_stop_min_delta": 1e-5,
-}
-
-
 @dataclass
-class CaeConfig:
+class CaeConfig(JsonConfig):
+    # old checkpoints and config files carry these
+    REMOVED_FIELDS = {"training_mode": "combined", "cross_map": "diagonal",
+                      "cross_hidden": [16], "early_stop_patience": 0,
+                      "early_stop_min_delta": 1e-5}
     bottleneck_dim: int = 4
     encoder_hidden: tuple[int, ...] = (64,)
     decoder_hidden_per_variable: tuple[int, ...] = (32,)
@@ -63,37 +55,21 @@ class CaeConfig:
     kl_threshold: float = metrics.DEFAULT_KL_THRESHOLD
 
     def __post_init__(self):
-        if self.bottleneck_dim < 1:
-            raise ValueError("bottleneck_dim must be >= 1")
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be >= 0")
-        if self.epochs < 0 or self.batch_size < 1 or self.kl_threshold <= 0:
-            raise ValueError("epochs must be >= 0, batch_size >= 1 and kl_threshold > 0")
         self.encoder_hidden = tuple(self.encoder_hidden)
         self.decoder_hidden_per_variable = tuple(self.decoder_hidden_per_variable)
+        self.check_ints({"bottleneck_dim": 1, "encoder_hidden": 1,
+                         "decoder_hidden_per_variable": 1, "epochs": 0,
+                         "batch_size": 1, "seed": 0})
+        if self.beta < 0 or self.gamma < 0:
+            raise ValueError("beta and gamma must be >= 0")
+        if not (self.learning_rate > 0 and self.kl_threshold > 0):
+            raise ValueError("learning_rate and kl_threshold must be > 0")
 
     def to_dict(self) -> dict:
         d = asdict(self)
         for key in ("encoder_hidden", "decoder_hidden_per_variable"):
             d[key] = list(d[key])
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CaeConfig":
-        """Config from JSON-style fields; invalid input raises DataError."""
-        d = dict(d)
-        for key, kept in _REMOVED_FIELDS.items():
-            value = d.pop(key, kept)
-            if (list(value) if isinstance(value, tuple) else value) != kept:
-                raise DataError(f"{key}={value!r} selects a removed variant; "
-                                f"only {kept!r} is supported")
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise DataError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except (TypeError, ValueError) as err:
-            raise DataError(f"invalid config: {err}") from err
 
 
 def _block_mask(d: int, in_per: int, out_per: int) -> np.ndarray:
@@ -285,7 +261,6 @@ class TrainHistory:
     terms: dict[str, list[float]] = field(default_factory=lambda: {n: [] for n in TERM_NAMES})
     val: list[dict] = field(default_factory=list)
     epochs_run: int = 0
-    seconds: float = 0.0
 
 
 def encode_block(model: CaeModel, x: np.ndarray, y: np.ndarray) -> metrics.Encoding:
@@ -347,7 +322,6 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
     Raises NumericalError with the offending term values if the loss goes
     non-finite.
     """
-    t0 = time.monotonic()
     train_idx = pair.rows(TRAIN)
     val_idx = pair.rows(VAL)
     if len(train_idx) == 0 or len(val_idx) == 0:
@@ -385,7 +359,6 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
         history.val.append(evaluate_model(model, x_val, y_val)[0])
         history.epochs_run = epoch + 1
 
-    history.seconds = time.monotonic() - t0
     return model, history
 
 

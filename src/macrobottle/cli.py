@@ -51,6 +51,12 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def _fmt(v) -> str:
     if v is None:
         return "n/a"
@@ -75,18 +81,24 @@ def cmd_gen(args) -> int:
     with open(out / "gen.json", "w", encoding="utf-8") as fh:
         json.dump({"scenario": args.scenario, "n": args.n, "seed": args.seed}, fh, indent=2)
 
-    if args.verify:
-        lat = pair.ground_truth.latents
+    if args.verify:  # what was written must be what was generated
+        x, _ = dataio.load_matrix_csv(out / "X.csv")
+        y, _ = dataio.load_matrix_csv(out / "Y.csv")
+        truth, names = dataio.load_matrix_csv(out / "ground_truth.csv")
+        expected = np.column_stack([pair.ground_truth.as_matrix(), pair.split])
+        if not (np.array_equal(x, pair.x) and np.array_equal(y, pair.y)
+                and np.array_equal(truth, expected)):
+            raise NumericalError(f"the files in {out} differ from the generated data")
+        v = dict(zip(names, truth.T))  # the reloaded latents and noises
         if args.scenario == "main":
-            noi = pair.ground_truth.noises
-            ok = (np.array_equal(lat["x1"], lat["c1"] + noi["n_x1"])
-                  and np.array_equal(lat["y1"], lat["c1"] ** 3 + noi["n_y1"])
-                  and np.array_equal(lat["y2"], np.tanh(lat["x2"]) + noi["n_y2"]))
+            ok = (np.array_equal(v["x1"], v["c1"] + v["n_x1"])
+                  and np.array_equal(v["y1"], v["c1"] ** 3 + v["n_y1"])
+                  and np.array_equal(v["y2"], np.tanh(v["x2"]) + v["n_y2"]))
         else:
-            ok = np.array_equal(lat["y1"], lat["x1"] ** 2)
+            ok = np.array_equal(v["y1"], v["x1"] ** 2)
         if not ok:
             raise NumericalError("structural-equation verification failed")
-        print("structural equations verified")
+        print("written files and structural equations verified")
     print(f"wrote {pair.n} samples to {out}")
     return EXIT_OK
 
@@ -141,7 +153,8 @@ def _run_cell(x_path: str, y_path: str, config: cae.CaeConfig, cell_dir: str) ->
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
         timing_seconds=time.monotonic() - t0,
-        loss_history=history.terms, pair_table=table_rows)
+        loss_history={**history.terms, "val_loss": [v["val_loss"] for v in history.val]},
+        pair_table=table_rows)
     dataio.save_report(cell / "report.json", report)
     return {"beta": config.beta, "gamma": config.gamma, **final}
 
@@ -233,15 +246,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_direction(args) -> int:
+    t0 = time.monotonic()
     fields = {"seed": args.seed}
     if args.anm_config:
         fields.update(_load_json(args.anm_config))
-    if fields.pop("activation", "tanh") != "tanh":  # a field of older configs
-        raise DataError("invalid ANM config: hidden layers are tanh; activation must be 'tanh'")
-    try:
-        anm_config = anm.AnmConfig(**fields)
-    except (TypeError, ValueError) as err:
-        raise DataError(f"invalid ANM config: {err}") from err
+    anm_config = anm.AnmConfig.from_dict(fields)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = cae.CaeModel.load(args.checkpoint)
@@ -262,9 +271,10 @@ def cmd_direction(args) -> int:
     verdicts = []
     for idx in paired:
         verdict = anm.direction_verdict(mu_x[:, idx], mu_y[:, idx], anm_config,
-                                        pair_index=int(idx), keep_artifacts=True)
-        dataio.emit_residual_scatter(out / f"scatter_pair{idx}.csv",
-                                     verdict.artifacts)
+                                        pair_index=int(idx))
+        dataio.save_matrix_csv(out / f"scatter_pair{idx}.csv",
+                               np.column_stack(list(verdict.scatter.values())),
+                               list(verdict.scatter))
         verdicts.append(verdict)
         print(f"pair {idx}: {verdict.decision}   "
               f"raw fwd {verdict.raw_fwd.statistic:.3f}/{verdict.raw_fwd.threshold:.3f} "
@@ -276,7 +286,8 @@ def cmd_direction(args) -> int:
     report = dataio.RunReport(
         seed=anm_config.seed,
         config={"anm": vars(anm_config), "checkpoint": str(args.checkpoint)},
-        metrics=final, pair_table=rows, verdicts=[v.to_dict() for v in verdicts])
+        metrics=final, timing_seconds=time.monotonic() - t0, pair_table=rows,
+        verdicts=[v.to_dict() for v in verdicts])
     dataio.save_report(out / "direction_report.json", report)
     return EXIT_OK
 
@@ -286,6 +297,7 @@ def cmd_direction(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    t0 = time.monotonic()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = cae.CaeModel.load(args.checkpoint)
@@ -307,7 +319,8 @@ def cmd_inspect(args) -> int:
                 data, mu[:, neuron], layout, k)
 
     report = dataio.RunReport(seed=model.config.seed, config=model.config.to_dict(),
-                              metrics=final, pair_table=rows)
+                              metrics=final, timing_seconds=time.monotonic() - t0,
+                              pair_table=rows)
     dataio.save_report(out / "inspect_report.json", report)
 
     print(f"informative neurons: X {enc.mask_x.indices.tolist()}  "
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic paired dataset")
     p.add_argument("--scenario", choices=("main", "asymmetric"), default="main")
     p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=env_seed or 0,
+    p.add_argument("--seed", type=nonnegative_int, default=env_seed or 0,
                    help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true",
@@ -349,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file mirroring CaeConfig fields")
     p.add_argument("--sweep", help='JSON file: {"cells": [{"beta": ..., "gamma": ...}]}')
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=env_seed,
+    p.add_argument("--seed", type=nonnegative_int, default=env_seed,
                    help=f"defaults to ${SEED_ENV_VAR}, else the config's seed")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--parallel", type=int, default=1,
@@ -362,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=all_or_index, default="all",
                    help='"all" or one pair index')
     p.add_argument("--anm-config", help="JSON file mirroring AnmConfig fields")
-    p.add_argument("--seed", type=int, default=env_seed or 0,
+    p.add_argument("--seed", type=nonnegative_int, default=env_seed or 0,
                    help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_direction)

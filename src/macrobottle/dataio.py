@@ -1,4 +1,4 @@
-"""Dataset serialization, standardization, run reports and figure data.
+"""Dataset serialization, config files, standardization, run reports and figure data.
 
 Matrices travel as comma-separated files with one header row and decimal
 values printed at 17 significant digits, which round-trips float64 exactly.
@@ -36,10 +36,8 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
         header = [f"c{j}" for j in range(matrix.shape[1])]
     if len(header) != matrix.shape[1]:
         raise DataError("header length does not match column count")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=",".join(header),
+               comments="", encoding="utf-8")
 
 
 def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
@@ -98,6 +96,44 @@ def save_ground_truth(path: str | Path, truth: GroundTruth,
         cols = cols + ["split"]
         matrix = np.column_stack([matrix, split.astype(np.float64)])
     save_matrix_csv(path, matrix, cols)
+
+
+# ---------------------------------------------------------------------------
+# config files
+
+
+class JsonConfig:
+    """Base of the config dataclasses. REMOVED_FIELDS maps the fields of
+    removed variants, which older files carry, to the value that meant the
+    kept path; from_dict drops such a field at that value."""
+
+    REMOVED_FIELDS: dict = {}
+
+    @classmethod
+    def from_dict(cls, fields: dict):
+        """Config from JSON-style fields; invalid input raises DataError."""
+        fields = dict(fields)
+        for key, kept in cls.REMOVED_FIELDS.items():
+            value = fields.pop(key, kept)
+            if (list(value) if isinstance(value, tuple) else value) != kept:
+                raise DataError(f"{key}={value!r} selects a removed variant; "
+                                f"only {kept!r} is supported")
+        unknown = set(fields) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise DataError(f"unknown config fields: {sorted(unknown)}")
+        try:
+            return cls(**fields)
+        except (TypeError, ValueError) as err:
+            raise DataError(f"invalid {cls.__name__}: {err}") from err
+
+    def check_ints(self, minimums: dict[str, int]) -> None:
+        """Raise ValueError unless each named field is an int (not a bool)
+        of at least its minimum; a tuple field must hold only such ints."""
+        for name, low in minimums.items():
+            value = getattr(self, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, bool) or not isinstance(v, int) or v < low:
+                    raise ValueError(f"{name}: expected integers >= {low}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +234,6 @@ def emit_anomaly_grid(path_high: str | Path, path_low: str | Path,
     header = [f"c{j}" for j in range(layout.cols)]
     save_matrix_csv(path_high, hi, header)
     save_matrix_csv(path_low, lo, header)
-
-
-# ---------------------------------------------------------------------------
-# residual scatter emission
-
-_SCATTER_GROUPS = ("fwd_raw", "rev_raw", "fwd_transformed", "rev_transformed")
-_SCATTER_COLS = ("value", "prediction", "counterpart", "residual")
-
-
-def emit_residual_scatter(path: str | Path, artifacts: dict) -> None:
-    """Wide CSV of per-sample scatter data: for both directions, raw and
-    transformed, the predicted variable's value, its prediction, the
-    predictor (counterpart) and the residual value - prediction."""
-    missing = [g for g in _SCATTER_GROUPS if g not in artifacts]
-    if missing:
-        raise DataError(f"verdict artifacts missing groups {missing}; "
-                        "run the verdict with artifact retention on")
-    header = []
-    columns = []
-    n = None
-    for group in _SCATTER_GROUPS:
-        for col in _SCATTER_COLS:
-            header.append(f"{group}_{col}")
-            v = np.asarray(artifacts[group][col], dtype=np.float64)
-            if n is None:
-                n = v.shape[0]
-            elif v.shape[0] != n:
-                raise DataError("scatter artifact groups have differing lengths")
-            columns.append(v)
-    save_matrix_csv(path, np.column_stack(columns), header)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,14 @@ DEFAULT_ALPHA = 0.05
 MEDIAN_SUBSAMPLE = 1000
 
 
-def median_bandwidth(x: np.ndarray, max_points: int = MEDIAN_SUBSAMPLE,
-                     seed: int = 0) -> float:
-    """Median of pairwise absolute differences, on a seeded subsample of at
-    most max_points when the input is larger."""
+def median_bandwidth(x: np.ndarray) -> float:
+    """Median of pairwise absolute differences, on a subsample of
+    MEDIAN_SUBSAMPLE points (drawn with seed 0) when the input is larger."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size < 2:
         raise DataError("median bandwidth needs at least 2 values")
-    if x.size > max_points:
-        idx = np.random.default_rng(seed).choice(x.size, max_points, replace=False)
+    if x.size > MEDIAN_SUBSAMPLE:
+        idx = np.random.default_rng(0).choice(x.size, MEDIAN_SUBSAMPLE, replace=False)
         x = x[idx]
     med = float(np.median(pdist(x[:, None], "cityblock")))
     if med == 0.0:
@@ -115,8 +114,7 @@ def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, flo
 
 
 def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
-                   bandwidths: tuple[float, float] | None = None,
-                   seed: int = 0) -> HsicResult:
+                   bandwidths: tuple[float, float] | None = None) -> HsicResult:
     """Biased-estimator test statistic n*HSIC_b with its gamma threshold.
 
     Exact over all n points: two passes over the symmetric Gram blocks with
@@ -133,7 +131,7 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("hsic_statistic needs finite samples")
     if bandwidths is None:
-        bandwidths = (median_bandwidth(x, seed=seed), median_bandwidth(y, seed=seed))
+        bandwidths = (median_bandwidth(x), median_bandwidth(y))
     sx, sy = _kernel_scales(bandwidths)
     stat, var, mu_x, mu_y = _blockwise_moments(x * sx, y * sy, n)
     # gamma moment-matched to the null mean/variance of the statistic

@@ -11,12 +11,17 @@ import pytest
 
 from macrobottle import anm, hsic
 from macrobottle import autodiff as ad
-from macrobottle.errors import DataError
+from macrobottle.errors import DataError, DegenerateDataError, NumericalError
+
+SCATTER_TESTS = ("fwd_raw", "rev_raw", "fwd_transformed", "rev_transformed")
+SCATTER_COLUMNS = ("value", "prediction", "counterpart", "residual")
 
 
 @pytest.mark.parametrize("fields", [
     {"batch_size": 0}, {"batch_size": 4}, {"fit_points": 7}, {"eval_points": 5},
-    {"epochs": -1}, {"alpha": 0.0}, {"alpha": 1.5}, {"hidden": -1}])
+    {"epochs": -1}, {"alpha": 0.0}, {"alpha": 1.5}, {"hidden": -1}, {"hidden": 2.5},
+    {"epochs": True}, {"seed": -1}, {"learning_rate": 0.0}, {"beta_t": -1.0},
+    {"disparity_min": 0.0}])
 def test_config_rejects_invalid_fields(fields):
     with pytest.raises(ValueError):
         anm.AnmConfig(**fields)
@@ -216,15 +221,60 @@ class TestVerdictPlumbing:
         y = x + rng.uniform(-0.2, 0.2, 400)
         cfg = anm.AnmConfig(hidden=4, epochs=8, batch_size=200, seed=0,
                             fit_points=200, eval_points=200)
-        v = anm.direction_verdict(x, y, cfg, pair_index=3, keep_artifacts=True)
+        v = anm.direction_verdict(x, y, cfg, pair_index=3)
         assert v.pair_index == 3
         assert v.decision in (anm.X_CAUSES_Y, anm.Y_CAUSES_X,
                               anm.NO_DIRECTION, anm.INCONCLUSIVE)
-        assert set(v.artifacts) == {"fwd_raw", "rev_raw",
-                                    "fwd_transformed", "rev_transformed"}
+        assert list(v.scatter) == [f"{test}_{col}" for test in SCATTER_TESTS
+                                   for col in SCATTER_COLUMNS]
+        assert all(col.shape == (v.n,) for col in v.scatter.values())
         doc = v.to_dict()
         assert doc["decision"] == v.decision
         assert doc["n"] == v.n
+        assert "scatter" not in doc
+
+    def test_failed_fit_keeps_the_other_direction(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(-1, 1, 400)
+        y = x + rng.uniform(-0.2, 0.2, 400)
+        cfg = anm.AnmConfig(hidden=4, epochs=2, batch_size=200,
+                            fit_points=200, eval_points=200)
+        fit = anm.fit_transform
+
+        def fail_reverse(x, y, direction, config, seed):
+            if direction == "y_to_x":
+                raise NumericalError("diverged")
+            return fit(x, y, direction, config, seed)
+
+        monkeypatch.setattr(anm, "fit_transform", fail_reverse)
+        v = anm.direction_verdict(x, y, cfg)
+        assert v.decision == anm.INCONCLUSIVE
+        assert v.diagnostics == "y_to_x transform fit failed: diverged"
+        assert np.isfinite([v.raw_fwd.statistic, v.raw_rev.statistic, v.fwd.statistic]).all()
+        assert np.isnan([v.rev.statistic, v.rev.threshold, v.disparity]).all()
+        assert list(v.scatter) == [f"{test}_{col}" for test in SCATTER_TESTS[:3]
+                                   for col in SCATTER_COLUMNS]
+
+    def test_constant_transform_is_a_failed_fit(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = rng.uniform(-1, 1, 100)
+        y = x + rng.uniform(-0.2, 0.2, 100)
+        monkeypatch.setattr(anm, "residuals",
+                            lambda net, x, y, direction: (np.ones(x.size),) * 2
+                            + (np.zeros(x.size),))
+        v = anm.direction_verdict(x, y, anm.AnmConfig(hidden=2, epochs=1, batch_size=50,
+                                                      fit_points=50, eval_points=50))
+        assert v.decision == anm.INCONCLUSIVE
+        assert "x_to_y" in v.diagnostics and "y_to_x" in v.diagnostics
+        assert list(v.scatter) == [f"{test}_{col}" for test in SCATTER_TESTS[:2]
+                                   for col in SCATTER_COLUMNS]
+
+    def test_degenerate_input_is_data_error(self):
+        # mostly one value: the raw tests, outside the fit's guard, get a
+        # zero-median bandwidth
+        x = np.repeat([0.0, 1.0], [90, 10])
+        with pytest.raises(DegenerateDataError):
+            anm.direction_verdict(x, x[::-1].copy(), anm.AnmConfig(epochs=0))
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):

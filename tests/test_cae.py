@@ -352,7 +352,9 @@ class TestConfigInput:
 
     @pytest.mark.parametrize("fields", [
         {"beta": -1}, {"bottleneck_dim": 0}, {"batch_size": 0},
-        {"bottleneck_dim": "four"}, {"colour": "red"}])
+        {"bottleneck_dim": "four"}, {"colour": "red"}, {"encoder_hidden": [0]},
+        {"decoder_hidden_per_variable": [0]}, {"bottleneck_dim": 2.5},
+        {"batch_size": 1e9}, {"epochs": True}, {"seed": -1}, {"learning_rate": -1}])
     def test_invalid_fields_are_data_errors(self, fields):
         with pytest.raises(DataError):
             cae.CaeConfig.from_dict(fields)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from macrobottle import autodiff as ad
-from macrobottle import cli, dataio
+from macrobottle import anm, cli, dataio
+from macrobottle.errors import NumericalError
 
 
 def run(argv):
@@ -39,6 +40,20 @@ class TestGen:
                     "--out", str(tmp_path / "d"), "--verify"])
         assert code == 0
         assert "verified" in capsys.readouterr().out
+
+    def test_verify_reads_what_was_written(self, tmp_path, monkeypatch):
+        save = dataio.save_matrix_csv
+
+        def perturb_x(path, matrix, header=None):
+            if path.name == "X.csv":
+                matrix = matrix.copy()
+                matrix[5, 7] = np.nextafter(matrix[5, 7], np.inf)
+            save(path, matrix, header)
+
+        monkeypatch.setattr(dataio, "save_matrix_csv", perturb_x)
+        code = run(["gen", "--n", "60", "--seed", "2", "--out", str(tmp_path / "d"),
+                    "--verify"])
+        assert code == cli.EXIT_NUMERIC
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
@@ -80,6 +95,8 @@ class TestTrain:
         assert (cells[0] / "checkpoint" / "manifest.json").exists()
         assert (out / "summary.txt").exists()
         assert (out / "summary.csv").exists()
+        history = doc["loss_history"]
+        assert len(history["val_loss"]) == len(history["recon_x"]) == 5
 
     def test_sweep_layout_and_uniqueness(self, tiny_run, tmp_path):
         sweep = tmp_path / "sweep.json"
@@ -113,6 +130,7 @@ class TestInspect:
         assert code == 0
         doc = dataio.load_report(out / "inspect_report.json")
         assert "informative_x" in doc["metrics"]
+        assert doc["timing_seconds"] > 0
         assert "informative neurons" in capsys.readouterr().out
 
 
@@ -132,12 +150,8 @@ class TestDirection:
 
     def test_pairs_chosen_as_inspect_reports(self, tiny_run, tmp_path):
         # direction must test the pairs inspect lists, chosen on the same rows
-        from macrobottle import cae
-        model = cae.CaeModel.load(_checkpoint(tiny_run))
-        for half in (model.net_x, model.net_y):
-            half.param("enc.w1").data[...] *= 200.0  # informative neurons
-        model.save(tmp_path / "ck")
-        common = ["--checkpoint", str(tmp_path / "ck"), "--data", str(tiny_run["data"])]
+        common = ["--checkpoint", _informative_checkpoint(tiny_run, tmp_path),
+                  "--data", str(tiny_run["data"])]
         anm_config = _write(tmp_path / "anm.json", {"epochs": 1, "batch_size": 100,
                                                     "fit_points": 100, "eval_points": 100})
         assert run(["inspect", *common, "--out", str(tmp_path / "ins")]) == cli.EXIT_OK
@@ -150,6 +164,50 @@ class TestDirection:
         assert [v["pair_index"] for v in directed["verdicts"]] == paired
         for key in ("kl_x", "kl_y", "informative_x", "informative_y"):
             assert directed["metrics"][key] == inspected["metrics"][key], key
+        assert directed["timing_seconds"] > 0
+
+    @pytest.mark.parametrize("failure", ["fit-diverges", "constant-transform"])
+    def test_failed_fit_is_an_inconclusive_verdict(self, failure, tiny_run, tmp_path,
+                                                   monkeypatch):
+        # the first pair's transform fits fail; the run still reports every pair
+        calls = []
+        fit, residuals = anm.fit_transform, anm.residuals
+
+        def diverging_fit(x, y, direction, config, seed):
+            calls.append(direction)
+            if len(calls) <= 2:
+                raise NumericalError(f"transform training diverged ({direction})")
+            return fit(x, y, direction, config, seed)
+
+        def constant_transform(net, x, y, direction):
+            calls.append(direction)
+            if len(calls) <= 2:
+                return np.ones(x.size), np.ones(x.size), np.zeros(x.size)
+            return residuals(net, x, y, direction)
+
+        if failure == "fit-diverges":
+            monkeypatch.setattr(anm, "fit_transform", diverging_fit)
+        else:
+            monkeypatch.setattr(anm, "residuals", constant_transform)
+        ck = _informative_checkpoint(tiny_run, tmp_path)
+        anm_config = _write(tmp_path / "anm.json", {"epochs": 1, "batch_size": 100,
+                                                    "fit_points": 100, "eval_points": 100})
+        out = tmp_path / "dir"
+        assert run(["direction", "--checkpoint", ck, "--data", str(tiny_run["data"]),
+                    "--anm-config", anm_config, "--out", str(out)]) == cli.EXIT_OK
+        verdicts = dataio.load_report(out / "direction_report.json")["verdicts"]
+        assert len(verdicts) >= 2
+        first, *others = verdicts
+        assert first["decision"] == "inconclusive"
+        assert "x_to_y" in first["diagnostics"] and "y_to_x" in first["diagnostics"]
+        assert first["raw_fwd"]["statistic"] is not None and first["fwd"]["statistic"] is None
+        _, header = dataio.load_matrix_csv(out / f"scatter_pair{first['pair_index']}.csv")
+        assert header == [f"{test}_{col}" for test in ("fwd_raw", "rev_raw")
+                          for col in ("value", "prediction", "counterpart", "residual")]
+        for v in others:
+            assert v["diagnostics"] is None and v["fwd"]["statistic"] is not None
+            _, header = dataio.load_matrix_csv(out / f"scatter_pair{v['pair_index']}.csv")
+            assert len(header) == 16
 
     def test_missing_data_is_data_error(self, tiny_run, tmp_path):
         cell = next(iter(tiny_run["train"].glob("cell_*")))
@@ -174,6 +232,17 @@ def _train(tiny, tmp, config=None, sweep=None):
 
 def _checkpoint(tiny):
     return next(iter(tiny["train"].glob("cell_*"))) / "checkpoint"
+
+
+def _informative_checkpoint(tiny, tmp):
+    """The tiny checkpoint with its encoder's first layer scaled up, which
+    makes both bottleneck pairs informative."""
+    from macrobottle import cae
+    model = cae.CaeModel.load(_checkpoint(tiny))
+    for half in (model.net_x, model.net_y):
+        half.param("enc.w1").data[...] *= 200.0
+    model.save(tmp / "ck")
+    return str(tmp / "ck")
 
 
 def _truncated(tiny, tmp):
@@ -312,6 +381,40 @@ EXIT_CASES = {
     "layout-is-a-directory": (lambda t, tmp: [
         "inspect", "--checkpoint", str(_checkpoint(t)), "--data", str(t["data"]),
         "--layout", str(tmp), "--out", str(tmp / "ins")], cli.EXIT_DATA),
+    "cae-encoder-width-zero": (lambda t, tmp: _train(t, tmp, config={"encoder_hidden": [0]}),
+                               cli.EXIT_DATA),
+    "cae-decoder-width-zero": (lambda t, tmp: _train(
+        t, tmp, config={"decoder_hidden_per_variable": [0]}), cli.EXIT_DATA),
+    "cae-bottleneck-not-an-integer": (lambda t, tmp: _train(
+        t, tmp, config={"bottleneck_dim": 2.5}), cli.EXIT_DATA),
+    "cae-batch-size-a-float": (lambda t, tmp: _train(t, tmp, config={"batch_size": 1e9}),
+                               cli.EXIT_DATA),
+    "cae-seed-negative": (lambda t, tmp: _train(t, tmp, config={"seed": -1}), cli.EXIT_DATA),
+    "cae-learning-rate-negative": (lambda t, tmp: _train(
+        t, tmp, config={"learning_rate": -1, "epochs": 1}), cli.EXIT_DATA),
+    "anm-hidden-not-an-integer": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"hidden": 2.5})), cli.EXIT_DATA),
+    "anm-epochs-not-an-integer": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"epochs": 1.5})), cli.EXIT_DATA),
+    "anm-eval-points-a-float": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"eval_points": 1e9})),
+        cli.EXIT_DATA),
+    "anm-disparity-not-a-number": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"disparity_min": "x"})),
+        cli.EXIT_DATA),
+    "anm-seed-negative": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"seed": -1})), cli.EXIT_DATA),
+    "anm-learning-rate-negative": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"learning_rate": -1})),
+        cli.EXIT_DATA),
+    "anm-beta-t-negative": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"beta_t": -1})), cli.EXIT_DATA),
+    "gen-seed-negative": (lambda t, tmp: ["gen", "--n", "40", "--seed", "-1",
+                                          "--out", str(tmp / "g")], cli.EXIT_USAGE),
+    "train-seed-negative": (lambda t, tmp: ["train", "--data", str(t["data"]), "--seed", "-1",
+                                            "--out", str(tmp / "o")], cli.EXIT_USAGE),
+    "seed-env-negative": (lambda t, tmp: ["gen", "--n", "40", "--out", str(tmp / "g")],
+                          cli.EXIT_USAGE, {cli.SEED_ENV_VAR: "-1"}),
 }
 
 

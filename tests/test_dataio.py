@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from macrobottle import dataio, datagen
+from macrobottle import anm, dataio, datagen
 from macrobottle.errors import DataError, ParseError
 
 
@@ -50,6 +50,14 @@ class TestMatrixCsv:
         path.write_text("a\nnan\n")
         with pytest.raises(ParseError):
             dataio.load_matrix_csv(path)
+
+    def test_seventeen_digit_text(self, tmp_path):
+        m = np.array([[0.0, -0.0, 5e-324, -5e-324],
+                      [1.7976931348623157e308, -1e300, 1e-300, 1.0 / 3.0]])
+        path = tmp_path / "m.csv"
+        dataio.save_matrix_csv(path, m, ["a", "b", "c", "d"])
+        lines = ["a,b,c,d"] + [",".join(f"{v:.17g}" for v in row) for row in m]
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
     def test_non_finite_rejected_on_save(self, tmp_path):
         with pytest.raises(DataError):
@@ -154,33 +162,23 @@ class TestAnomalyGrids:
 
 
 class TestResidualScatter:
-    def make_artifacts(self, n=50, seed=0):
-        rng = np.random.default_rng(seed)
-        groups = {}
-        for g in ("fwd_raw", "rev_raw", "fwd_transformed", "rev_transformed"):
-            value = rng.normal(size=n)
-            pred = rng.normal(size=n)
-            groups[g] = {"value": value, "prediction": pred,
-                         "counterpart": rng.normal(size=n),
-                         "residual": value - pred}
-        return groups
-
     def test_row_count_and_residual_identity(self, tmp_path):
-        art = self.make_artifacts(n=64)
+        # a real verdict's scatter, written the way `direction` writes it
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, 200)
+        y = np.tanh(x) + rng.uniform(-0.2, 0.2, 200)
+        verdict = anm.direction_verdict(x, y, anm.AnmConfig(
+            hidden=4, epochs=2, batch_size=64, fit_points=64, eval_points=64))
         path = tmp_path / "scatter.csv"
-        dataio.emit_residual_scatter(path, art)
+        dataio.save_matrix_csv(path, np.column_stack(list(verdict.scatter.values())),
+                               list(verdict.scatter))
         m, header = dataio.load_matrix_csv(path)
-        assert m.shape[0] == 64
-        iv = header.index("fwd_transformed_value")
-        ip = header.index("fwd_transformed_prediction")
-        ir = header.index("fwd_transformed_residual")
-        assert np.abs((m[:, iv] - m[:, ip]) - m[:, ir]).max() < 1e-12
-
-    def test_missing_group_rejected(self, tmp_path):
-        art = self.make_artifacts()
-        del art["rev_raw"]
-        with pytest.raises(DataError):
-            dataio.emit_residual_scatter(tmp_path / "s.csv", art)
+        assert m.shape == (64, 16)
+        assert header == list(verdict.scatter)
+        for test in ("fwd_raw", "rev_raw", "fwd_transformed", "rev_transformed"):
+            iv, ip, ir = (header.index(f"{test}_{c}")
+                          for c in ("value", "prediction", "residual"))
+            assert np.abs((m[:, iv] - m[:, ip]) - m[:, ir]).max() < 1e-12, test
 
 
 class TestRunReport:

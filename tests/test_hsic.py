@@ -64,7 +64,10 @@ class TestMedianBandwidth:
     def test_subsample_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=5000)
-        assert hsic.median_bandwidth(x, seed=3) == hsic.median_bandwidth(x, seed=3)
+        # the subsample is drawn with the fixed seed 0
+        sub = x[np.random.default_rng(0).choice(x.size, hsic.MEDIAN_SUBSAMPLE, replace=False)]
+        full = np.median(np.abs(sub[:, None] - sub[None, :])[np.triu_indices(sub.size, k=1)])
+        assert hsic.median_bandwidth(x) == hsic.median_bandwidth(x) == full
 
 
 class TestStatistic:
