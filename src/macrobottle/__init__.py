@@ -6,10 +6,9 @@ monotone-transform searches and additive-noise-model independence tests.
 """
 
 from .anm import AnmConfig, AnmVerdict, direction_verdict, fit_transform
-from .cae import CaeConfig, CaeModel, extract_macrovariables, train_cae
+from .cae import CaeConfig, CaeModel, explained_variance, extract_macrovariables, train_cae
 from .datagen import DatasetPair, gen_asymmetric, gen_main_synthetic, macro_readout
 from .hsic import HsicResult, hsic_loss, hsic_statistic, median_bandwidth
-from .metrics import explained_variance, informative_mask, pair_table, per_neuron_kl
 
 __version__ = "0.1.0"
 
@@ -17,7 +16,6 @@ __all__ = [
     "AnmConfig", "AnmVerdict", "CaeConfig", "CaeModel", "DatasetPair",
     "HsicResult", "direction_verdict", "explained_variance",
     "extract_macrovariables", "fit_transform", "gen_asymmetric",
-    "gen_main_synthetic", "hsic_loss", "hsic_statistic", "informative_mask",
-    "macro_readout", "median_bandwidth", "pair_table", "per_neuron_kl",
-    "train_cae",
+    "gen_main_synthetic", "hsic_loss", "hsic_statistic", "macro_readout",
+    "median_bandwidth", "train_cae",
 ]

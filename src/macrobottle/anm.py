@@ -49,8 +49,8 @@ class AnmConfig(JsonConfig):
     def __post_init__(self):
         # fit_transform skips minibatches under 8 points, and the gamma
         # threshold needs at least 6 test points
-        self.check_ints({"hidden": 0, "epochs": 0, "batch_size": 8, "fit_points": 8,
-                         "eval_points": 6, "seed": 0})
+        self.check_numbers({"hidden": 0, "epochs": 0, "batch_size": 8, "fit_points": 8,
+                            "eval_points": 6, "seed": 0})
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (self.learning_rate > 0 and self.beta_t >= 0 and self.disparity_min > 0):

@@ -49,9 +49,6 @@ class Tensor:
         self._parents = _parents
         self._backward_fn = _backward_fn
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
@@ -66,15 +63,12 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise TapeError("backward expects a scalar loss")
-    if not loss._parents and not loss.requires_grad:
+    if loss._backward_fn is None:
         raise TapeError("backward called on a tensor with no forward graph")
     pending = [(loss, np.ones_like(loss.data))]
     while pending:
         node, g = pending.pop()
-        if node._backward_fn is not None:
-            node._backward_fn(g, lambda parent, pg: pending.append((parent, pg)))
-        elif node.requires_grad:
-            node.grad += g
+        node._backward_fn(g, lambda parent, pg: pending.append((parent, pg)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +255,22 @@ def mlp_backward(layers: list[tuple], hs: list[np.ndarray], g: np.ndarray) -> np
     return g
 
 
-def gaussian_bottleneck(mu: np.ndarray, logvar: np.ndarray, rng: np.random.Generator):
-    """The sample z = mu + sigma * eps, eps ~ N(0, 1), and per entry the
-    closed-form divergence 0.5 * (mu^2 + sigma^2 - 1 - log sigma^2) of the
-    Gaussian from the standard normal, with logvar clamped to
-    [LOGVAR_MIN, LOGVAR_MAX] (at the lower clamp z collapses to mu).
-    Returns (z, kl, cache) for gaussian_bottleneck_grad."""
+def gaussian_kl(mu: np.ndarray, logvar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """logvar clamped to [LOGVAR_MIN, LOGVAR_MAX], and per entry the
+    closed-form divergence 0.5 * (mu^2 + sigma^2 - 1 - log sigma^2) of that
+    Gaussian from the standard normal. Training and the informative-neuron
+    decision both take the divergence from here."""
     lv = np.clip(logvar, LOGVAR_MIN, LOGVAR_MAX)
+    return lv, 0.5 * (((mu * mu + np.exp(lv)) - 1.0) - lv)
+
+
+def gaussian_bottleneck(mu: np.ndarray, logvar: np.ndarray, rng: np.random.Generator):
+    """The sample z = mu + sigma * eps, eps ~ N(0, 1), and the gaussian_kl
+    divergence per entry (at the lower logvar clamp z collapses to mu).
+    Returns (z, kl, cache) for gaussian_bottleneck_grad."""
+    lv, kl = gaussian_kl(mu, logvar)
     var = np.exp(lv)
     noise = np.exp(lv * 0.5) * rng.standard_normal(mu.shape)
-    kl = 0.5 * (((mu * mu + var) - 1.0) - lv)
     inside = (logvar >= LOGVAR_MIN) & (logvar <= LOGVAR_MAX)
     return mu + noise, kl, (mu, var, noise, inside)
 

@@ -29,10 +29,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import metrics
 from .datagen import TRAIN, VAL, DatasetPair
 from .dataio import ColumnStats, JsonConfig, standardize
-from .errors import DataError, NumericalError
+from .errors import DataError, DimensionError, NumericalError
 
 TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
 
@@ -52,14 +51,14 @@ class CaeConfig(JsonConfig):
     batch_size: int = 128
     learning_rate: float = 1e-3
     seed: int = 0
-    kl_threshold: float = metrics.DEFAULT_KL_THRESHOLD
+    kl_threshold: float = 0.05
 
     def __post_init__(self):
         self.encoder_hidden = tuple(self.encoder_hidden)
         self.decoder_hidden_per_variable = tuple(self.decoder_hidden_per_variable)
-        self.check_ints({"bottleneck_dim": 1, "encoder_hidden": 1,
-                         "decoder_hidden_per_variable": 1, "epochs": 0,
-                         "batch_size": 1, "seed": 0})
+        self.check_numbers({"bottleneck_dim": 1, "encoder_hidden": 1,
+                            "decoder_hidden_per_variable": 1, "epochs": 0,
+                            "batch_size": 1, "seed": 0})
         if self.beta < 0 or self.gamma < 0:
             raise ValueError("beta and gamma must be >= 0")
         if not (self.learning_rate > 0 and self.kl_threshold > 0):
@@ -136,9 +135,6 @@ class CaeHalf:
 
     def cross_predict_np(self, z: np.ndarray) -> np.ndarray:
         return z * self.param("cross.a").data + self.param("cross.b").data
-
-    def cross_params(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.param("cross.a").data.copy(), self.param("cross.b").data.copy()
 
 
 @dataclass
@@ -253,33 +249,84 @@ def combine(terms: ad.Tensor, beta: float, gamma: float) -> ad.Tensor:
 
 
 # ---------------------------------------------------------------------------
-# training
+# evaluation
+
+
+def explained_variance(truth: np.ndarray, pred: np.ndarray) -> float:
+    """EV = 1 - SSE / SS_total, pooled over all entries.
+
+    SS_total centers each column at its own mean, so a column-mean predictor
+    scores exactly 0 and worse-than-mean predictions go negative.
+    """
+    truth = np.asarray(truth, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    if truth.shape != pred.shape:
+        raise DimensionError(f"shape mismatch: {truth.shape} vs {pred.shape}")
+    if truth.ndim == 1:
+        truth = truth[:, None]
+        pred = pred[:, None]
+    ss_total = ((truth - truth.mean(axis=0)) ** 2).sum()
+    if ss_total == 0.0:
+        raise NumericalError("explained variance undefined: truth has zero variance")
+    sse = ((truth - pred) ** 2).sum()
+    return float(1.0 - sse / ss_total)
 
 
 @dataclass
-class TrainHistory:
-    terms: dict[str, list[float]] = field(default_factory=lambda: {n: [] for n in TERM_NAMES})
-    val: list[dict] = field(default_factory=list)
-    epochs_run: int = 0
+class InformativeMask:
+    """Which bottleneck neurons carry sample-dependent information: those
+    whose mean divergence from the prior, `kl`, exceeds the threshold."""
+
+    kl: np.ndarray
+    flags: np.ndarray
+
+    @property
+    def count(self) -> int:
+        return int(self.flags.sum())
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.flatnonzero(self.flags)
 
 
-def encode_block(model: CaeModel, x: np.ndarray, y: np.ndarray) -> metrics.Encoding:
+@dataclass
+class Encoding:
+    """Noiseless bottleneck means of one block of (x, y) rows and, per side,
+    which neurons are informative on that block."""
+
+    mu_x: np.ndarray
+    mu_y: np.ndarray
+    mask_x: InformativeMask
+    mask_y: InformativeMask
+
+    @property
+    def paired(self) -> np.ndarray:
+        """Indices informative on both sides: the macrovariable pairs."""
+        return np.flatnonzero(self.mask_x.flags & self.mask_y.flags)
+
+
+def encode_block(model: CaeModel, x: np.ndarray, y: np.ndarray) -> Encoding:
     """One noiseless encode of a block of (x, y) rows in the model's units,
     with each side's informative neurons at `config.kl_threshold`. Every
     choice of macrovariable pairs goes through here."""
-    thr = model.config.kl_threshold
-    mu_x, lv_x = model.net_x.encode_np(x)
-    mu_y, lv_y = model.net_y.encode_np(y)
-    return metrics.Encoding(
-        mu_x, mu_y,
-        metrics.informative_mask(metrics.per_neuron_kl(mu_x, lv_x), thr),
-        metrics.informative_mask(metrics.per_neuron_kl(mu_y, lv_y), thr))
+    mus, masks = [], []
+    for half, inputs in ((model.net_x, x), (model.net_y, y)):
+        mu, lv = half.encode_np(inputs)
+        kl = ad.gaussian_kl(mu, lv)[1].mean(axis=0)
+        mus.append(mu)
+        masks.append(InformativeMask(kl, kl > model.config.kl_threshold))
+    return Encoding(*mus, *masks)
 
 
 def evaluate_model(model: CaeModel, x: np.ndarray,
-                   y: np.ndarray) -> tuple[dict, metrics.Encoding]:
-    """Noiseless metrics on one block of rows, and the encoding behind them;
-    deterministic for fixed inputs."""
+                   y: np.ndarray) -> tuple[dict, list[dict], Encoding]:
+    """Noiseless metrics on one block of rows, the pair-table rows and the
+    encoding behind them; deterministic for fixed inputs.
+
+    Pairs are index-aligned by the diagonal cross-map: neuron i of one half
+    predicts neuron i of the other. The rows list each pair with its
+    cross-map and cross-EVs, then the neurons informative on one side only.
+    """
     cfg = model.config
     enc = encode_block(model, x, y)
     mu_x, mu_y, mask_x, mask_y = enc.mu_x, enc.mu_y, enc.mask_x, enc.mask_y
@@ -293,14 +340,14 @@ def evaluate_model(model: CaeModel, x: np.ndarray,
         if mask.count == 0:
             return None
         idx = mask.indices
-        return metrics.explained_variance(target[:, idx], pred[:, idx])
+        return explained_variance(target[:, idx], pred[:, idx])
 
-    ev_y = metrics.explained_variance(y, pred_y)
-    ev_x = metrics.explained_variance(x, pred_x)
+    ev_y = explained_variance(y, pred_y)
+    ev_x = explained_variance(x, pred_x)
     val_loss = (float(((y - pred_y) ** 2).mean() + ((x - pred_x) ** 2).mean())
                 + cfg.beta * float(kl_x.mean() + kl_y.mean())
                 + cfg.gamma * float(((mu_y - cy) ** 2).mean() + ((mu_x - cx) ** 2).mean()))
-    return {
+    metrics = {
         "ev_y_from_x": ev_y,
         "ev_x_from_y": ev_x,
         "cross_ev_y_from_x": masked_ev(mu_y, cy, mask_y),
@@ -310,7 +357,31 @@ def evaluate_model(model: CaeModel, x: np.ndarray,
         "kl_x": kl_x.tolist(),
         "kl_y": kl_y.tolist(),
         "val_loss": val_loss,
-    }, enc
+    }
+    a_x, b_x = model.net_x.param("cross.a").data, model.net_x.param("cross.b").data
+    a_y, b_y = model.net_y.param("cross.a").data, model.net_y.param("cross.b").data
+    paired = enc.paired
+    rows = [{"index": int(i),
+             "a_x_to_y": float(a_x[i]), "b_x_to_y": float(b_x[i]),
+             "a_y_to_x": float(a_y[i]), "b_y_to_x": float(b_y[i]),
+             "cross_ev_y_from_x": explained_variance(mu_y[:, i], cy[:, i]),
+             "cross_ev_x_from_y": explained_variance(mu_x[:, i], cx[:, i])}
+            for i in paired]
+    rows += [{"index": int(i), "unpaired_side": side}
+             for side, mask in (("x", mask_x), ("y", mask_y))
+             for i in mask.indices if i not in paired]
+    return metrics, rows, enc
+
+
+# ---------------------------------------------------------------------------
+# training
+
+
+@dataclass
+class TrainHistory:
+    terms: dict[str, list[float]] = field(default_factory=lambda: {n: [] for n in TERM_NAMES})
+    val: list[dict] = field(default_factory=list)
+    epochs_run: int = 0
 
 
 def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHistory]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import anm, cae, dataio, datagen, metrics
+from . import anm, cae, dataio, datagen
 from .errors import DataError, MacrobottleError, NumericalError
 
 EXIT_OK = 0
@@ -121,17 +121,13 @@ def _load_dataset(data_dir: Path, model: cae.CaeModel) -> datagen.DatasetPair:
 
 def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair, epochs_run: int):
     """Report metrics and pair-table rows on the TEST rows of a pair in the
-    model's units, plus the pair table and the encoding behind them. This is
-    where `train`, `inspect` and `direction` choose the informative pairs."""
+    model's units, plus the encoding behind them. This is where `train`,
+    `inspect` and `direction` choose the informative pairs."""
     te = pair.rows(datagen.TEST)
-    final, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
+    final, rows, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
     final.pop("val_loss")
     final["epochs_run"] = epochs_run
-    table = metrics.pair_table(model, enc)
-    rows = [vars(r) for r in table.pairs]
-    rows += [{"index": i, "unpaired_side": "x"} for i in table.unpaired_x]
-    rows += [{"index": i, "unpaired_side": "y"} for i in table.unpaired_y]
-    return final, rows, table, enc
+    return final, rows, enc
 
 
 def _run_cell(x_path: str, y_path: str, config: cae.CaeConfig, cell_dir: str) -> dict:
@@ -147,8 +143,7 @@ def _run_cell(x_path: str, y_path: str, config: cae.CaeConfig, cell_dir: str) ->
         with open(cell / "error.txt", "w", encoding="utf-8") as fh:
             fh.write(str(err))
         return {"beta": config.beta, "gamma": config.gamma, "failed": str(err)}
-    final, table_rows, _, _ = _test_report(model, model.stats.apply(pair),
-                                           history.epochs_run)
+    final, table_rows, _ = _test_report(model, model.stats.apply(pair), history.epochs_run)
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
@@ -255,7 +250,7 @@ def cmd_direction(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = cae.CaeModel.load(args.checkpoint)
     pair = _load_dataset(Path(args.data), model)
-    final, rows, _, enc = _test_report(model, pair, epochs_run=0)
+    final, rows, enc = _test_report(model, pair, epochs_run=0)
     paired = enc.paired
     if len(paired) == 0:
         print("no informative macrovariable pair detected; nothing to analyze")
@@ -307,7 +302,7 @@ def cmd_inspect(args) -> int:
     else:
         layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
 
-    final, rows, table, enc = _test_report(model, pair, epochs_run=0)
+    final, rows, enc = _test_report(model, pair, epochs_run=0)
     k = args.k or max(1, pair.n // 50)
     for side, data, half, mask in (("x", pair.x, model.net_x, enc.mask_x),
                                    ("y", pair.y, model.net_y, enc.mask_y)):
@@ -325,11 +320,14 @@ def cmd_inspect(args) -> int:
 
     print(f"informative neurons: X {enc.mask_x.indices.tolist()}  "
           f"Y {enc.mask_y.indices.tolist()}")
-    print(f"paired: {[r.index for r in table.pairs]}  "
-          f"unpaired X {table.unpaired_x}  unpaired Y {table.unpaired_y}")
-    for r in table.pairs:
-        print(f"pair {r.index}: cross-EV {r.cross_ev_y_from_x:.3f}/"
-              f"{r.cross_ev_x_from_y:.3f}  a={r.a_x_to_y:.3f}/{r.a_y_to_x:.3f}")
+    pairs = [r for r in rows if "unpaired_side" not in r]
+    unpaired = {side: [r["index"] for r in rows if r.get("unpaired_side") == side]
+                for side in "xy"}
+    print(f"paired: {[r['index'] for r in pairs]}  "
+          f"unpaired X {unpaired['x']}  unpaired Y {unpaired['y']}")
+    for r in pairs:
+        print(f"pair {r['index']}: cross-EV {r['cross_ev_y_from_x']:.3f}/"
+              f"{r['cross_ev_x_from_y']:.3f}  a={r['a_x_to_y']:.3f}/{r['a_y_to_x']:.3f}")
     print(f"anomaly grids written to {out} (k={k})")
     return EXIT_OK
 
@@ -349,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic paired dataset")
     p.add_argument("--scenario", choices=("main", "asymmetric"), default="main")
-    p.add_argument("--n", type=int, default=10_000)
+    p.add_argument("--n", type=positive_int, default=10_000)
     p.add_argument("--seed", type=nonnegative_int, default=env_seed or 0,
                    help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
@@ -364,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=nonnegative_int, default=env_seed,
                    help=f"defaults to ${SEED_ENV_VAR}, else the config's seed")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=1,
+    p.add_argument("--epochs", type=nonnegative_int, default=None)
+    p.add_argument("--parallel", type=positive_int, default=1,
                    help="run sweep cells in this many worker processes")
     p.set_defaults(func=cmd_train)
 

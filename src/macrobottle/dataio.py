@@ -9,7 +9,9 @@ float in a report is finite or explicitly null.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -123,17 +125,23 @@ class JsonConfig:
             raise DataError(f"unknown config fields: {sorted(unknown)}")
         try:
             return cls(**fields)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:  # an int beyond float range
             raise DataError(f"invalid {cls.__name__}: {err}") from err
 
-    def check_ints(self, minimums: dict[str, int]) -> None:
-        """Raise ValueError unless each named field is an int (not a bool)
-        of at least its minimum; a tuple field must hold only such ints."""
+    def check_numbers(self, minimums: dict[str, int]) -> None:
+        """Raise ValueError unless each field named in minimums is an int (not
+        a bool) of at least its minimum, a tuple field holding only such ints,
+        and every float field is a finite real number (not a bool)."""
         for name, low in minimums.items():
             value = getattr(self, name)
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, bool) or not isinstance(v, int) or v < low:
                     raise ValueError(f"{name}: expected integers >= {low}, got {value!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type == "float" and (isinstance(v, bool) or not isinstance(v, Real)
+                                      or not math.isfinite(v)):
+                raise ValueError(f"{f.name}: expected a finite number, got {v!r}")
 
 
 # ---------------------------------------------------------------------------

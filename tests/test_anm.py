@@ -21,7 +21,8 @@ SCATTER_COLUMNS = ("value", "prediction", "counterpart", "residual")
     {"batch_size": 0}, {"batch_size": 4}, {"fit_points": 7}, {"eval_points": 5},
     {"epochs": -1}, {"alpha": 0.0}, {"alpha": 1.5}, {"hidden": -1}, {"hidden": 2.5},
     {"epochs": True}, {"seed": -1}, {"learning_rate": 0.0}, {"beta_t": -1.0},
-    {"disparity_min": 0.0}])
+    {"disparity_min": 0.0}, {"learning_rate": True}, {"beta_t": float("inf")},
+    {"disparity_min": float("inf")}, {"beta_t": True}])
 def test_config_rejects_invalid_fields(fields):
     with pytest.raises(ValueError):
         anm.AnmConfig(**fields)

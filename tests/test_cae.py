@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from macrobottle import autodiff as ad
-from macrobottle import cae, dataio, metrics
+from macrobottle import cae, dataio
 from macrobottle.errors import DataError, DimensionError
 
 
@@ -117,11 +117,12 @@ def select(terms: ad.Tensor, name: str) -> ad.Tensor:
 
 class TestHalfLoss:
     def test_kl_zero_at_prior(self):
-        kl = metrics.per_neuron_kl(np.zeros((10, 2)), np.zeros((10, 2)))
-        assert np.array_equal(kl, [0.0, 0.0])
+        _, kl = ad.gaussian_kl(np.zeros((10, 2)), np.zeros((10, 2)))
+        assert np.array_equal(kl.mean(axis=0), [0.0, 0.0])
 
     def test_kl_unit_mean_single_neuron(self):
-        assert abs(metrics.per_neuron_kl(np.ones((6, 1)), np.zeros((6, 1)))[0] - 0.5) < 1e-15
+        _, kl = ad.gaussian_kl(np.ones((6, 1)), np.zeros((6, 1)))
+        assert abs(kl.mean(axis=0)[0] - 0.5) < 1e-15
 
     def test_terms_match_naive_recomputation(self):
         model = small_model(seed=13)
@@ -139,7 +140,7 @@ class TestHalfLoss:
         z = mu + np.exp(0.5 * np.clip(lv, -20, 5)) * eps
         recon_naive = ((model.net_x.decode_np(z) - by) ** 2).mean()
         kl_naive = (0.5 * (mu ** 2 + np.exp(lv) - 1.0 - lv)).sum(axis=1).mean()
-        a, b = model.net_x.cross_params()
+        a, b = model.net_x.param("cross.a").data, model.net_x.param("cross.b").data
         mu_other = model.net_y.encode_mean(by)
         cross_naive = ((a * z + b - mu_other) ** 2).mean()
         assert abs(recon - recon_naive) < 1e-10
@@ -275,7 +276,7 @@ class TestKlMonteCarlo:
         rng = np.random.default_rng(27)
         mu = rng.uniform(-2.0, 2.0, size=(1, 3))
         lv = rng.uniform(-1.0, 1.0, size=(1, 3))
-        closed = metrics.per_neuron_kl(mu, lv)
+        closed = ad.gaussian_kl(mu, lv)[1].mean(axis=0)
         draws = 300_000
         sigma = np.exp(0.5 * lv)
         z = mu + sigma * rng.standard_normal((draws, 3))
@@ -354,7 +355,9 @@ class TestConfigInput:
         {"beta": -1}, {"bottleneck_dim": 0}, {"batch_size": 0},
         {"bottleneck_dim": "four"}, {"colour": "red"}, {"encoder_hidden": [0]},
         {"decoder_hidden_per_variable": [0]}, {"bottleneck_dim": 2.5},
-        {"batch_size": 1e9}, {"epochs": True}, {"seed": -1}, {"learning_rate": -1}])
+        {"batch_size": 1e9}, {"epochs": True}, {"seed": -1}, {"learning_rate": -1},
+        {"gamma": float("nan")}, {"beta": True}, {"kl_threshold": float("inf")},
+        {"beta": float("inf")}, {"gamma": 10 ** 400}])
     def test_invalid_fields_are_data_errors(self, fields):
         with pytest.raises(DataError):
             cae.CaeConfig.from_dict(fields)
@@ -372,9 +375,9 @@ def test_training_smoke_and_history():
     assert len(history.val) == 3
     # validation metrics are deterministic (no noise at evaluation)
     val_idx = pair.rows(datagen.VAL)
-    m1, enc = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
-    m2, _ = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
-    assert m1 == m2
+    m1, rows1, enc = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
+    m2, rows2, _ = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
+    assert m1 == m2 and rows1 == rows2
     # the metrics and the encoding come from one encode of the same rows
     assert m1["kl_x"] == enc.mask_x.kl.tolist() and m1["kl_y"] == enc.mask_y.kl.tolist()
     assert m1["informative_x"] == enc.mask_x.count

@@ -35,8 +35,9 @@ class TestGen:
             assert (tmp_path / "a" / name).read_text() == \
                 (tmp_path / "b" / name).read_text()
 
-    def test_verify_flag(self, tmp_path, capsys):
-        code = run(["gen", "--scenario", "asymmetric", "--n", "60", "--seed", "2",
+    @pytest.mark.parametrize("scenario", ["main", "asymmetric"])
+    def test_verify_flag(self, scenario, tmp_path, capsys):
+        code = run(["gen", "--scenario", scenario, "--n", "60", "--seed", "2",
                     "--out", str(tmp_path / "d"), "--verify"])
         assert code == 0
         assert "verified" in capsys.readouterr().out
@@ -119,6 +120,43 @@ class TestTrain:
         assert len(list(out.glob("cell_*"))) == 2
         text = (out / "summary.txt").read_text()
         assert "beta=1.0" in text and "beta=0.1" in text and "gamma=1.0" in text
+
+    def test_parallel_sweep_matches_serial(self, tiny_run, tmp_path):
+        sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 1.0}]}
+        reports = []
+        for parallel in ("1", "2"):
+            out = tmp_path / f"p{parallel}"
+            assert run(["train", "--data", str(tiny_run["data"]), "--config",
+                        str(tiny_run["config"]), "--sweep", _write(tmp_path / "s.json", sweep),
+                        "--out", str(out), "--epochs", "2", "--parallel", parallel]) == 0
+            docs = {p.parent.name: dataio.load_report(p) for p in out.glob("cell_*/report.json")}
+            for doc in docs.values():
+                assert doc.pop("timing_seconds") > 0
+            reports.append(docs)
+        assert len(reports[0]) == 2 and reports[0] == reports[1]
+
+    def test_failed_cell_is_reported(self, tiny_run, tmp_path, monkeypatch, capsys):
+        from macrobottle import cae
+        train = cae.train_cae
+
+        def diverge_at_beta_one(pair, config):
+            if config.beta == 1.0:
+                raise NumericalError("non-finite loss at epoch 0")
+            return train(pair, config)
+
+        monkeypatch.setattr(cae, "train_cae", diverge_at_beta_one)
+        sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 1.0}]}
+        out = tmp_path / "o"
+        assert run(["train", "--data", str(tiny_run["data"]), "--config",
+                    str(tiny_run["config"]), "--sweep", _write(tmp_path / "s.json", sweep),
+                    "--out", str(out), "--epochs", "1"]) == cli.EXIT_OK
+        failed, kept = out / "cell_b1.0_g1.0", out / "cell_b0.1_g1.0"
+        assert (failed / "error.txt").read_text() == "non-finite loss at epoch 0"
+        assert not (failed / "report.json").exists() and (kept / "report.json").exists()
+        assert "FAILED" in (out / "summary.txt").read_text()
+        summary, _ = dataio.load_matrix_csv(out / "summary.csv")
+        assert summary.shape[0] == 1 and summary[0, 0] == 0.1
+        assert "1 cell(s) failed" in capsys.readouterr().out
 
 
 class TestInspect:
@@ -208,6 +246,22 @@ class TestDirection:
             assert v["diagnostics"] is None and v["fwd"]["statistic"] is not None
             _, header = dataio.load_matrix_csv(out / f"scatter_pair{v['pair_index']}.csv")
             assert len(header) == 16
+
+    def test_one_pair_index(self, tiny_run, tmp_path, capsys):
+        common = ["--checkpoint", _informative_checkpoint(tiny_run, tmp_path),
+                  "--data", str(tiny_run["data"]), "--anm-config",
+                  _write(tmp_path / "anm.json", {"epochs": 1, "batch_size": 100,
+                                                 "fit_points": 100, "eval_points": 100})]
+        out = tmp_path / "dir"
+        assert run(["direction", *common, "--pairs", "1", "--out", str(out)]) == cli.EXIT_OK
+        doc = dataio.load_report(out / "direction_report.json")
+        assert [r["index"] for r in doc["pair_table"]] == [0, 1]  # the table lists every pair
+        assert [v["pair_index"] for v in doc["verdicts"]] == [1]
+        assert sorted(p.name for p in out.glob("scatter_*")) == ["scatter_pair1.csv"]
+        capsys.readouterr()
+        assert run(["direction", *common, "--pairs", "2",
+                    "--out", str(tmp_path / "d2")]) == cli.EXIT_NO_PAIRS
+        assert "pair 2 is not an informative pair (have [0, 1])" in capsys.readouterr().out
 
     def test_missing_data_is_data_error(self, tiny_run, tmp_path):
         cell = next(iter(tiny_run["train"].glob("cell_*")))
@@ -415,6 +469,30 @@ EXIT_CASES = {
                                             "--out", str(tmp / "o")], cli.EXIT_USAGE),
     "seed-env-negative": (lambda t, tmp: ["gen", "--n", "40", "--out", str(tmp / "g")],
                           cli.EXIT_USAGE, {cli.SEED_ENV_VAR: "-1"}),
+    # Python's json reads NaN and Infinity; a float field must be a finite number
+    "cae-gamma-nan": (lambda t, tmp: _train(t, tmp, config='{"gamma": NaN, "epochs": 1}'),
+                      cli.EXIT_DATA),
+    "cae-beta-a-bool": (lambda t, tmp: _train(t, tmp, config={"beta": True, "epochs": 1}),
+                        cli.EXIT_DATA),
+    "cae-kl-threshold-infinite": (lambda t, tmp: _train(
+        t, tmp, config='{"kl_threshold": Infinity, "epochs": 1}'), cli.EXIT_DATA),
+    "sweep-gamma-nan": (lambda t, tmp: _train(
+        t, tmp, sweep='{"cells": [{"beta": 1, "gamma": NaN}]}'), cli.EXIT_DATA),
+    "anm-learning-rate-a-bool": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"learning_rate": True}),
+        "--pairs", "7"), cli.EXIT_DATA),
+    "anm-beta-t-infinite": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", '{"beta_t": Infinity}'),
+        "--pairs", "7"), cli.EXIT_DATA),
+    # integer flags are checked by argparse, before any file is read
+    "gen-n-zero": (lambda t, tmp: ["gen", "--n", "0", "--out", str(tmp / "g")],
+                   cli.EXIT_USAGE),
+    "train-epochs-negative": (lambda t, tmp: ["train", "--data", str(tmp / "none"),
+                                              "--epochs", "-1", "--out", str(tmp / "o")],
+                              cli.EXIT_USAGE),
+    "train-parallel-zero": (lambda t, tmp: ["train", "--data", str(tmp / "none"),
+                                            "--parallel", "0", "--out", str(tmp / "o")],
+                            cli.EXIT_USAGE),
 }
 
 
