@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError, TapeError
+from .errors import DataError, DimensionError, NumericalError, TapeError
 
 LOGVAR_MIN = -20.0
 LOGVAR_MAX = 5.0
@@ -121,16 +121,24 @@ class ParamStore:
         self._grad.fill(0.0)
 
     def adam_step(self, learning_rate: float) -> None:
-        """One Adam update over all parameters at once."""
+        """One Adam update over all parameters at once. A gradient whose
+        square overflows (or is not finite) would zero its update and freeze
+        training silently, so it raises NumericalError, naming the step."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
         g = self._grad
-        self._m *= ADAM_BETA1
-        self._m += (1.0 - ADAM_BETA1) * g
-        self._v *= ADAM_BETA2
-        self._v += (1.0 - ADAM_BETA2) * (g * g)
+        with np.errstate(over="ignore"):
+            self._m *= ADAM_BETA1
+            self._m += (1.0 - ADAM_BETA1) * g
+            self._v *= ADAM_BETA2
+            self._v += (1.0 - ADAM_BETA2) * (g * g)
+        if not np.isfinite(self._v).all():
+            raise NumericalError(
+                f"Adam step {t}: the second moment of "
+                f"{int(np.count_nonzero(~np.isfinite(self._v)))} gradient entries is "
+                f"not finite (a loss weight or gradient too large)")
         self._data -= learning_rate * (self._m / bc1) / (np.sqrt(self._v / bc2) + ADAM_EPS)
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -291,10 +299,17 @@ _MANIFEST_NAME = "manifest.json"
 _BLOB_NAME = "params.bin"
 
 
+def _manifest_digest(manifest: dict) -> str:
+    """sha256 of the manifest's JSON without its own digest, keys in file order."""
+    body = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
+    return hashlib.sha256(json.dumps(body).encode()).hexdigest()
+
+
 def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
     """Write named arrays as one little-endian binary blob plus a JSON
-    manifest recording names, shapes, byte offsets and the blob's sha256."""
+    manifest recording names, shapes, byte offsets, the blob's sha256 and
+    the sha256 of the manifest's own content."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     manifest = {"format": CHECKPOINT_FORMAT, "dtype": "<f8", "arrays": []}
@@ -312,13 +327,15 @@ def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
     manifest["sha256"] = digest.hexdigest()
     if extra is not None:
         manifest["extra"] = extra
+    manifest["manifest_sha256"] = _manifest_digest(manifest)
     with open(dirpath / _MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
 
 
 def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Named arrays and the extra dict of a checkpoint; a manifest that is not
-    JSON, lacks its array list or does not match the blob raises DataError."""
+    JSON, does not match its own sha256, lacks its array list or does not
+    match the blob raises DataError."""
     dirpath = Path(dirpath)
     with open(dirpath / _MANIFEST_NAME, encoding="utf-8") as fh:
         try:
@@ -327,10 +344,14 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise DataError(f"{dirpath / _MANIFEST_NAME}: invalid JSON: {err}") from err
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unrecognized checkpoint format in {dirpath}")
+    # both digests are absent from manifests of older versions
+    own = manifest.get("manifest_sha256")
+    if own is not None and own != _manifest_digest(manifest):
+        raise DataError(f"{dirpath / _MANIFEST_NAME} does not match its own sha256")
     try:
         entries = [(e["name"], [int(k) for k in e["shape"]], int(e["offset"]))
                    for e in manifest["arrays"]]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise DataError(f"{dirpath / _MANIFEST_NAME}: malformed array list "
                         f"({type(err).__name__}: {err})") from err
     blob = (dirpath / _BLOB_NAME).read_bytes()
@@ -338,11 +359,13 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if len(blob) != 8 * sum(counts):
         raise DataError(f"{dirpath / _BLOB_NAME} holds {len(blob)} bytes, "
                         f"the manifest lists {8 * sum(counts)}")
-    digest = manifest.get("sha256")  # absent from manifests of older versions
+    digest = manifest.get("sha256")
     if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
         raise DataError(f"{dirpath / _BLOB_NAME} does not match the sha256 in its manifest")
     arrays = {}
     for (name, shape, offset), count in zip(entries, counts):
+        if min(shape, default=0) < 0 or not 0 <= offset <= len(blob) - 8 * count:
+            raise DataError(f"{dirpath / _MANIFEST_NAME}: array {name!r} lies outside the blob")
         a = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = a.reshape(shape).astype(np.float64)
     return arrays, manifest.get("extra", {})

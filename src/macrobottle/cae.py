@@ -391,7 +391,7 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
     in the model; all downstream consumers see the standardized units).
     Per-epoch validation metrics are recorded with noiseless bottlenecks.
     Raises NumericalError with the offending term values if the loss goes
-    non-finite.
+    non-finite, and from the Adam step if a gradient's square overflows.
     """
     train_idx = pair.rows(TRAIN)
     val_idx = pair.rows(VAL)
@@ -414,13 +414,13 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
             terms = loss_terms(model, x_train[sel], y_train[sel], rng)
             total = combine(terms, config.beta, config.gamma)
             term_values = dict(zip(TERM_NAMES, terms.data.tolist()))
-            model.store.zero_grad()
-            ad.backward(total)
-            model.store.adam_step(config.learning_rate)
             if not np.isfinite(total.item()):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}: "
                     + ", ".join(f"{k}={v:.4g}" for k, v in term_values.items()))
+            model.store.zero_grad()
+            ad.backward(total)
+            model.store.adam_step(config.learning_rate)
             for k, v in term_values.items():
                 sums[k] += v
             n_batches += 1

@@ -2,16 +2,19 @@
 
 The test statistic is n times the biased HSIC estimator,
 trace(K H L H) / n with H = I - (1/n) 11^T, computed exactly from the
-upper-triangle Gram blocks in two _CHUNK x _CHUNK buffers and compared with
-a level-alpha critical value from a gamma distribution moment-matched to
-the statistic's null mean and variance. The same statistic, built with the
-same kernel code (_gram), serves as a training loss with an analytic
-gradient. Bandwidths are set by the median heuristic and treated
+upper-triangle Gram blocks, swept by one thread per CPU of the process's
+affinity mask and summed in a fixed block order, and compared with a
+level-alpha critical value from a gamma distribution moment-matched to the
+statistic's null mean and variance. The same statistic, built with the same
+kernel code (_gram), serves as a training loss with an analytic gradient,
+computed serially. Bandwidths are set by the median heuristic and treated
 as constants.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,40 +76,56 @@ def _gram(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, float, float, float]:
     """(statistic, variance, mu_x, mu_y) of scaled inputs in two exact passes
-    over the Gram blocks with j >= i, each built in place in a buffer."""
+    over the Gram blocks with j >= i. Worker w of a thread pool made for this
+    call takes blocks w, w + workers, ... and builds their Grams in place in
+    its own two buffers, calling only _gram and numpy; this thread adds the
+    per-block sums up in block order, so any worker count gives the same bits."""
     uv = (u, v)
-    bufs = (np.empty((_CHUNK, _CHUNK)), np.empty((_CHUNK, _CHUNK)))
     blocks = [(i, j) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)]
+    # one worker per CPU of the affinity mask, at most one per block
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(cpus or 1, len(blocks)))
+    bufs = [(np.empty((_CHUNK, _CHUNK)), np.empty((_CHUNK, _CHUNK))) for _ in range(workers)]
 
-    def gram(side, i, j):
+    def gram(w, side, i, j):
         a, b = uv[side][i:i + _CHUNK], uv[side][j:j + _CHUNK]
-        return _gram(a, b, bufs[side][:a.size, :b.size])
+        return _gram(a, b, bufs[w][side][:a.size, :b.size])
 
-    # pass 1: row sums; block (i, j) gives those of its mirror as column sums
-    rows = np.zeros((2, n))
-    for i, j in blocks:
-        for side in (0, 1):
-            b = gram(side, i, j)
-            rows[side, i:i + _CHUNK] += b.sum(axis=1)
-            if j > i:
-                rows[side, j:j + _CHUNK] += b.sum(axis=0)
-    sums = rows.sum(axis=1)
-    offsets = rows / n - sums[:, None] / (2 * n * n)  # Kc = K - offset_i - offset_j
+    def sweep(pool, reduce_block):
+        """(block, reduce_block(K block, L block, i, j)) in block order."""
+        parts = list(pool.map(lambda w: [reduce_block(gram(w, 0, i, j), gram(w, 1, i, j), i, j)
+                                         for i, j in blocks[w::workers]], range(workers)))
+        return zip(blocks, (parts[k % workers][k // workers] for k in range(len(blocks))))
 
-    # pass 2: sum(Kc o Lc) equals trace(K H L H) because H is idempotent;
-    # the variance needs the off-diagonal sum of (Kc o Lc)^2
-    stat = var_sum = var_diag = 0.0
-    for i, j in blocks:
-        weight = 1.0 if j == i else 2.0  # the mirror block counts too
-        kc, lc = gram(0, i, j), gram(1, i, j)
+    def centred_moments(kc, lc, i, j):
         for side, b in ((0, kc), (1, lc)):
             b -= offsets[side, i:i + _CHUNK, None]
             b -= offsets[side, None, j:j + _CHUNK]
         prod = np.multiply(kc, lc, out=kc)
-        stat += weight * float(prod.sum())
-        var_sum += weight * float(np.square(prod, out=prod).sum())
-        if j == i:
-            var_diag += float(np.trace(prod))
+        total = float(prod.sum())
+        np.square(prod, out=prod)
+        return total, float(prod.sum()), float(np.trace(prod)) if j == i else 0.0
+
+    with ThreadPoolExecutor(workers) as pool:
+        # pass 1: row sums; block (i, j) gives those of its mirror as column sums
+        rows = np.zeros((2, n))
+        for (i, j), sides in sweep(pool, lambda k, l, i, j: [(b.sum(axis=1), b.sum(axis=0))
+                                                             for b in (k, l)]):
+            for side, (row, col) in enumerate(sides):
+                rows[side, i:i + _CHUNK] += row
+                if j > i:
+                    rows[side, j:j + _CHUNK] += col
+        sums = rows.sum(axis=1)
+        offsets = rows / n - sums[:, None] / (2 * n * n)  # Kc = K - offset_i - offset_j
+
+        # pass 2: sum(Kc o Lc) equals trace(K H L H) because H is idempotent;
+        # the variance needs the off-diagonal sum of (Kc o Lc)^2
+        stat = var_sum = var_diag = 0.0
+        for (i, j), (total, sq_total, sq_trace) in sweep(pool, centred_moments):
+            weight = 1.0 if j == i else 2.0  # the mirror block counts too
+            stat += weight * total
+            var_sum += weight * sq_total
+            var_diag += sq_trace  # 0.0 off the diagonal
     mu_x, mu_y = (sums - n) / (n * (n - 1))  # unit diagonal of the Gaussian kernel
     var = (var_sum - var_diag) / (36.0 * n * (n - 1))
     var *= 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
@@ -118,8 +137,11 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
     """Biased-estimator test statistic n*HSIC_b with its gamma threshold.
 
     Exact over all n points: two passes over the symmetric Gram blocks with
-    j >= i, in two _CHUNK x _CHUNK buffers. Non-finite samples and
-    bandwidths that are not finite and > 0 raise DataError.
+    j >= i, split over a thread pool with one worker per CPU of the affinity
+    mask (taskset limits it), each with two _CHUNK x _CHUNK buffers. The
+    per-block sums are added in block order, so the result is bit-identical
+    for any worker count. Non-finite samples and bandwidths that are not
+    finite and > 0 raise DataError.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)

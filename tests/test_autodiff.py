@@ -409,20 +409,46 @@ class TestCheckpoint:
             ad.load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("edit", ["not-json", "no-arrays", "entry-without-shape",
-                                      "not-an-object"])
+                                      "not-an-object", "offset-outside-blob",
+                                      "negative-dimension", "infinite-offset"])
     def test_malformed_manifest_is_data_error(self, tmp_path, edit):
         _saved_store(tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"
         manifest = json.loads(path.read_text())
+        manifest.pop("manifest_sha256")  # as older versions wrote it
         if edit == "no-arrays":
             del manifest["arrays"]
         elif edit == "entry-without-shape":
             del manifest["arrays"][0]["shape"]
         elif edit == "not-an-object":
             manifest = [manifest]
+        elif edit == "offset-outside-blob":
+            manifest["arrays"][0]["offset"] = 10 ** 6
+        elif edit == "negative-dimension":
+            manifest["arrays"][0]["shape"] = [-2, -3]
+        elif edit == "infinite-offset":
+            manifest["arrays"][0]["offset"] = float("inf")
         path.write_text("{format" if edit == "not-json" else json.dumps(manifest))
         with pytest.raises(DataError):
             ad.load_checkpoint(tmp_path / "ck")
+
+    def test_edited_manifest_is_data_error(self, tmp_path):
+        _saved_store(tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["arrays"][0]["name"] = "renamed"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="its own sha256"):
+            ad.load_checkpoint(tmp_path / "ck")
+
+    def test_manifest_of_an_older_version_loads(self, tmp_path):
+        store = _saved_store(tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["manifest_sha256"], manifest["sha256"]
+        path.write_text(json.dumps(manifest))
+        arrays, _ = ad.load_checkpoint(tmp_path / "ck")
+        assert all(np.array_equal(arrays[n], store[n].data) for n in store.names())
 
     def test_missing_array_is_data_error(self, tmp_path):
         store = _saved_store(tmp_path / "ck")

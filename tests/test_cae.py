@@ -8,13 +8,14 @@ tests) has no automated check yet.
 from __future__ import annotations
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
 
 from macrobottle import autodiff as ad
 from macrobottle import cae, dataio
-from macrobottle.errors import DataError, DimensionError
+from macrobottle.errors import DataError, DimensionError, NumericalError
 
 
 def small_model(seed=0, dim_x=6, dim_y=5, bottleneck=3, **overrides):
@@ -382,3 +383,16 @@ def test_training_smoke_and_history():
     assert m1["kl_x"] == enc.mask_x.kl.tolist() and m1["kl_y"] == enc.mask_y.kl.tolist()
     assert m1["informative_x"] == enc.mask_x.count
     assert np.array_equal(enc.mu_x, model.net_x.encode_mean(pair.x[val_idx]))
+
+
+@pytest.mark.parametrize("weight", ["beta", "gamma"])
+def test_huge_loss_weight_is_numerical_error(weight):
+    # the squared gradient overflows Adam's second moment, which would zero
+    # those updates and freeze training behind a RuntimeWarning
+    from macrobottle import datagen
+    pair = datagen.gen_main_synthetic(300, seed=30)
+    config = cae.CaeConfig(epochs=2, batch_size=64, seed=31, **{weight: 1e300})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"Adam step \d+"):
+            cae.train_cae(pair, config)

@@ -135,6 +135,16 @@ class TestTrain:
             reports.append(docs)
         assert len(reports[0]) == 2 and reports[0] == reports[1]
 
+    def test_huge_loss_weight_cell_is_reported_failed(self, tiny_run, tmp_path, capsys):
+        config = {**json.loads(tiny_run["config"].read_text()), "beta": 1e300, "epochs": 2}
+        assert run(_train(tiny_run, tmp_path, config=config)) == cli.EXIT_OK
+        out = tmp_path / "o"
+        (cell,) = out.glob("cell_*")
+        assert "Adam step" in (cell / "error.txt").read_text()
+        assert not (cell / "report.json").exists()
+        assert "FAILED" in (out / "summary.txt").read_text()
+        assert "1 cell(s) failed" in capsys.readouterr().out
+
     def test_failed_cell_is_reported(self, tiny_run, tmp_path, monkeypatch, capsys):
         from macrobottle import cae
         train = cae.train_cae
@@ -342,6 +352,9 @@ def _edited_manifest(tiny, tmp, edit):
     shutil.copytree(_checkpoint(tiny), ck)
     path = ck / "manifest.json"
     manifest = json.loads(path.read_text())
+    # without its own digest, as older versions wrote it, so the edit reaches
+    # the checks behind that digest
+    manifest.pop("manifest_sha256")
     text = edit(manifest)  # the edit changes the manifest or returns the new text
     path.write_text(text if isinstance(text, str) else json.dumps(manifest))
     return ["inspect", "--checkpoint", str(ck), "--data", str(tiny["data"]),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
@@ -115,6 +118,36 @@ class TestStatistic:
         statistic, threshold = dense_reference(x, y, *bw)
         assert abs(res.statistic - statistic) <= 1e-9 * abs(statistic)
         assert abs(res.threshold - threshold) <= 1e-9 * abs(threshold)
+
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
+        # 4 chunks, the last ragged, give 10 blocks: 64 CPUs still make 10 workers
+        n = 3 * hsic._CHUNK + 37
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=n)
+        y = np.tanh(x) + 0.3 * rng.normal(size=n)
+        pools = []
+
+        class RecordingPool(hsic.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(hsic, "ThreadPoolExecutor", RecordingPool)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # frequent switches expose any buffer two workers share
+        try:
+            for cpus in (1, 2, 3, 64):
+                monkeypatch.setattr(hsic.os, "sched_getaffinity",
+                                    lambda pid, c=cpus: set(range(c)), raising=False)
+                threads = threading.active_count()
+                res = hsic.hsic_statistic(x, y)
+                assert threading.active_count() == threads  # no worker outlives the call
+                results[cpus] = (res.statistic.hex(), res.threshold.hex())
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [1, 2, 3, 10]
+        assert len(set(results.values())) == 1, results
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):

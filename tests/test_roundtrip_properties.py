@@ -1,5 +1,6 @@
 """Property checks of the lossless round trips the file formats promise:
-matrix CSVs and checkpoints give back the exact bits they were given."""
+matrix CSVs and checkpoints give back the exact bits they were given, and a
+truncated or byte-flipped checkpoint is a DataError, never another exception."""
 
 from __future__ import annotations
 
@@ -7,12 +8,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from macrobottle import autodiff as ad
 from macrobottle import dataio
+from macrobottle.errors import DataError
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -25,6 +28,12 @@ named_arrays = st.dictionaries(
     arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
            elements=st.floats(width=64)),
     max_size=5)
+
+nonempty_arrays = st.dictionaries(
+    st.text(max_size=12),
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4),
+           elements=st.floats(width=64)),
+    min_size=1, max_size=5)
 
 
 @SETTINGS
@@ -49,3 +58,77 @@ def test_checkpoint_round_trip_is_bit_exact(arrays_in, extra):
     for name, a in arrays_in.items():
         assert arrays_out[name].shape == a.shape
         assert arrays_out[name].tobytes() == a.tobytes()
+
+
+def _saved_checkpoint(tmp: str, arrays_in: dict, extra: dict) -> tuple[Path, Path]:
+    ad.save_checkpoint(tmp, arrays_in, extra)
+    return Path(tmp) / "params.bin", Path(tmp) / "manifest.json"
+
+
+def _loads_same_or_data_error(tmp: str, arrays_in: dict, extra: dict) -> None:
+    """A damaged checkpoint either raises DataError or, where the damage left
+    its content intact (such as JSON whitespace turned into other
+    whitespace), loads the arrays and extra that were saved; nothing else."""
+    try:
+        arrays_out, extra_out = ad.load_checkpoint(tmp)
+    except DataError:
+        return
+    assert extra_out == extra
+    assert sorted(arrays_out) == sorted(arrays_in)
+    for name, a in arrays_in.items():
+        assert arrays_out[name].shape == a.shape
+        assert arrays_out[name].tobytes() == a.tobytes()
+
+
+@SETTINGS
+@given(nonempty_arrays, st.data())
+def test_truncated_blob_is_data_error(arrays_in, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        blob, _ = _saved_checkpoint(tmp, arrays_in, {})
+        raw = blob.read_bytes()
+        blob.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        with pytest.raises(DataError):
+            ad.load_checkpoint(tmp)
+
+
+@SETTINGS
+@given(nonempty_arrays, st.data())
+def test_flipped_blob_byte_is_data_error(arrays_in, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        blob, _ = _saved_checkpoint(tmp, arrays_in, {})
+        raw = bytearray(blob.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        blob.write_bytes(bytes(raw))
+        with pytest.raises(DataError):
+            ad.load_checkpoint(tmp)
+
+
+@SETTINGS
+@given(named_arrays, st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+       st.data())
+def test_flipped_manifest_byte_is_caught(arrays_in, extra, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        _, manifest = _saved_checkpoint(tmp, arrays_in, extra)
+        raw = bytearray(manifest.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        manifest.write_bytes(bytes(raw))
+        _loads_same_or_data_error(tmp, arrays_in, extra)
+
+
+def test_every_single_bit_flip_of_a_manifest_is_caught():
+    # exhaustive over one small checkpoint: a zero-size array (whose shape a
+    # flip can change without changing the blob size), an escaped name, an extra
+    arrays_in = {"w": np.arange(6.0).reshape(2, 3), "empty": np.zeros((0, 3)),
+                 "\u00e9": np.array(2.5)}
+    extra = {"config": {"beta": 0.5}, "input_dim_x": 64}
+    with tempfile.TemporaryDirectory() as tmp:
+        _, manifest = _saved_checkpoint(tmp, arrays_in, extra)
+        raw = manifest.read_bytes()
+        for at in range(len(raw)):
+            for bit in range(8):
+                flipped = bytearray(raw)
+                flipped[at] ^= 1 << bit
+                manifest.write_bytes(bytes(flipped))
+                _loads_same_or_data_error(tmp, arrays_in, extra)
