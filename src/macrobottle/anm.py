@@ -65,6 +65,16 @@ def standardize_vector(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / std
 
 
+def _roles(x: np.ndarray, y: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """The standardized (predictor, target) of a direction: x predicts y for
+    'x_to_y', y predicts x for 'y_to_x'."""
+    if direction not in ("x_to_y", "y_to_x"):
+        raise ValueError(f"unknown direction: {direction}")
+    if direction == "y_to_x":
+        x, y = y, x
+    return standardize_vector(x), standardize_vector(y)
+
+
 class TransformNetPair:
     """Monotone transform VAEs for one direction (predictor -> target).
 
@@ -77,19 +87,16 @@ class TransformNetPair:
         self.config = config
         self.store = ad.ParamStore()
         widths = (1, config.hidden, 1) if config.hidden > 0 else (1, 1)
-        mono_spec = ad.MlpSpec(widths, weight_constraint="nonnegative")
-        free_spec = ad.MlpSpec(widths)
         rng = np.random.default_rng(seed)
         self.layers = {}  # "<side>.<path>." -> the path's layers
         for side in ("p", "t"):
             # small output scale starts each transform near-affine, so
             # gradient flow reaches the mildest warp compatible with the
             # objective before any exotic one
-            for path, spec, scale in (("mono", mono_spec, 0.3), ("lv", free_spec, 0.1),
-                                      ("dec", free_spec, 1.0)):
+            for path, wmap, scale in (("mono", ad.SOFTPLUS, 0.3), ("lv", None, 0.1),
+                                      ("dec", None, 1.0)):
                 prefix = f"{side}.{path}."
-                ad.init_mlp(spec, self.store, rng, prefix, out_scale=scale)
-                self.layers[prefix] = ad.mlp_layers(spec, self.store, prefix)
+                self.layers[prefix] = ad.init_mlp(self.store, rng, prefix, widths, wmap, scale)
         self.store.add("cross.a", np.array([[1.0]]))
         self.store.add("cross.b", np.array([0.0]))
 
@@ -102,10 +109,7 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
     """Train the transform pair for one direction; for 'y_to_x' the roles
     are swapped so y becomes the predictor."""
     config = config or AnmConfig()
-    if direction not in ("x_to_y", "y_to_x"):
-        raise ValueError(f"unknown direction: {direction}")
-    p = standardize_vector(x if direction == "x_to_y" else y)[:, None]
-    t = standardize_vector(y if direction == "x_to_y" else x)[:, None]
+    p, t = (v[:, None] for v in _roles(x, y, direction))
     if p.shape != t.shape:
         raise DataError(f"length mismatch: {p.shape[0]} vs {t.shape[0]}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
@@ -161,7 +165,7 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
     dep, g_u, g_r = hsic.hsic_loss((mu_p - mu_p.mean()) * inv_u, (res - res.mean()) * inv_r)
     value += np.mean(fit * fit) / var_t + dep
 
-    def backward_fn(g, sink):
+    def backward_fn(g):
         g_fit = (2.0 * g / (n * var_t)) * fit
         g_res = (g * inv_r) * g_r
         a.grad += z_p.T @ g_fit - mu_p.T @ g_res
@@ -174,15 +178,14 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
             ad.mlp_backward(net.layers[f"{s}.mono."], mono[s], g_mu[s] + g_mu_s)
             ad.mlp_backward(net.layers[f"{s}.lv."], lv[s], g_lv)
 
-    return ad.Tensor(value, True, (), backward_fn)
+    return ad.Tensor(value, _backward_fn=backward_fn)
 
 
 def residuals(net: TransformNetPair, x: np.ndarray, y: np.ndarray,
               direction: str = "x_to_y") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noiseless transforms (predictor', target') and the residual
     target' - (a * predictor' + b)."""
-    p = standardize_vector(x if direction == "x_to_y" else y)
-    t = standardize_vector(y if direction == "x_to_y" else x)
+    p, t = _roles(x, y, direction)
     p_prime = net.transform_mean(p, "p")
     t_prime = net.transform_mean(t, "t")
     a = float(net.store["cross.a"].data[0, 0])

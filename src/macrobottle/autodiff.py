@@ -1,20 +1,20 @@
 """Hand-derived gradients over one flat parameter store.
 
 Everything trained in this package (bottleneck encoders, additive decoders,
-monotone 1-D transforms) is a tanh MLP feeding a Gaussian bottleneck, so each
-trained loss is one Tensor node whose backward function is written out by
-hand from two shared pairs: mlp_forward/mlp_backward and
-gaussian_bottleneck/gaussian_bottleneck_grad. Gradients accumulate into named
-parameters held by a ParamStore, whose flat buffers also hold the Adam state.
-All computations are float64 and deterministic for a fixed seed on a fixed
-platform.
+monotone 1-D transforms) is a tanh MLP feeding a Gaussian bottleneck.
+init_mlp creates an MLP's parameters and returns its layers; each trained
+loss is one Tensor node whose backward function is written out by hand from
+two shared pairs, mlp_forward/mlp_backward and
+gaussian_bottleneck/gaussian_bottleneck_grad, and backward is one call of
+that function. Gradients accumulate into named parameters held by a
+ParamStore, whose flat buffers also hold the Adam state. All computations
+are float64 and deterministic for a fixed seed on a fixed platform.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,24 +28,24 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-SOFTPLUS = "softplus"  # weight map of a "nonnegative" layer
+SOFTPLUS = "softplus"  # weight map of a monotone layer: softplus of the raw weight
 
 
 class Tensor:
     """A loss node, or a parameter.
 
-    Parameters created through ParamStore.add have requires_grad=True and
-    receive accumulated gradients in .grad. A loss node's _backward_fn(g,
-    sink) adds its gradients into the parameters' .grad itself, or hands them
-    to its _parents through sink.
+    Parameters created through ParamStore.add receive accumulated gradients
+    in .grad. A loss node's _backward_fn(g) adds its gradients into the
+    parameters' .grad, calling the _backward_fn of any node it is built on
+    itself; _parents lists exactly those nodes, so a walk over parent links
+    reaches every node a backward pass runs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward_fn=None):
+    def __init__(self, data, _parents=(), _backward_fn=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self._parents = _parents
         self._backward_fn = _backward_fn
 
@@ -54,21 +54,14 @@ class Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(param) into every reachable parameter's .grad.
-
-    Each gradient a node hands to a parent through sink is propagated on its
-    own; backward functions are linear in g, so a parent reached along two
-    paths gets the sum. Repeated calls keep accumulating (callers zero grads
-    between steps).
-    """
+    """Accumulate d(loss)/d(param) into the .grad of every parameter the loss
+    depends on. Repeated calls keep accumulating (callers zero grads between
+    steps)."""
     if loss.data.size != 1:
         raise TapeError("backward expects a scalar loss")
     if loss._backward_fn is None:
         raise TapeError("backward called on a tensor with no forward graph")
-    pending = [(loss, np.ones_like(loss.data))]
-    while pending:
-        node, g = pending.pop()
-        node._backward_fn(g, lambda parent, pg: pending.append((parent, pg)))
+    loss._backward_fn(np.ones_like(loss.data))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +89,7 @@ class ParamStore:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name: {name}")
         value = np.array(data, dtype=np.float64)
-        t = Tensor(value, requires_grad=True)
+        t = Tensor(value)
         self._tensors[name] = t
         zeros = np.zeros(value.size)
         self._data = np.concatenate([self._data, value.reshape(-1)])
@@ -154,9 +147,8 @@ class ParamStore:
         for name, t in self._tensors.items():
             src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != t.data.shape:
-                raise DimensionError(
-                    f"checkpoint shape mismatch for {name}: "
-                    f"{src.shape} vs {t.data.shape}")
+                raise DataError(f"checkpoint shape mismatch for {name}: "
+                                f"{src.shape} vs {t.data.shape}")
             t.data[...] = src
 
 
@@ -164,41 +156,24 @@ class ParamStore:
 # MLPs
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    """Dense feed-forward network: tanh after every layer but the last.
-    weight_constraint='nonnegative' stores raw weights and maps them through
-    softplus in the forward pass, which combined with the non-decreasing tanh
-    makes the whole map monotone non-decreasing.
-    """
-
-    layer_widths: tuple[int, ...]
-    weight_constraint: str = "free"  # "free" | "nonnegative"
-
-    def __post_init__(self):
-        if len(self.layer_widths) < 2:
-            raise ValueError("MlpSpec needs at least input and output widths")
-        if any(w < 1 for w in self.layer_widths):
-            raise ValueError("layer widths must be >= 1")
-        if self.weight_constraint not in ("free", "nonnegative"):
-            raise ValueError(f"unknown weight constraint: {self.weight_constraint}")
-
-
 def softplus_inv(y: np.ndarray | float) -> np.ndarray:
-    """Inverse of log(1+e^x), for initializing raw nonnegative weights."""
+    """Inverse of log(1+e^x), for initializing raw SOFTPLUS weights."""
     y = np.asarray(y, dtype=np.float64)
     return y + np.log(-np.expm1(-y))
 
 
-def init_mlp(spec: MlpSpec, store: ParamStore, rng: np.random.Generator,
-             prefix: str, out_scale: float = 1.0) -> None:
-    """Create w{i}/b{i} parameters for the layers of spec under a prefix.
+def init_mlp(store: ParamStore, rng: np.random.Generator, prefix: str,
+             widths: tuple[int, ...], wmap=None, out_scale: float = 1.0) -> list[tuple]:
+    """Create w{i}/b{i} parameters under a prefix for a dense net of the
+    given layer widths and return its (weight, bias, weight map) layers.
 
     Uniform(+-1/sqrt(fan_in)) weights; the last layer is scaled by out_scale
-    (a small out_scale starts bottleneck heads near the prior). Nonnegative
-    specs store softplus-preimages of positive initial weights.
+    (a small out_scale starts bottleneck heads near the prior). With wmap
+    SOFTPLUS the stored raw weights are softplus-preimages of positive
+    initial weights and the forward pass applies softplus, which with the
+    non-decreasing tanh makes the whole map monotone non-decreasing.
     """
-    widths = spec.layer_widths
+    layers = []
     for i in range(len(widths) - 1):
         fan_in, fan_out = widths[i], widths[i + 1]
         bound = 1.0 / np.sqrt(fan_in)
@@ -207,18 +182,11 @@ def init_mlp(spec: MlpSpec, store: ParamStore, rng: np.random.Generator,
         if i == len(widths) - 2:
             w *= out_scale
             b *= out_scale
-        if spec.weight_constraint == "nonnegative":
+        if wmap is SOFTPLUS:
             # positive magnitudes with a floor so softplus_inv stays finite
             w = softplus_inv(np.abs(w) + 0.05)
-        store.add(f"{prefix}w{i}", w)
-        store.add(f"{prefix}b{i}", b)
-
-
-def mlp_layers(spec: MlpSpec, store: ParamStore, prefix: str = "") -> list[tuple]:
-    """The (weight, bias, weight map) of every layer init_mlp made under prefix."""
-    wmap = SOFTPLUS if spec.weight_constraint == "nonnegative" else None
-    return [(store[f"{prefix}w{i}"], store[f"{prefix}b{i}"], wmap)
-            for i in range(len(spec.layer_widths) - 1)]
+        layers.append((store.add(f"{prefix}w{i}", w), store.add(f"{prefix}b{i}", b), wmap))
+    return layers
 
 
 def _weight(w: Tensor, wmap) -> np.ndarray:

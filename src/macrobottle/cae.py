@@ -95,9 +95,8 @@ class CaeHalf:
         self.prefix = f"{name}."
         d = config.bottleneck_dim
 
-        enc_spec = ad.MlpSpec((input_dim, *config.encoder_hidden, 2 * d))
-        ad.init_mlp(enc_spec, store, rng, self.prefix + "enc.")
-        self.enc = ad.mlp_layers(enc_spec, store, self.prefix + "enc.")
+        self.enc = ad.init_mlp(store, rng, self.prefix + "enc.",
+                               (input_dim, *config.encoder_hidden, 2 * d))
 
         widths_per = (1, *config.decoder_hidden_per_variable)
         self.dec = []
@@ -218,7 +217,7 @@ def loss_terms(model: CaeModel, batch_x: np.ndarray, batch_y: np.ndarray,
         values += [np.mean(recon * recon), kl.mean(), np.mean(cross * cross)]
         saved.append((dec, recon, cross))
 
-    def backward_fn(g, sink):
+    def backward_fn(g):
         g_mu = [np.zeros_like(mu) for mu in mus]
         g_lv = []
         for side, half in enumerate(halves):
@@ -237,7 +236,7 @@ def loss_terms(model: CaeModel, batch_x: np.ndarray, batch_y: np.ndarray,
         for side, half in enumerate(halves):
             ad.mlp_backward(half.enc, enc[side], np.hstack([g_mu[side], g_lv[side]]))
 
-    return ad.Tensor(values, True, (), backward_fn)
+    return ad.Tensor(values, _backward_fn=backward_fn)
 
 
 def combine(terms: ad.Tensor, beta: float, gamma: float) -> ad.Tensor:
@@ -245,7 +244,7 @@ def combine(terms: ad.Tensor, beta: float, gamma: float) -> ad.Tensor:
     t = terms.data
     weights = np.array([1.0, beta, gamma] * 2)
     return ad.Tensor((t[0] + t[3]) + (t[1] + t[4]) * beta + (t[2] + t[5]) * gamma,
-                     True, (terms,), lambda g, sink: sink(terms, g * weights))
+                     (terms,), lambda g: terms._backward_fn(g * weights))
 
 
 # ---------------------------------------------------------------------------

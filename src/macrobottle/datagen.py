@@ -25,7 +25,7 @@ IMAGE_SIDE = 8
 IMAGE_DIM = IMAGE_SIDE * IMAGE_SIDE
 
 TRAIN, VAL, TEST = 0, 1, 2
-SPLIT_NAMES = {TRAIN: "train", VAL: "val", TEST: "test"}
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, val, test
 
 _SPLIT_SALT = 0x53504C49
 
@@ -71,17 +71,15 @@ class DatasetPair:
         return np.flatnonzero(self.split == label)
 
 
-def assign_splits(n: int, seed: int,
-                  fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)) -> np.ndarray:
-    """Per-sample train/val/test labels; a pure function of (n, seed, fractions)."""
+def assign_splits(n: int, seed: int) -> np.ndarray:
+    """Per-sample train/val/test labels in SPLIT_FRACTIONS; a pure function
+    of (n, seed)."""
     if n < 1:
         raise DataError("cannot split an empty dataset")
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-        raise DataError(f"split fractions must be nonnegative and sum to 1: {fractions}")
     rng = np.random.default_rng([_SPLIT_SALT, seed])
     perm = rng.permutation(n)
-    n_train = int(np.floor(fractions[0] * n))
-    n_val = int(np.floor(fractions[1] * n))
+    n_train = int(np.floor(SPLIT_FRACTIONS[0] * n))
+    n_val = int(np.floor(SPLIT_FRACTIONS[1] * n))
     labels = np.full(n, TEST, dtype=np.int64)
     labels[perm[:n_train]] = TRAIN
     labels[perm[n_train:n_train + n_val]] = VAL
@@ -103,9 +101,7 @@ def _embed_halves(left: np.ndarray, right: np.ndarray, by_rows: bool) -> np.ndar
 
 
 def gen_main_synthetic(n: int, seed: int, structural_noise: float = 0.2,
-                       pixel_noise: float = 0.2,
-                       split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                       ) -> DatasetPair:
+                       pixel_noise: float = 0.2) -> DatasetPair:
     """Common-cause pair (x1, y1) plus directed pair x2 -> y2, embedded in
     8x8 images. Noise amplitudes are exposed so tests can switch them off."""
     if n < 1:
@@ -130,12 +126,10 @@ def gen_main_synthetic(n: int, seed: int, structural_noise: float = 0.2,
         latents={"c1": c1, "x1": x1, "x2": x2, "y1": y1, "y2": y2},
         noises={"n_x1": n_x1, "n_y1": n_y1, "n_y2": n_y2},
     )
-    return DatasetPair(x, y, assign_splits(n, seed, split_fractions), truth)
+    return DatasetPair(x, y, assign_splits(n, seed), truth)
 
 
-def gen_asymmetric(n: int, seed: int, pixel_noise: float = 0.2,
-                   split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                   ) -> DatasetPair:
+def gen_asymmetric(n: int, seed: int, pixel_noise: float = 0.2) -> DatasetPair:
     """One macrovariable per side with y1 = x1^2 exactly; x1 is spread over
     all of X and y1 over all of Y, so each macrovariable is the image mean."""
     if n < 1:
@@ -150,7 +144,7 @@ def gen_asymmetric(n: int, seed: int, pixel_noise: float = 0.2,
     y = y + rng.uniform(-pixel_noise, pixel_noise, y.shape)
 
     truth = GroundTruth(model="asymmetric", latents={"x1": x1, "y1": y1})
-    return DatasetPair(x, y, assign_splits(n, seed, split_fractions), truth)
+    return DatasetPair(x, y, assign_splits(n, seed), truth)
 
 
 def macro_readout(pair: DatasetPair) -> tuple[np.ndarray, np.ndarray]:

@@ -163,6 +163,18 @@ class TestResiduals:
         for a, b in zip(r1, r2):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("call", ["fit_transform", "residuals"])
+    def test_unknown_direction_rejected(self, call):
+        # a verdict string is not a direction: both must refuse it, not
+        # silently fit or evaluate y_to_x
+        x, y = np.random.default_rng(5).normal(size=(2, 50))
+        cfg = anm.AnmConfig(hidden=4, epochs=1, batch_size=50)
+        with pytest.raises(ValueError, match="unknown direction"):
+            if call == "fit_transform":
+                anm.fit_transform(x, y, anm.X_CAUSES_Y, cfg)
+            else:
+                anm.residuals(anm.TransformNetPair(cfg, seed=0), x, y, anm.X_CAUSES_Y)
+
     def test_trained_residual_mean_near_zero(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 600)

@@ -64,49 +64,42 @@ def naive_mlp(widths, params, x):
     return h
 
 
-def forward(spec, store, x):
-    return ad.mlp_forward(ad.mlp_layers(spec, store), x)[-1]
+def forward(layers, x):
+    return ad.mlp_forward(layers, x)[-1]
 
 
-def mse_node(spec, store, x, target):
+def mse_node(layers, x, target):
     """Mean squared error of the MLP's output as one loss node."""
-    layers = ad.mlp_layers(spec, store)
     hs = ad.mlp_forward(layers, x)
     diff = hs[-1] - target
 
-    def backward_fn(g, sink):
+    def backward_fn(g):
         ad.mlp_backward(layers, hs, (2.0 * g / diff.size) * diff)
 
-    return ad.Tensor(np.mean(diff * diff), True, (), backward_fn)
+    return ad.Tensor(np.mean(diff * diff), _backward_fn=backward_fn)
 
 
 class TestMlpForward:
     def test_identity_single_layer(self):
-        spec = ad.MlpSpec((2, 2))
         store = ad.ParamStore()
-        store.add("w0", np.eye(2))
-        store.add("b0", np.zeros(2))
-        out = forward(spec, store, np.array([[1.0, 2.0]]))
+        layers = [(store.add("w0", np.eye(2)), store.add("b0", np.zeros(2)), None)]
+        out = forward(layers, np.array([[1.0, 2.0]]))
         assert np.array_equal(out, [[1.0, 2.0]])
 
     def test_zero_weights_zero_bias(self):
-        spec = ad.MlpSpec((3, 4, 2))
         store = ad.ParamStore()
-        store.add("w0", np.zeros((3, 4)))
-        store.add("b0", np.zeros(4))
-        store.add("w1", np.zeros((4, 2)))
-        store.add("b1", np.zeros(2))
-        out = forward(spec, store, np.random.default_rng(0).normal(size=(5, 3)))
+        layers = [(store.add("w0", np.zeros((3, 4))), store.add("b0", np.zeros(4)), None),
+                  (store.add("w1", np.zeros((4, 2))), store.add("b1", np.zeros(2)), None)]
+        out = forward(layers, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.all(out == 0.0)
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(42)
         widths = (4, 6, 5, 3)
-        spec = ad.MlpSpec(widths)
         store = ad.ParamStore()
-        ad.init_mlp(spec, store, rng, "")
+        layers = ad.init_mlp(store, rng, "", widths)
         x = rng.normal(size=(7, 4))
-        hs = ad.mlp_forward(ad.mlp_layers(spec, store), x)
+        hs = ad.mlp_forward(layers, x)
         expected = naive_mlp(widths, {n: store[n].data for n in store.names()}, x)
         assert np.abs(hs[-1] - expected).max() < 1e-12
         # every layer's input is kept for the backward pass, then the output
@@ -114,59 +107,50 @@ class TestMlpForward:
         assert np.array_equal(hs[0], x)
 
     def test_shape_mismatch_rejected(self):
-        spec = ad.MlpSpec((4, 3))
-        store = ad.ParamStore()
-        ad.init_mlp(spec, store, np.random.default_rng(0), "")
+        layers = ad.init_mlp(ad.ParamStore(), np.random.default_rng(0), "", (4, 3))
         with pytest.raises(DimensionError):
-            forward(spec, store, np.zeros((2, 5)))
+            forward(layers, np.zeros((2, 5)))
 
 
 class TestBackward:
     def test_bias_gradient_of_sum_is_ones(self):
-        spec = ad.MlpSpec((3, 3))
         store = ad.ParamStore()
-        store.add("w0", np.eye(3))
-        store.add("b0", np.zeros(3))
-        layers = ad.mlp_layers(spec, store)
+        layers = [(store.add("w0", np.eye(3)), store.add("b0", np.zeros(3)), None)]
         hs = ad.mlp_forward(layers, np.random.default_rng(1).normal(size=(4, 3)))
         ad.mlp_backward(layers, hs, np.ones((4, 3)))
         assert np.array_equal(store["b0"].grad, np.full(3, 4.0))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
-        widths = (3, 5, 4, 2)
-        spec = ad.MlpSpec(widths)
         store = ad.ParamStore()
-        ad.init_mlp(spec, store, rng, "")
+        layers = ad.init_mlp(store, rng, "", (3, 5, 4, 2))
         x = rng.normal(size=(6, 3))
         target = rng.normal(size=(6, 2))
 
         store.zero_grad()
-        ad.backward(mse_node(spec, store, x, target))
+        ad.backward(mse_node(layers, x, target))
         for name in store.names():
-            fd = finite_diff_grad(store, name, lambda: mse_node(spec, store, x, target).item())
+            fd = finite_diff_grad(store, name, lambda: mse_node(layers, x, target).item())
             assert rel_err(store[name].grad, fd) < 1e-4, name
 
     def test_nonnegative_constraint_gradients(self):
         rng = np.random.default_rng(11)
-        spec = ad.MlpSpec((1, 4, 1), weight_constraint="nonnegative")
         store = ad.ParamStore()
-        ad.init_mlp(spec, store, rng, "")
+        layers = ad.init_mlp(store, rng, "", (1, 4, 1), ad.SOFTPLUS)
         x = rng.normal(size=(5, 1))
         zero = np.zeros((5, 1))
 
         store.zero_grad()
-        ad.backward(mse_node(spec, store, x, zero))
+        ad.backward(mse_node(layers, x, zero))
         for name in store.names():
-            fd = finite_diff_grad(store, name, lambda: mse_node(spec, store, x, zero).item())
+            fd = finite_diff_grad(store, name, lambda: mse_node(layers, x, zero).item())
             assert rel_err(store[name].grad, fd) < 1e-4, name
 
     def test_double_backward_doubles_gradients(self):
         rng = np.random.default_rng(12)
-        spec = ad.MlpSpec((2, 3, 1))
         store = ad.ParamStore()
-        ad.init_mlp(spec, store, rng, "")
-        loss = mse_node(spec, store, rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
+        layers = ad.init_mlp(store, rng, "", (2, 3, 1))
+        loss = mse_node(layers, rng.normal(size=(4, 2)), rng.normal(size=(4, 1)))
         ad.backward(loss)
         once = {n: store[n].grad.copy() for n in store.names()}
         ad.backward(loss)
@@ -181,10 +165,8 @@ class TestBackward:
         # the bottleneck mean reaches the loss through the sample and the
         # divergence; both contributions must add up in the encoder
         rng = np.random.default_rng(13)
-        spec = ad.MlpSpec((3, 4, 2))
         store = ad.ParamStore()
-        ad.init_mlp(spec, store, rng, "")
-        layers = ad.mlp_layers(spec, store)
+        layers = ad.init_mlp(store, rng, "", (3, 4, 2))
         x = rng.normal(size=(5, 3))
 
         def loss():
@@ -192,11 +174,11 @@ class TestBackward:
             z, kl, cache = ad.gaussian_bottleneck(hs[-1][:, :1], hs[-1][:, 1:],
                                                   np.random.default_rng(77))
 
-            def backward_fn(g, sink):
+            def backward_fn(g):
                 g_mu, g_lv = ad.gaussian_bottleneck_grad(cache, g * 2.0 * z, g * 0.7)
                 ad.mlp_backward(layers, hs, np.hstack([g_mu, g_lv]))
 
-            return ad.Tensor((z * z).sum() + 0.7 * kl.sum(), True, (), backward_fn)
+            return ad.Tensor((z * z).sum() + 0.7 * kl.sum(), _backward_fn=backward_fn)
 
         store.zero_grad()
         ad.backward(loss())
@@ -209,9 +191,8 @@ class TestOps:
     def test_broadcast_add_bias(self):
         # the bias is added to every row, so its gradient sums over rows
         store = ad.ParamStore()
-        store.add("w0", np.zeros((2, 2)))
         b = store.add("b0", np.array([1.0, 2.0]))
-        layers = ad.mlp_layers(ad.MlpSpec((2, 2)), store)
+        layers = [(store.add("w0", np.zeros((2, 2))), b, None)]
         hs = ad.mlp_forward(layers, np.zeros((3, 2)))
         assert np.array_equal(hs[-1], np.tile([1.0, 2.0], (3, 1)))
         ad.mlp_backward(layers, hs, np.arange(6.0).reshape(3, 2))
@@ -228,13 +209,11 @@ class TestOps:
         assert g_lv[0, 1] != 0.0
 
     def test_softplus_values_and_grad(self):
-        # a "nonnegative" layer applies softplus(raw weight); the raw
-        # weight's gradient carries the logistic factor
-        spec = ad.MlpSpec((1, 3), weight_constraint="nonnegative")
+        # a SOFTPLUS layer applies softplus(raw weight); the raw weight's
+        # gradient carries the logistic factor
         store = ad.ParamStore()
         v = store.add("w0", np.array([[-4.0, 0.0, 3.0]]))
-        store.add("b0", np.zeros(3))
-        layers = ad.mlp_layers(spec, store)
+        layers = [(v, store.add("b0", np.zeros(3)), ad.SOFTPLUS)]
         hs = ad.mlp_forward(layers, np.ones((1, 1)))
         assert np.allclose(hs[-1], np.log1p(np.exp(v.data)))
         ad.mlp_backward(layers, hs, np.ones((1, 3)))
@@ -388,17 +367,16 @@ class TestCheckpoint:
 
     def test_store_round_trip_preserves_forward(self, tmp_path):
         rng = np.random.default_rng(4)
-        spec = ad.MlpSpec((3, 4, 2))
         store = ad.ParamStore()
-        ad.init_mlp(spec, store, rng, "")
+        layers = ad.init_mlp(store, rng, "", (3, 4, 2))
         x = rng.normal(size=(5, 3))
-        before = forward(spec, store, x)
+        before = forward(layers, x)
         ad.save_checkpoint(tmp_path / "ck", store.arrays())
         arrays, _ = ad.load_checkpoint(tmp_path / "ck")
         store2 = ad.ParamStore()
-        ad.init_mlp(spec, store2, np.random.default_rng(99), "")
+        layers2 = ad.init_mlp(store2, np.random.default_rng(99), "", (3, 4, 2))
         store2.load_arrays(arrays)
-        after = forward(spec, store2, x)
+        after = forward(layers2, x)
         assert np.array_equal(before, after)
 
     def test_truncated_blob_is_data_error(self, tmp_path):
@@ -464,14 +442,19 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=r"extra \['stray'\]"):
             store.load_arrays(arrays)
 
+    def test_wrong_shape_array_is_data_error(self, tmp_path):
+        store = _saved_store(tmp_path / "ck")
+        arrays, _ = ad.load_checkpoint(tmp_path / "ck")
+        arrays["w"] = arrays["w"].T
+        with pytest.raises(DataError, match="shape mismatch for w"):
+            store.load_arrays(arrays)
+
 
 def test_forward_sample_step_deterministic_per_seed():
     def run(seed):
         rng = np.random.default_rng(seed)
-        spec = ad.MlpSpec((3, 4, 2))
         store = ad.ParamStore()
-        ad.init_mlp(spec, store, rng, "")
-        layers = ad.mlp_layers(spec, store)
+        layers = ad.init_mlp(store, rng, "", (3, 4, 2))
         x = rng.normal(size=(6, 3))
         for _ in range(3):
             hs = ad.mlp_forward(layers, x)

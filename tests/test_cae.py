@@ -112,8 +112,8 @@ class TestCrossMap:
 def select(terms: ad.Tensor, name: str) -> ad.Tensor:
     """One term of the six-term node as a loss of its own."""
     weights = np.array([n == name for n in cae.TERM_NAMES], dtype=np.float64)
-    return ad.Tensor(weights @ terms.data, True, (terms,),
-                     lambda g, sink: sink(terms, g * weights))
+    return ad.Tensor(weights @ terms.data, (terms,),
+                     lambda g: terms._backward_fn(g * weights))
 
 
 class TestHalfLoss:

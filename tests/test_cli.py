@@ -135,6 +135,36 @@ class TestTrain:
             reports.append(docs)
         assert len(reports[0]) == 2 and reports[0] == reports[1]
 
+    def test_partial_grid_prints_dash_for_missing_cells(self, tiny_run, tmp_path, capsys):
+        sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 0.5}]}
+        assert run(_train(tiny_run, tmp_path, sweep=sweep) + ["--epochs", "1"]) == cli.EXIT_OK
+        lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert lines[0].split() == ["beta=1.0", "beta=0.1"]
+        rows = {line[:12].strip(): line[12:].strip() for line in lines[1:]}
+        assert list(rows) == ["gamma=1.0", "gamma=0.5"]
+        # (beta=0.1, gamma=1.0) and (beta=1.0, gamma=0.5) were not in the sweep
+        assert rows["gamma=1.0"].startswith("|X|=") and rows["gamma=1.0"].endswith("-")
+        assert rows["gamma=0.5"].startswith("- ") and "|X|=" in rows["gamma=0.5"]
+        assert all(row.count("|X|=") == 1 for row in rows.values())
+        assert capsys.readouterr().out.startswith("\n".join(lines))
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_seed_overrides_config_seed(self, tiny_run, tmp_path, monkeypatch, how):
+        from macrobottle import cae
+        argv = ["train", "--data", str(tiny_run["data"]), "--config", str(tiny_run["config"]),
+                "--out", str(tmp_path / "o"), "--epochs", "1"]
+        if how == "flag":
+            monkeypatch.setenv(cli.SEED_ENV_VAR, "11")  # the flag wins over the variable
+            argv += ["--seed", "7"]
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
+        assert json.loads(tiny_run["config"].read_text())["seed"] == 3
+        assert run(argv) == cli.EXIT_OK
+        (cell,) = (tmp_path / "o").glob("cell_*")
+        doc = dataio.load_report(cell / "report.json")
+        assert doc["seed"] == doc["config"]["seed"] == 7
+        assert cae.CaeModel.load(cell / "checkpoint").config.seed == 7
+
     def test_huge_loss_weight_cell_is_reported_failed(self, tiny_run, tmp_path, capsys):
         config = {**json.loads(tiny_run["config"].read_text()), "beta": 1e300, "epochs": 2}
         assert run(_train(tiny_run, tmp_path, config=config)) == cli.EXIT_OK

@@ -141,10 +141,6 @@ class TestSplits:
         c = datagen.assign_splits(1000, 12)
         assert not np.array_equal(a, c)
 
-    def test_fractions_validated(self):
-        with pytest.raises(DataError):
-            datagen.assign_splits(10, 0, (0.5, 0.2, 0.2))
-
     def test_misaligned_pair_rejected(self):
         with pytest.raises(DataError):
             datagen.DatasetPair(np.zeros((3, 4)), np.zeros((2, 4)))

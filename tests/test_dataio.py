@@ -45,6 +45,24 @@ class TestMatrixCsv:
             dataio.load_matrix_csv(path)
         assert exc.value.line == 3
 
+    def test_blank_line_skipped_and_later_line_numbers_kept(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\n")
+        loaded, _ = dataio.load_matrix_csv(path)
+        assert np.array_equal(loaded, [[1.0, 2.0], [3.0, 4.0]])
+        path.write_text("a,b\n1.0,2.0\n\n3.0,oops\n")
+        with pytest.raises(ParseError) as exc:
+            dataio.load_matrix_csv(path)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("text", ["", "a,b\n"], ids=["empty", "header-only"])
+    def test_no_data_rows_is_parse_error_on_line_one(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            dataio.load_matrix_csv(path)
+        assert exc.value.line == 1
+
     def test_non_finite_rejected_on_load(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a\nnan\n")
