@@ -158,22 +158,23 @@ def _summary_table(results: list[dict]) -> str:
     betas = sorted({r["beta"] for r in results}, reverse=True)
     gammas = sorted({r["gamma"] for r in results}, reverse=True)
     by_cell = {(r["beta"], r["gamma"]): r for r in results}
-    width = 34
-    lines = ["".ljust(12) + "".join(f"beta={b}".ljust(width) for b in betas)]
-    for g in gammas:
-        cells = []
-        for b in betas:
-            r = by_cell.get((b, g))
-            if r is None:
-                cells.append("-".ljust(width))
-            elif "failed" in r:
-                cells.append("FAILED".ljust(width))
-            else:
-                cells.append((f"|X|={r['informative_x']},|Y|={r['informative_y']} "
-                              f"EV={_fmt(r['ev_y_from_x'])}/{_fmt(r['ev_x_from_y'])} "
-                              f"xEV={_fmt(r['cross_ev_y_from_x'])}/"
-                              f"{_fmt(r['cross_ev_x_from_y'])}").ljust(width))
-        lines.append(f"gamma={g}".ljust(12) + "".join(cells))
+
+    def cell(b, g) -> str:
+        r = by_cell.get((b, g))
+        if r is None:
+            return "-"
+        if "failed" in r:
+            return "FAILED"
+        return (f"|X|={r['informative_x']},|Y|={r['informative_y']} "
+                f"EV={_fmt(r['ev_y_from_x'])}/{_fmt(r['ev_x_from_y'])} "
+                f"xEV={_fmt(r['cross_ev_y_from_x'])}/{_fmt(r['cross_ev_x_from_y'])}")
+
+    header = [f"beta={b}" for b in betas]
+    grid = [[cell(b, g) for b in betas] for g in gammas]
+    width = max(len(c) for c in header + [c for row in grid for c in row]) + 2  # plus a gap
+    lines = ["".ljust(12) + "".join(c.ljust(width) for c in header)]
+    lines += [f"gamma={g}".ljust(12) + "".join(c.ljust(width) for c in row)
+              for g, row in zip(gammas, grid)]
     return "\n".join(lines)
 
 

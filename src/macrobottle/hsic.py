@@ -7,8 +7,10 @@ affinity mask and summed in a fixed block order, and compared with a
 level-alpha critical value from a gamma distribution moment-matched to the
 statistic's null mean and variance. The same statistic, built with the same
 kernel code (_gram), serves as a training loss with an analytic gradient,
-computed serially. Bandwidths are set by the median heuristic and treated
-as constants.
+its two kernel sides computed on up to two threads. Bandwidths are set by
+the median heuristic, an exact selection of the median pairwise distance,
+and treated as constants. Statistic, loss and bandwidths are the same bits
+for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 from scipy.stats import gamma as gamma_dist
 
 from .errors import DataError, DegenerateDataError
@@ -29,17 +30,74 @@ MEDIAN_SUBSAMPLE = 1000
 
 def median_bandwidth(x: np.ndarray) -> float:
     """Median of pairwise absolute differences, on a subsample of
-    MEDIAN_SUBSAMPLE points (drawn with seed 0) when the input is larger."""
+    MEDIAN_SUBSAMPLE points (drawn with seed 0) when the input is larger.
+
+    The median is selected exactly from the sorted values without listing
+    all n(n-1)/2 differences (_median_difference), and is the same bits as
+    np.median(scipy.spatial.distance.pdist(x[:, None], "cityblock")).
+    """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size < 2:
         raise DataError("median bandwidth needs at least 2 values")
     if x.size > MEDIAN_SUBSAMPLE:
         idx = np.random.default_rng(0).choice(x.size, MEDIAN_SUBSAMPLE, replace=False)
         x = x[idx]
-    med = float(np.median(pdist(x[:, None], "cityblock")))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN differences, as in pdist
+        med = _median_difference(np.sort(x))
     if med == 0.0:
         raise DegenerateDataError("degenerate bandwidth: pairwise distances have zero median")
     return med
+
+
+_BRACKET_SAMPLE = 4096  # pair differences drawn to bracket the median
+
+
+def _row_ends(s: np.ndarray, pivot: float, keep) -> np.ndarray:
+    """Per row i of sorted s, the first column j > i (or s.size) at which
+    keep(s[j] - s[i], pivot) fails. Rounding is monotone, so the computed
+    differences of a row never decrease in j and a binary search per row
+    counts exactly the differences a full listing would."""
+    lo, hi = np.arange(1, s.size + 1), np.full(s.size, s.size)
+    rows = np.flatnonzero(lo < hi)
+    while rows.size:
+        mid = (lo[rows] + hi[rows]) // 2
+        kept = keep(s[mid] - s[rows], pivot)
+        lo[rows] = np.where(kept, mid + 1, lo[rows])
+        hi[rows] = np.where(kept, hi[rows], mid)
+        rows = rows[lo[rows] < hi[rows]]
+    return lo
+
+
+def _median_difference(s: np.ndarray) -> float:
+    """np.median of the differences s[j] - s[i], j > i, of sorted s: the
+    middle order statistic(s) of the implicit matrix of sorted differences
+    (Johnson & Mizoguchi 1978). Order statistics of a fixed sample of
+    differences bracket the middle ranks; binary searches count the
+    differences below and inside the bracket; only the band inside it is
+    listed and partitioned, or every difference if the bracket misses."""
+    m = s.size
+    if np.isnan(np.diff(s)).any():  # NaN, or inf - inf: the median is NaN
+        return float("nan")
+    pairs = m * (m - 1) // 2
+    ranks = [(pairs - 1) // 2, pairs // 2]  # one middle rank, or two to average
+    start, stop = np.arange(1, m + 1), np.full(m, m)  # row i lists columns start..stop-1
+    if pairs > _BRACKET_SAMPLE:
+        i, j = np.random.default_rng(0).integers(0, m, (2, _BRACKET_SAMPLE))
+        i, j = np.minimum(i, j)[i != j], np.maximum(i, j)[i != j]
+        sample = np.sort(s[j] - s[i])
+        margin = 2.0 * np.sqrt(sample.size)  # four standard errors of a sample rank
+        lo = int(max(0.0, ranks[0] / pairs * sample.size - margin))
+        hi = int(min(sample.size - 1.0, ranks[1] / pairs * sample.size + margin))
+        band_start = _row_ends(s, sample[lo], np.less)
+        band_stop = _row_ends(s, sample[hi], np.less_equal)
+        below = int((band_start - start).sum())
+        if below <= ranks[0] and ranks[1] < int((band_stop - start).sum()):
+            start, stop, ranks = band_start, band_stop, [r - below for r in ranks]
+    counts = stop - start
+    cols = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    band = s[cols] - s[np.repeat(np.arange(m), counts)]
+    band.partition(ranks)
+    return float(np.mean(band[ranks[0]:ranks[1] + 1]))
 
 
 @dataclass
@@ -74,6 +132,12 @@ def _gram(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
 
 
+def _worker_count(tasks: int) -> int:
+    """One worker per CPU of the process's affinity mask, at most one per task."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, tasks))
+
+
 def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, float, float, float]:
     """(statistic, variance, mu_x, mu_y) of scaled inputs in two exact passes
     over the Gram blocks with j >= i. Worker w of a thread pool made for this
@@ -82,9 +146,7 @@ def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, flo
     per-block sums up in block order, so any worker count gives the same bits."""
     uv = (u, v)
     blocks = [(i, j) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)]
-    # one worker per CPU of the affinity mask, at most one per block
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = max(1, min(cpus or 1, len(blocks)))
+    workers = _worker_count(len(blocks))
     bufs = [(np.empty((_CHUNK, _CHUNK)), np.empty((_CHUNK, _CHUNK))) for _ in range(workers)]
 
     def gram(w, side, i, j):
@@ -174,7 +236,12 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
 
     Bandwidths default to the median heuristic on the current values and are
     excluded from differentiation; a degenerate (constant) input falls back
-    to bandwidth 1, where the centered statistic is 0 anyway.
+    to bandwidth 1, where the centered statistic is 0 anyway. They are
+    computed on the calling thread. Each side's dense Gram, its centring and
+    then its gradient run on a thread pool made for this call, with one
+    worker per side at most and no more than the affinity mask's CPUs; every
+    step is the same numpy operation on the same data in any case, so the
+    value and gradients are the same bits for any worker count.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -196,18 +263,24 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     scales = _kernel_scales(bandwidths)
     u, v = x[:, 0] * scales[0], y[:, 0] * scales[1]
 
-    def centred(w):
-        k = _gram(w, w, np.empty((n, n)))
+    def centre(w, k, kc):
+        _gram(w, w, k)
         offset = k.mean(axis=1) - k.mean() / 2  # Kc = K - offset_i - offset_j
-        return k, k - offset[:, None] - offset[None, :]
+        np.subtract(k, offset[:, None], out=kc)
+        kc -= offset[None, :]
 
-    (k, kc), (l, lc) = centred(u), centred(v)
-    # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
-    # for x and m = L o Kc for y, then the chain through the scale; each m
-    # is built in its Gram's own buffer
-    m_y = np.multiply(l, kc, out=l)
-    value = m_y.sum() / n
-    m_x = np.multiply(k, lc, out=k)
-    grads = [(-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
-             for w, m, scale in ((u, m_x, scales[0]), (v, m_y, scales[1]))]
-    return float(value), grads[0], grads[1]
+    def gradient(w, gram, other_centred, scale):
+        # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
+        # for x and m = L o Kc for y, then the chain through the scale; each m
+        # is built in its Gram's own buffer
+        m = np.multiply(gram, other_centred, out=gram)
+        return m, (-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
+
+    # the n x n buffers are allocated on this thread, so they go back to the
+    # heap its later allocations draw from (freed in a worker, they raised the
+    # process's peak memory); a worker writes only its own side's buffers
+    k, kc, l, lc = (np.empty((n, n)) for _ in range(4))
+    with ThreadPoolExecutor(_worker_count(2)) as pool:
+        list(pool.map(centre, (u, v), (k, l), (kc, lc)))
+        (_, grad_x), (m_y, grad_y) = pool.map(gradient, (u, v), (k, l), (lc, kc), scales)
+    return float(m_y.sum() / n), grad_x, grad_y

@@ -148,6 +148,32 @@ class TestTrain:
         assert all(row.count("|X|=") == 1 for row in rows.values())
         assert capsys.readouterr().out.startswith("\n".join(lines))
 
+    def test_summary_columns_line_up_with_headers(self, tiny_run, tmp_path, monkeypatch):
+        # a filled cell is about 40 characters; a fixed narrower width glued
+        # the next cell onto it and pushed it out from under its header
+        from macrobottle import cae
+        train = cae.train_cae
+
+        def diverge_at_one_cell(pair, config):
+            if (config.beta, config.gamma) == (0.1, 1.0):
+                raise NumericalError("non-finite loss at epoch 0")
+            return train(pair, config)
+
+        monkeypatch.setattr(cae, "train_cae", diverge_at_one_cell)
+        # (beta=1.0, gamma=0.5) is missing from the 2 x 2 grid
+        sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 1.0},
+                           {"beta": 0.1, "gamma": 0.5}]}
+        assert run(_train(tiny_run, tmp_path, sweep=sweep) + ["--epochs", "1"]) == cli.EXIT_OK
+        header, *lines = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        starts = [header.index("beta=1.0"), header.index("beta=0.1")]
+        cells = {line[:12].strip(): [line[a:b].rstrip() for a, b in zip(starts, starts[1:] + [None])]
+                 for line in lines}
+        assert list(cells) == ["gamma=1.0", "gamma=0.5"]
+        (filled_1, failed), (missing, filled_2) = cells.values()
+        assert failed == "FAILED" and missing == "-"
+        for filled in (filled_1, filled_2):
+            assert filled.startswith("|X|=") and filled.count("|X|=") == 1 and len(filled) > 34
+
     @pytest.mark.parametrize("how", ["flag", "env"])
     def test_seed_overrides_config_seed(self, tiny_run, tmp_path, monkeypatch, how):
         from macrobottle import cae

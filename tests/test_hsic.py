@@ -7,6 +7,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import pdist
 from scipy.stats import gamma as gamma_dist
 
 from macrobottle import hsic
@@ -46,7 +50,79 @@ def dense_reference(x, y, bw_x, bw_y, alpha=hsic.DEFAULT_ALPHA):
     return statistic, threshold
 
 
+def pdist_median(x):
+    """The median heuristic as np.median over scipy's list of all pairwise
+    distances."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.median(pdist(np.asarray(x, dtype=np.float64)[:, None], "cityblock")))
+
+
+def assert_bandwidth_is_pdist_median(x):
+    expected = pdist_median(x)
+    if expected == 0.0:
+        with pytest.raises(DegenerateDataError):
+            hsic.median_bandwidth(x)
+    else:
+        assert hsic.median_bandwidth(x).hex() == expected.hex()
+
+
+SAMPLES = {
+    "normal": lambda rng, n: rng.normal(size=n),
+    "ties": lambda rng, n: np.round(rng.normal(size=n), 1),
+    "three_values": lambda rng, n: rng.integers(0, 3, size=n).astype(np.float64),
+    "near_constant": lambda rng, n: 1.0 + 1e-12 * rng.normal(size=n),
+    "cubed_uniform": lambda rng, n: rng.uniform(-1.0, 1.0, size=n) ** 3,
+    "wide_range": lambda rng, n: rng.choice([-1.0, 1.0], size=n) * np.exp(20.0 * rng.normal(size=n)),
+}
+
+
+def serial_loss_reference(x, y, bw):
+    """(value hex, grad_x bytes, grad_y bytes) of hsic_loss's arithmetic done
+    serially with fresh temporaries."""
+    n = x.shape[0]
+    scales = [np.sqrt(0.5) / b for b in bw]
+    u, v = x[:, 0] * scales[0], y[:, 0] * scales[1]
+
+    def centred(w):
+        k = np.exp(-np.square(w[:, None] - w[None, :]))
+        offset = k.mean(axis=1) - k.mean() / 2
+        return k, k - offset[:, None] - offset[None, :]
+
+    (k, kc), (l, lc) = centred(u), centred(v)
+    m_x, m_y = k * lc, l * kc
+    grads = [(-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
+             for w, m, scale in ((u, m_x, scales[0]), (v, m_y, scales[1]))]
+    return float(m_y.sum() / n).hex(), grads[0].tobytes(), grads[1].tobytes()
+
+
 class TestMedianBandwidth:
+    # n(n-1)/2 pairs is odd for n = 2, 999 and even for n = 4, 1000
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, hsic.MEDIAN_SUBSAMPLE), st.sampled_from(sorted(SAMPLES)),
+           st.integers(0, 2**32 - 1))
+    @example(2, "normal", 0)
+    @example(4, "ties", 0)
+    @example(999, "near_constant", 1)
+    @example(1000, "three_values", 2)
+    @example(1000, "wide_range", 3)
+    def test_selection_equals_pdist_median(self, n, kind, seed):
+        assert_bandwidth_is_pdist_median(SAMPLES[kind](np.random.default_rng(seed), n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.integers(2, 60),
+                  elements=st.floats(allow_nan=False, allow_infinity=False, width=64)))
+    def test_selection_equals_pdist_median_on_any_floats(self, x):
+        # extreme magnitudes, subnormals, signed zeros and differences that overflow
+        assert_bandwidth_is_pdist_median(x)
+
+    @pytest.mark.parametrize("x", [[0.0, np.inf, 1.0, 2.0], [-np.inf, 1.0, 2.0, np.inf],
+                                   [np.inf, np.inf, 1.0], [-np.inf, -np.inf, 3.0],
+                                   [np.nan, 1.0, 2.0], [1.0, np.inf]])
+    def test_non_finite_input_as_pdist_median(self, x):
+        # one infinity per sign gives inf differences; two equal ones or a NaN give NaN
+        assert hsic.median_bandwidth(np.array(x)).hex() == pdist_median(x).hex()
+
+
     def test_two_points(self):
         assert hsic.median_bandwidth(np.array([0.0, 1.0])) == 1.0
 
@@ -252,6 +328,35 @@ class TestLoss:
             zero = np.zeros((16, 1))
             fd[i] = central_difference(e, zero) if perturb == "x" else central_difference(zero, e)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-6
+
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(300, 1))
+        y = np.tanh(x) + 0.3 * rng.normal(size=(300, 1))
+        bw = (hsic.median_bandwidth(x), hsic.median_bandwidth(y))
+        pools = []
+
+        class RecordingPool(hsic.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(hsic, "ThreadPoolExecutor", RecordingPool)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # frequent switches expose any buffer the sides share
+        try:
+            for cpus in ({0}, {0, 1}, set(range(64))):
+                monkeypatch.setattr(hsic.os, "sched_getaffinity",
+                                    lambda pid, c=cpus: c, raising=False)
+                threads = threading.active_count()
+                value, grad_x, grad_y = hsic.hsic_loss(x, y)
+                assert threading.active_count() == threads  # no worker outlives the call
+                results[len(cpus)] = (value.hex(), grad_x.tobytes(), grad_y.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [1, 2, 2]  # one worker per kernel side at most
+        assert set(results.values()) == {serial_loss_reference(x, y, bw)}
 
     def test_minibatch_size_guard(self):
         with pytest.raises(DataError):
