@@ -130,12 +130,11 @@ def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair, epochs_run: int
     return final, rows, enc
 
 
-def _run_cell(x_path: str, y_path: str, config: cae.CaeConfig, cell_dir: str) -> dict:
+def _run_cell(x: np.ndarray, y: np.ndarray, config: cae.CaeConfig, cell_dir: str) -> dict:
     """Worker for one sweep cell; returns the report metrics for the summary."""
     cell = Path(cell_dir)
     cell.mkdir(parents=True, exist_ok=True)
-    pair = dataio.load_pair_csv(x_path, y_path)
-    pair.split = datagen.assign_splits(pair.n, config.seed)
+    pair = datagen.DatasetPair(x, y, datagen.assign_splits(len(x), config.seed))
     t0 = time.monotonic()
     try:
         model, history = cae.train_cae(pair, config)
@@ -204,15 +203,17 @@ def cmd_train(args) -> int:
     else:
         cells = [{"beta": base.get("beta", 0.01), "gamma": base.get("gamma", 1.0)}]
 
-    jobs = []
+    configs = []
     for i, cell in enumerate(cells):
         cfg = dict(base)
         cfg["beta"] = cell["beta"]
         cfg["gamma"] = cell["gamma"]
         cfg["seed"] = cfg.get("seed", 0) + i  # independent seeds per cell
         cell_dir = out / f"cell_b{cell['beta']}_g{cell['gamma']}"
-        jobs.append((str(data_dir / "X.csv"), str(data_dir / "Y.csv"),
-                     cae.CaeConfig.from_dict(cfg), str(cell_dir)))
+        configs.append((cae.CaeConfig.from_dict(cfg), str(cell_dir)))
+    # parsed once for all cells; each cell builds its own split from its seed
+    data = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
+    jobs = [(data.x, data.y, config, cell_dir) for config, cell_dir in configs]
 
     if args.parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.parallel) as pool:

@@ -2,8 +2,12 @@
 
 Matrices travel as comma-separated files with one header row and decimal
 values printed at 17 significant digits, which round-trips float64 exactly.
-Run reports are JSON documents validated against a published schema; every
-float in a report is finite or explicitly null.
+Loading parses the lines after the header in one pass of numpy's C parser.
+When that pass fails, or yields the wrong shape or a non-finite value, the
+lines go one at a time through float(): that loop defines what a file may
+hold and raises the ParseError that names the first bad line. Run reports
+are JSON documents validated against a published schema; every float in a
+report is finite or explicitly null.
 """
 
 from __future__ import annotations
@@ -27,8 +31,13 @@ REPORT_SCHEMA_VERSION = 2
 # CSV matrices
 
 
+_SAVE_BLOCK_ROWS = 256
+
+
 def save_matrix_csv(path: str | Path, matrix: np.ndarray,
                     header: list[str] | None = None) -> None:
+    """Write the bytes np.savetxt(fmt="%.17g", delimiter=",", comments="")
+    writes, formatting and writing _SAVE_BLOCK_ROWS rows at a time."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError("save_matrix_csv expects a 2-D matrix")
@@ -38,23 +47,47 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
         header = [f"c{j}" for j in range(matrix.shape[1])]
     if len(header) != matrix.shape[1]:
         raise DataError("header length does not match column count")
-    np.savetxt(path, matrix, fmt="%.17g", delimiter=",", header=",".join(header),
-               comments="", encoding="utf-8")
+    head = ",".join(header)
+    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        if head:  # savetxt writes no empty header line
+            fh.write(head + "\n")
+        for start in range(0, len(matrix), _SAVE_BLOCK_ROWS):
+            block = matrix[start:start + _SAVE_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text: {err}", str(path)) from err
+    lines = text.splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file", str(path), 1)
     header = lines[0].split(",")
-    ncols = len(header)
+    body = [line for line in lines[1:] if line.strip()]
+    # numpy strips U+001F around a number and float() does not; no other
+    # character that survives splitlines parses differently
+    if body and "\x1f" not in text:
+        try:
+            matrix = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
+                                quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if matrix.shape == (len(body), len(header)) and np.isfinite(matrix).all():
+                return matrix, header
+    return _parse_lines(path, lines[1:], len(header)), header
+
+
+def _parse_lines(path: Path, lines: list[str], ncols: int) -> np.ndarray:
+    """The matrix in the lines after the header, parsed by float() one line at
+    a time; the first bad line raises a ParseError that names it."""
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -70,7 +103,7 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
         rows.append(row)
     if not rows:
         raise ParseError(f"{path}: no data rows", str(path), 1)
-    return np.array(rows, dtype=np.float64), header
+    return np.array(rows, dtype=np.float64)
 
 
 def load_pair_csv(path_x: str | Path, path_y: str | Path) -> DatasetPair:
@@ -194,8 +227,11 @@ class GridLayout:
     channel_y: str = "y"
 
     def __post_init__(self):
-        if not all(isinstance(v, int) and v >= 1 for v in (self.rows, self.cols)):
+        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1
+               for v in (self.rows, self.cols)):
             raise DataError("grid layout needs positive integer dimensions")
+        if not all(isinstance(v, str) for v in (self.channel_x, self.channel_y)):
+            raise DataError("grid layout channel names must be strings")
 
     @property
     def dim(self) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,31 @@ class TestTrain:
                 assert doc.pop("timing_seconds") > 0
             reports.append(docs)
         assert len(reports[0]) == 2 and reports[0] == reports[1]
+
+    def test_sweep_parses_the_pair_once(self, tiny_run, tmp_path, monkeypatch):
+        load, paths = dataio.load_matrix_csv, []
+
+        def counting_load(path):
+            paths.append(Path(path).name)
+            return load(path)
+
+        monkeypatch.setattr(dataio, "load_matrix_csv", counting_load)
+        sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 1.0},
+                           {"beta": 0.1, "gamma": 0.5}]}
+        assert run(_train(tiny_run, tmp_path, sweep=sweep) + ["--epochs", "1"]) == cli.EXIT_OK
+        assert paths == ["X.csv", "Y.csv"]
+        assert len(list((tmp_path / "o").glob("cell_*/report.json"))) == 3
+
+    def test_bad_data_file_exits_before_any_cell(self, tiny_run, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_run["data"], data)
+        with open(data / "Y.csv", "a", encoding="utf-8") as fh:
+            fh.write("oops\n")
+        sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 1.0}]}
+        argv = _train({**tiny_run, "data": data}, tmp_path, sweep=sweep)
+        assert run(argv + ["--epochs", "1"]) == cli.EXIT_DATA
+        assert "Y.csv:402" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("cell_*"))
 
     def test_partial_grid_prints_dash_for_missing_cells(self, tiny_run, tmp_path, capsys):
         sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 0.5}]}

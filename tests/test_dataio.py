@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrobottle import anm, dataio, datagen
 from macrobottle.errors import DataError, ParseError
@@ -80,6 +82,66 @@ class TestMatrixCsv:
     def test_non_finite_rejected_on_save(self, tmp_path):
         with pytest.raises(DataError):
             dataio.save_matrix_csv(tmp_path / "m.csv", np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
+    @pytest.mark.parametrize("cols", [1, 64])
+    @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
+    def test_same_bytes_as_savetxt(self, tmp_path, rows, cols, named):
+        # 256 rows are formatted per write; the sizes straddle those blocks.
+        # Unnamed columns join to an empty header for one column, which
+        # savetxt leaves out, and to a line of commas for more
+        m = np.random.default_rng(rows * 100 + cols).normal(size=(rows, cols))
+        m[::7] *= 1e-300
+        m[1::5] = -0.0
+        header = [f"h{j}" if named else "" for j in range(cols)]
+        dataio.save_matrix_csv(tmp_path / "m.csv", m, header)
+        np.savetxt(tmp_path / "ref.csv", m, fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="", encoding="utf-8")
+        assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_loader_matches_line_parser(self, tmp_path_factory, data):
+        # the C-parser pass must give what the float() line loop gives: the
+        # same bits and header, or the same ParseError on the same line
+        ncols = data.draw(st.integers(1, 4), label="ncols")
+        lines = [",".join(f"c{j}" for j in range(ncols))]
+        for _ in range(data.draw(st.integers(0, 6), label="lines")):
+            kind = data.draw(st.sampled_from(["row", "row", "row", "ragged", "blank"]))
+            if kind == "blank":
+                lines.append(data.draw(st.sampled_from(["", " ", "\t", " \u3000 "])))
+                continue
+            width = ncols if kind == "row" else data.draw(st.integers(1, 5))
+            lines.append(",".join(data.draw(_CSV_TOKENS) for _ in range(width)))
+        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]),
+                                  min_size=len(lines), max_size=len(lines)))
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode("utf-8"))
+        assert _outcome(dataio.load_matrix_csv, path) == _outcome(_load_by_lines, path)
+
+
+# mostly numbers as they are written, and tokens that float() and numpy's
+# parser read differently: float() alone takes 1_0 and Arabic-Indic digits,
+# numpy alone strips U+001F
+_CSV_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
+    st.sampled_from(["1_0", " 3", "4 ", "nan", "-inf", "1e400", '"1"', "#1", "0x10",
+                     "1d3", "\u0661", "", "\x1f5", "5\x1f", "\x00", "\xa06", "+.5"]))
+
+
+def _load_by_lines(path):
+    """The loader's reference semantics: every line through float()."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    return dataio._parse_lines(path, lines[1:], len(header)), header
+
+
+def _outcome(load, path):
+    try:
+        matrix, header = load(path)
+    except ParseError as err:
+        return "error", str(err), err.line
+    return "matrix", matrix.shape, matrix.tobytes(), header
 
 
 class TestStandardize:
@@ -172,7 +234,8 @@ class TestAnomalyGrids:
 
     @pytest.mark.parametrize("doc", [
         '{"rows": 8, "cols": 8, "colour": "red"}', '{"rows": "8", "cols": 8}',
-        '{"rows": 8.5, "cols": 8}', '{"rows": 0, "cols": 8}', '[8, 8]', '{rows'])
+        '{"rows": 8.5, "cols": 8}', '{"rows": 0, "cols": 8}', '[8, 8]', '{rows',
+        '{"rows": true, "cols": 64}', '{"rows": 8, "cols": 8, "channel_x": 3}'])
     def test_bad_layout_file_is_data_error(self, tmp_path, doc):
         (tmp_path / "layout.json").write_text(doc)
         with pytest.raises(DataError):

@@ -1,6 +1,8 @@
 """Property checks of the lossless round trips the file formats promise:
-matrix CSVs and checkpoints give back the exact bits they were given, and a
-truncated or byte-flipped checkpoint is a DataError, never another exception."""
+matrix CSVs and checkpoints give back the exact bits they were given; a
+truncated or byte-flipped checkpoint is a DataError, and a truncated or
+byte-flipped matrix CSV a DataError or a matrix as wide as its header, never
+another exception."""
 
 from __future__ import annotations
 
@@ -45,6 +47,39 @@ def test_matrix_csv_round_trip_is_bit_exact(matrix):
         loaded, _ = dataio.load_matrix_csv(path)
     assert loaded.shape == matrix.shape
     assert loaded.tobytes() == matrix.tobytes()
+
+
+def _loads_as_wide_as_header_or_data_error(path: Path) -> None:
+    try:
+        loaded, header = dataio.load_matrix_csv(path)
+    except DataError:  # ParseError included
+        return
+    assert loaded.ndim == 2 and loaded.shape[1] == len(header) and loaded.shape[0] >= 1
+    assert np.isfinite(loaded).all()
+
+
+@SETTINGS
+@given(finite_matrices, st.data())
+def test_truncated_matrix_csv_is_data_error_or_a_matrix(matrix, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        dataio.save_matrix_csv(path, matrix)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1), label="length")])
+        _loads_as_wide_as_header_or_data_error(path)
+
+
+@SETTINGS
+@given(finite_matrices, st.data())
+def test_flipped_matrix_csv_byte_is_data_error_or_a_matrix(matrix, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        dataio.save_matrix_csv(path, matrix)
+        raw = bytearray(path.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        path.write_bytes(bytes(raw))
+        _loads_as_wide_as_header_or_data_error(path)
 
 
 @SETTINGS
