@@ -37,7 +37,10 @@ _SAVE_BLOCK_ROWS = 256
 def save_matrix_csv(path: str | Path, matrix: np.ndarray,
                     header: list[str] | None = None) -> None:
     """Write the bytes np.savetxt(fmt="%.17g", delimiter=",", comments="")
-    writes, formatting and writing _SAVE_BLOCK_ROWS rows at a time."""
+    writes, formatting and writing _SAVE_BLOCK_ROWS rows at a time. Column
+    names that load_matrix_csv could not give back raise DataError: one that
+    holds a comma or a line break, or a lone empty name, whose empty header
+    line a reload would read as the first data row."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError("save_matrix_csv expects a 2-D matrix")
@@ -47,7 +50,12 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
         header = [f"c{j}" for j in range(matrix.shape[1])]
     if len(header) != matrix.shape[1]:
         raise DataError("header length does not match column count")
+    for name in header:
+        if "," in name or len(f"{name}.".splitlines()) > 1:  # "." keeps "" one line
+            raise DataError(f"column name {name!r} holds a comma or a line break")
     head = ",".join(header)
+    if header and not head:
+        raise DataError(f"column name {header[0]!r} alone makes an empty header line")
     row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         if head:  # savetxt writes no empty header line

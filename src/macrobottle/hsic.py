@@ -5,12 +5,17 @@ trace(K H L H) / n with H = I - (1/n) 11^T, computed exactly from the
 upper-triangle Gram blocks, swept by one thread per CPU of the process's
 affinity mask and summed in a fixed block order, and compared with a
 level-alpha critical value from a gamma distribution moment-matched to the
-statistic's null mean and variance. The same statistic, built with the same
-kernel code (_gram), serves as a training loss with an analytic gradient,
-its two kernel sides computed on up to two threads. Bandwidths are set by
-the median heuristic, an exact selection of the median pairwise distance,
-and treated as constants. Statistic, loss and bandwidths are the same bits
-for any number of CPUs.
+statistic's null mean and variance. Each block is built and reduced in row
+strips small enough for a core's L2 cache; adding up strip sums instead of
+whole-block sums changes only the addition order, within 1e-14 relative of
+the whole-block result. The same statistic, built with
+the same kernel code (_gram), serves as a training loss with an analytic
+gradient, its two kernel sides computed on up to two threads; a training
+loop keeps one LossWorkspace (that pool and the four Gram buffers) for all
+its steps. Bandwidths are set by the median heuristic, an exact selection of
+the median pairwise distance, and treated as constants. Statistic, loss and
+bandwidths are the same bits for any number of CPUs, and the loss the same
+bits with or without a workspace.
 """
 
 from __future__ import annotations
@@ -114,7 +119,8 @@ class HsicResult:
         return self.statistic >= self.threshold
 
 
-_CHUNK = 512  # two float64 blocks of this size (2 MB each) stay in cache
+_CHUNK = 512  # Gram blocks are _CHUNK x _CHUNK
+_STRIP = 128  # rows per strip: a worker's two strip buffers (0.5 MB each) stay in its L2
 
 
 def _kernel_scales(bandwidths: tuple[float, float]) -> list[float]:
@@ -127,8 +133,11 @@ def _kernel_scales(bandwidths: tuple[float, float]) -> list[float]:
 
 def _gram(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out with the Gaussian kernel exp(-(u_i - v_j)^2), in place, from
-    inputs already scaled by sqrt(0.5) / bandwidth."""
-    np.subtract(u[:, None], v[None, :], out=out)
+    inputs already scaled by sqrt(0.5) / bandwidth. The difference is a
+    broadcast copy of u less one contiguous subtraction of v: the same bits
+    as np.subtract(u[:, None], v[None, :]), faster."""
+    out[...] = u[:, None]
+    np.subtract(out, v, out=out)
     return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
 
 
@@ -141,42 +150,65 @@ def _worker_count(tasks: int) -> int:
 def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, float, float, float]:
     """(statistic, variance, mu_x, mu_y) of scaled inputs in two exact passes
     over the Gram blocks with j >= i. Worker w of a thread pool made for this
-    call takes blocks w, w + workers, ... and builds their Grams in place in
-    its own two buffers, calling only _gram and numpy; this thread adds the
-    per-block sums up in block order, so any worker count gives the same bits."""
+    call takes blocks w, w + workers, ... and sweeps each in strips of _STRIP
+    rows, built in place in its own two strip-sized buffers, calling only
+    _gram and numpy. A block's strip sums are added in strip order by its
+    worker, and this thread adds the per-block sums up in block order, so any
+    worker count gives the same bits."""
     uv = (u, v)
     blocks = [(i, j) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)]
     workers = _worker_count(len(blocks))
-    bufs = [(np.empty((_CHUNK, _CHUNK)), np.empty((_CHUNK, _CHUNK))) for _ in range(workers)]
+    size = min(_STRIP, n) * min(_CHUNK, n)
+    bufs = [(np.empty(size), np.empty(size)) for _ in range(workers)]
 
-    def gram(w, side, i, j):
-        a, b = uv[side][i:i + _CHUNK], uv[side][j:j + _CHUNK]
-        return _gram(a, b, bufs[w][side][:a.size, :b.size])
+    def strips(w, i, j):
+        """(first row, K strip, L strip) down block (i, j), in worker w's buffers."""
+        cols = slice(j, min(j + _CHUNK, n))
+        for r in range(i, min(i + _CHUNK, n), _STRIP):
+            rows = slice(r, min(r + _STRIP, n))
+            shape = (rows.stop - r, cols.stop - j)
+            yield r, *(_gram(s[rows], s[cols], b[:shape[0] * shape[1]].reshape(shape))
+                       for s, b in zip(uv, bufs[w]))
 
     def sweep(pool, reduce_block):
-        """(block, reduce_block(K block, L block, i, j)) in block order."""
-        parts = list(pool.map(lambda w: [reduce_block(gram(w, 0, i, j), gram(w, 1, i, j), i, j)
-                                         for i, j in blocks[w::workers]], range(workers)))
+        """(block, reduce_block(w, i, j)) in block order."""
+        parts = list(pool.map(lambda w: [reduce_block(w, i, j) for i, j in blocks[w::workers]],
+                              range(workers)))
         return zip(blocks, (parts[k % workers][k // workers] for k in range(len(blocks))))
 
-    def centred_moments(kc, lc, i, j):
-        for side, b in ((0, kc), (1, lc)):
-            b -= offsets[side, i:i + _CHUNK, None]
-            b -= offsets[side, None, j:j + _CHUNK]
-        prod = np.multiply(kc, lc, out=kc)
-        total = float(prod.sum())
-        np.square(prod, out=prod)
-        return total, float(prod.sum()), float(np.trace(prod)) if j == i else 0.0
+    def block_sums(w, i, j):
+        """Row sums of the K and L blocks and, off the diagonal, their column
+        sums, which are the row sums of the mirror block."""
+        row_sums = np.empty((2, min(_CHUNK, n - i)))
+        col_sums = np.zeros((2, min(_CHUNK, n - j))) if j > i else None
+        for r, *sides in strips(w, i, j):
+            for side, b in enumerate(sides):
+                np.sum(b, axis=1, out=row_sums[side, r - i:r - i + b.shape[0]])
+                if col_sums is not None:
+                    col_sums[side] += b.sum(axis=0)
+        return row_sums, col_sums
+
+    def centred_moments(w, i, j):
+        total = sq_total = sq_trace = 0.0
+        for r, kc, lc in strips(w, i, j):
+            for side, b in ((0, kc), (1, lc)):
+                b -= offsets[side, r:r + b.shape[0], None]
+                b -= offsets[side, None, j:j + b.shape[1]]
+            prod = np.multiply(kc, lc, out=kc)
+            total += float(prod.sum())
+            np.square(prod, out=prod)
+            sq_total += float(prod.sum())
+            if j == i:  # the strip's part of the block diagonal starts at column r - i
+                sq_trace += float(np.trace(prod[:, r - i:]))
+        return total, sq_total, sq_trace
 
     with ThreadPoolExecutor(workers) as pool:
         # pass 1: row sums; block (i, j) gives those of its mirror as column sums
         rows = np.zeros((2, n))
-        for (i, j), sides in sweep(pool, lambda k, l, i, j: [(b.sum(axis=1), b.sum(axis=0))
-                                                             for b in (k, l)]):
-            for side, (row, col) in enumerate(sides):
-                rows[side, i:i + _CHUNK] += row
-                if j > i:
-                    rows[side, j:j + _CHUNK] += col
+        for (i, j), (row, col) in sweep(pool, block_sums):
+            rows[:, i:i + _CHUNK] += row
+            if col is not None:
+                rows[:, j:j + _CHUNK] += col
         sums = rows.sum(axis=1)
         offsets = rows / n - sums[:, None] / (2 * n * n)  # Kc = K - offset_i - offset_j
 
@@ -228,8 +260,57 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                       bandwidths=bandwidths, n=n, alpha=alpha)
 
 
+class LossWorkspace:
+    """What hsic_loss reuses from step to step of one fit: a thread pool of
+    up to two workers, one per kernel side and no more than the affinity
+    mask's CPUs, and four n x n buffers for minibatches of up to n points.
+    The buffers are allocated on the thread that makes the workspace, so they
+    go back to the heap its later allocations draw from (freed in a worker,
+    they raised the process's peak memory). Leaving its with block shuts the
+    pool down."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._buffers = [np.empty(n * n) for _ in range(4)]
+        self.pool = ThreadPoolExecutor(_worker_count(2))
+
+    def __enter__(self) -> "LossWorkspace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.pool.shutdown()
+
+    def loss(self, u: np.ndarray, v: np.ndarray, scales: list[float]
+             ) -> tuple[float, np.ndarray, np.ndarray]:
+        """hsic_loss of inputs already scaled by scales, in contiguous m x m
+        views of the buffers' first m * m entries; a worker writes only its
+        own side's buffers."""
+        n = u.size
+        if n > self.n:
+            raise ValueError(f"a minibatch of {n} does not fit a workspace for {self.n}")
+        k, kc, l, lc = (b[:n * n].reshape(n, n) for b in self._buffers)
+
+        def centre(w, k, kc):
+            _gram(w, w, k)
+            offset = k.mean(axis=1) - k.mean() / 2  # Kc = K - offset_i - offset_j
+            np.subtract(k, offset[:, None], out=kc)
+            kc -= offset[None, :]
+
+        def gradient(w, gram, other_centred, scale):
+            # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
+            # for x and m = L o Kc for y, then the chain through the scale; each m
+            # is built in its Gram's own buffer
+            m = np.multiply(gram, other_centred, out=gram)
+            return m, (-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
+
+        list(self.pool.map(centre, (u, v), (k, l), (kc, lc)))
+        (_, grad_x), (m_y, grad_y) = self.pool.map(gradient, (u, v), (k, l), (lc, kc), scales)
+        return float(m_y.sum() / n), grad_x, grad_y
+
+
 def hsic_loss(x: np.ndarray, y: np.ndarray,
-              bandwidths: tuple[float, float] | None = None
+              bandwidths: tuple[float, float] | None = None,
+              workspace: LossWorkspace | None = None
               ) -> tuple[float, np.ndarray, np.ndarray]:
     """n*HSIC_b of column vectors (n x 1) and its analytic gradients with
     respect to x and y, the Grams built and centred as in hsic_statistic.
@@ -238,10 +319,11 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     excluded from differentiation; a degenerate (constant) input falls back
     to bandwidth 1, where the centered statistic is 0 anyway. They are
     computed on the calling thread. Each side's dense Gram, its centring and
-    then its gradient run on a thread pool made for this call, with one
-    worker per side at most and no more than the affinity mask's CPUs; every
-    step is the same numpy operation on the same data in any case, so the
-    value and gradients are the same bits for any worker count.
+    then its gradient run on the thread pool of a LossWorkspace: the one
+    given, which a training loop keeps for all its steps, or one made for
+    this call. Every step is the same numpy operation on the same data in any
+    case, so the value and gradients are the same bits for any worker count,
+    with or without a workspace.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -262,25 +344,7 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
         bandwidths = (safe_bw(x), safe_bw(y))
     scales = _kernel_scales(bandwidths)
     u, v = x[:, 0] * scales[0], y[:, 0] * scales[1]
-
-    def centre(w, k, kc):
-        _gram(w, w, k)
-        offset = k.mean(axis=1) - k.mean() / 2  # Kc = K - offset_i - offset_j
-        np.subtract(k, offset[:, None], out=kc)
-        kc -= offset[None, :]
-
-    def gradient(w, gram, other_centred, scale):
-        # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
-        # for x and m = L o Kc for y, then the chain through the scale; each m
-        # is built in its Gram's own buffer
-        m = np.multiply(gram, other_centred, out=gram)
-        return m, (-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
-
-    # the n x n buffers are allocated on this thread, so they go back to the
-    # heap its later allocations draw from (freed in a worker, they raised the
-    # process's peak memory); a worker writes only its own side's buffers
-    k, kc, l, lc = (np.empty((n, n)) for _ in range(4))
-    with ThreadPoolExecutor(_worker_count(2)) as pool:
-        list(pool.map(centre, (u, v), (k, l), (kc, lc)))
-        (_, grad_x), (m_y, grad_y) = pool.map(gradient, (u, v), (k, l), (lc, kc), scales)
-    return float(m_y.sum() / n), grad_x, grad_y
+    if workspace is not None:
+        return workspace.loss(u, v, scales)
+    with LossWorkspace(n) as own:
+        return own.loss(u, v, scales)

@@ -6,6 +6,8 @@ null) has no automated check yet; everything here is fast.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,39 @@ class TestResiduals:
         net = anm.fit_transform(x, y, "x_to_y", cfg, seed=4)
         _, _, res = anm.residuals(net, x, y, "x_to_y")
         assert abs(res.mean()) < 0.05
+
+    def test_one_loss_workspace_per_fit(self, monkeypatch):
+        # every step calls hsic.hsic_loss through the module, on this thread,
+        # with the fit's one workspace, whose pool closes when the fit ends;
+        # the fit is the same bits as with a workspace made per call
+        x, y = np.random.default_rng(6).normal(size=(2, 100))
+        cfg = anm.AnmConfig(hidden=4, epochs=3, batch_size=40)  # minibatches 40, 40, 20
+        loss, pools, calls = hsic.hsic_loss, [], []
+
+        class RecordingPool(hsic.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        def recording_loss(*args, workspace=None, **kwargs):
+            calls.append((threading.get_ident(), workspace))
+            return loss(*args, workspace=workspace, **kwargs)
+
+        def params(net):
+            return [net.store[name].data.tobytes() for name in net.store.names()]
+
+        monkeypatch.setattr(hsic, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(hsic, "hsic_loss", recording_loss)
+        threads = threading.active_count()
+        net = anm.fit_transform(x, y, "x_to_y", cfg, seed=1)
+        assert threading.active_count() == threads
+        assert len(pools) == 1 and len(calls) == 9
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        assert len({id(ws) for _, ws in calls}) == 1 and calls[0][1].n == 40
+
+        monkeypatch.setattr(hsic, "hsic_loss", lambda *a, workspace=None, **k: loss(*a, **k))
+        assert params(anm.fit_transform(x, y, "x_to_y", cfg, seed=1)) == params(net)
+        assert len(pools) == 1 + 1 + 9  # each fit's, and one per step that drops it
 
 
 class TestOlsResiduals:

@@ -83,17 +83,36 @@ class TestMatrixCsv:
         with pytest.raises(DataError):
             dataio.save_matrix_csv(tmp_path / "m.csv", np.array([[np.inf]]))
 
+    @pytest.mark.parametrize("header, bad", [([""], ""), (["a,b"], "a,b"), (["a", "b\nc"], "b\nc"),
+                                             (["a\r", "b"], "a\r"), (["a\x1eb", "c"], "a\x1eb"),
+                                             (["a", "\u2028"], "\u2028")],
+                             ids=["empty", "comma", "newline", "cr", "record-separator",
+                                  "line-separator"])
+    def test_header_that_would_not_reload_is_data_error(self, tmp_path, header, bad):
+        # [""] came back one row short, ["a,b"] as a ParseError on line 2
+        m = np.array([[1.5] * len(header), [2.0] * len(header), [3.0] * len(header)])
+        with pytest.raises(DataError) as exc:
+            dataio.save_matrix_csv(tmp_path / "m.csv", m, header)
+        assert repr(bad) in str(exc.value)
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
     @pytest.mark.parametrize("cols", [1, 64])
     @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
     def test_same_bytes_as_savetxt(self, tmp_path, rows, cols, named):
         # 256 rows are formatted per write; the sizes straddle those blocks.
-        # Unnamed columns join to an empty header for one column, which
-        # savetxt leaves out, and to a line of commas for more
+        # Unnamed columns join to a line of commas for more than one column;
+        # for one they join to an empty header, which savetxt leaves out and
+        # a reload would read as data, so that is refused
         m = np.random.default_rng(rows * 100 + cols).normal(size=(rows, cols))
         m[::7] *= 1e-300
         m[1::5] = -0.0
         header = [f"h{j}" if named else "" for j in range(cols)]
+        if header == [""]:
+            with pytest.raises(DataError, match="empty header line"):
+                dataio.save_matrix_csv(tmp_path / "m.csv", m, header)
+            assert not (tmp_path / "m.csv").exists()
+            return
         dataio.save_matrix_csv(tmp_path / "m.csv", m, header)
         np.savetxt(tmp_path / "ref.csv", m, fmt="%.17g", delimiter=",",
                    header=",".join(header), comments="", encoding="utf-8")

@@ -95,6 +95,60 @@ def serial_loss_reference(x, y, bw):
     return float(m_y.sum() / n).hex(), grads[0].tobytes(), grads[1].tobytes()
 
 
+def whole_block_moments(u, v, n, chunk=512):
+    """_blockwise_moments' two passes with whole-block sums, run serially:
+    each chunk x chunk Gram block built whole in a view of one block-sized
+    buffer per side, its sums taken over the whole block and added up in
+    block order. The strip sweep differs from it only in the order of its
+    additions."""
+    bufs = (np.empty((chunk, chunk)), np.empty((chunk, chunk)))
+    blocks = [(i, j) for i in range(0, n, chunk) for j in range(i, n, chunk)]
+
+    def grams(i, j):
+        for w, buf in zip((u, v), bufs):
+            a, b = w[i:i + chunk], w[j:j + chunk]
+            out = buf[:a.size, :b.size]
+            np.subtract(a[:, None], b[None, :], out=out)
+            yield np.exp(np.negative(np.square(out, out=out), out=out), out=out)
+
+    rows = np.zeros((2, n))
+    for i, j in blocks:
+        for side, b in enumerate(grams(i, j)):
+            rows[side, i:i + chunk] += b.sum(axis=1)
+            if j > i:
+                rows[side, j:j + chunk] += b.sum(axis=0)
+    sums = rows.sum(axis=1)
+    offsets = rows / n - sums[:, None] / (2 * n * n)
+    stat = var_sum = var_diag = 0.0
+    for i, j in blocks:
+        kc, lc = grams(i, j)
+        for side, b in ((0, kc), (1, lc)):
+            b -= offsets[side, i:i + chunk, None]
+            b -= offsets[side, None, j:j + chunk]
+        prod = np.multiply(kc, lc, out=kc)
+        weight = 1.0 if j == i else 2.0
+        stat += weight * float(prod.sum())
+        np.square(prod, out=prod)
+        var_sum += weight * float(prod.sum())
+        var_diag += float(np.trace(prod)) if j == i else 0.0
+    mu_x, mu_y = (sums - n) / (n * (n - 1))
+    var = (var_sum - var_diag) / (36.0 * n * (n - 1))
+    var *= 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
+    return stat / n, var, mu_x, mu_y
+
+
+def scaled_inputs(x, y):
+    """x and y times sqrt(0.5) / median bandwidth (1 where that is 0), as
+    hsic_statistic hands them to _blockwise_moments."""
+    def bandwidth(w):
+        try:
+            return hsic.median_bandwidth(w)
+        except DegenerateDataError:
+            return 1.0
+    sx, sy = hsic._kernel_scales((bandwidth(x), bandwidth(y)))
+    return x * sx, y * sy
+
+
 class TestMedianBandwidth:
     # n(n-1)/2 pairs is odd for n = 2, 999 and even for n = 4, 1000
     @settings(max_examples=60, deadline=None)
@@ -196,8 +250,9 @@ class TestStatistic:
         assert abs(res.threshold - threshold) <= 1e-9 * abs(threshold)
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
-        # 4 chunks, the last ragged, give 10 blocks: 64 CPUs still make 10 workers
-        n = 3 * hsic._CHUNK + 37
+        # 4 chunks, the last ragged, give 10 blocks: 64 CPUs still make 10
+        # workers; the last chunk's rows are one full strip and a ragged one
+        n = 3 * hsic._CHUNK + hsic._STRIP + 37
         rng = np.random.default_rng(21)
         x = rng.normal(size=n)
         y = np.tanh(x) + 0.3 * rng.normal(size=n)
@@ -224,6 +279,24 @@ class TestStatistic:
             sys.setswitchinterval(interval)
         assert pools == [1, 2, 3, 10]
         assert len(set(results.values())) == 1, results
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(6, 1600), st.sampled_from(sorted(SAMPLES)), st.sampled_from(sorted(SAMPLES)),
+           st.integers(0, 2**32 - 1))
+    @example(6, "normal", "ties", 0)
+    @example(hsic._STRIP, "three_values", "normal", 1)
+    @example(hsic._STRIP + 1, "near_constant", "ties", 2)
+    @example(hsic._CHUNK + 1, "normal", "cubed_uniform", 3)
+    @example(2 * hsic._CHUNK + hsic._STRIP + 37, "ties", "near_constant", 4)
+    @example(1600, "wide_range", "normal", 5)
+    def test_strips_match_whole_blocks(self, n, kind_x, kind_y, seed):
+        # strips change only the order in which block sums are added
+        rng = np.random.default_rng(seed)
+        x, y = SAMPLES[kind_x](rng, n), SAMPLES[kind_y](rng, n)
+        u, v = scaled_inputs(x, y)
+        got = hsic._blockwise_moments(u, v, n)
+        for value, expected in zip(got, whole_block_moments(u, v, n)):
+            assert abs(value - expected) <= 1e-14 * abs(expected)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -357,6 +430,34 @@ class TestLoss:
             sys.setswitchinterval(interval)
         assert pools == [1, 2, 2]  # one worker per kernel side at most
         assert set(results.values()) == {serial_loss_reference(x, y, bw)}
+
+    def test_workspace_gives_the_same_bits(self, monkeypatch):
+        # a minibatch smaller than the workspace uses the front of its
+        # buffers, whatever a larger one left behind; one pool serves all calls
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(300, 1))
+        y = np.tanh(x) + 0.3 * rng.normal(size=(300, 1))
+        pools = []
+
+        class RecordingPool(hsic.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        threads = threading.active_count()
+        expected = {m: hsic.hsic_loss(x[:m], y[:m]) for m in (300, 137, 8)}
+        monkeypatch.setattr(hsic, "ThreadPoolExecutor", RecordingPool)
+        with hsic.LossWorkspace(300) as workspace:
+            for m in (300, 137, 300, 8):
+                value, grad_x, grad_y = hsic.hsic_loss(x[:m], y[:m], workspace=workspace)
+                want = expected[m]
+                assert value.hex() == want[0].hex()
+                assert grad_x.tobytes() == want[1].tobytes()
+                assert grad_y.tobytes() == want[2].tobytes()
+            with pytest.raises(ValueError):
+                hsic.hsic_loss(np.vstack([x, x[:1]]), np.vstack([y, y[:1]]), workspace=workspace)
+        assert len(pools) == 1
+        assert threading.active_count() == threads
 
     def test_minibatch_size_guard(self):
         with pytest.raises(DataError):

@@ -1,8 +1,10 @@
 """Property checks of the lossless round trips the file formats promise:
-matrix CSVs and checkpoints give back the exact bits they were given; a
-truncated or byte-flipped checkpoint is a DataError, and a truncated or
-byte-flipped matrix CSV a DataError or a matrix as wide as its header, never
-another exception."""
+matrix CSVs and checkpoints give back the exact bits they were given, and a
+matrix CSV the column names it was saved with; a truncated or byte-flipped
+checkpoint is a DataError, a truncated or byte-flipped matrix CSV a DataError
+or a matrix as wide as its header, a damaged grid layout a DataError or a
+valid GridLayout, and a damaged run report a dict or one of the errors a
+report reader catches, never another exception."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+from jsonschema import ValidationError
 
 from macrobottle import autodiff as ad
 from macrobottle import dataio
@@ -80,6 +83,87 @@ def test_flipped_matrix_csv_byte_is_data_error_or_a_matrix(matrix, data):
             st.integers(1, 255), label="mask")
         path.write_bytes(bytes(raw))
         _loads_as_wide_as_header_or_data_error(path)
+
+
+# any character, with commas and every line break str.splitlines knows drawn often
+header_names = st.text(st.characters() | st.sampled_from(",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                       max_size=4)
+
+
+@SETTINGS
+@given(finite_matrices, st.data())
+def test_accepted_header_reloads_with_the_same_names_and_rows(matrix, data):
+    header = data.draw(st.lists(header_names, min_size=matrix.shape[1],
+                                max_size=matrix.shape[1]), label="header")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.csv"
+        try:
+            dataio.save_matrix_csv(path, matrix, header)
+        except DataError as err:  # a refusal names the column it refuses
+            assert any(repr(name) in str(err) for name in header)
+            return
+        loaded, names = dataio.load_matrix_csv(path)
+    assert names == header
+    assert loaded.shape == matrix.shape
+    assert loaded.tobytes() == matrix.tobytes()
+
+
+def _damaged(path: Path, data) -> None:
+    """Truncate the file at any byte, or flip the bits of one byte under a
+    non-zero mask."""
+    raw = bytearray(path.read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(raw))
+
+
+layouts = st.builds(dataio.GridLayout, st.integers(1, 10**6), st.integers(1, 10**6),
+                    st.text(max_size=6), st.text(max_size=6))
+
+
+@SETTINGS
+@given(layouts, st.data())
+def test_damaged_layout_is_data_error_or_a_layout(layout, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "layout.json"
+        layout.save(path)
+        _damaged(path, data)
+        try:
+            loaded = dataio.GridLayout.load(path)
+        except DataError:
+            return
+    assert isinstance(loaded, dataio.GridLayout)
+    assert all(type(v) is int and v >= 1 for v in (loaded.rows, loaded.cols))
+    assert all(type(v) is str for v in (loaded.channel_x, loaded.channel_y))
+
+
+reports = st.builds(
+    lambda seed, values, name: dataio.RunReport(
+        seed=seed, config={"beta": 0.01, "name": name},
+        metrics={"informative_x": 2, "informative_y": 1, "ev_y_from_x": values[0],
+                 "ev_x_from_y": values[-1], "cross_ev_y_from_x": None,
+                 "cross_ev_x_from_y": 0.5, "kl_x": values, "kl_y": values[::-1],
+                 "epochs_run": 3},
+        timing_seconds=values[0], loss_history={"recon_x": values}),
+    st.integers(0, 2**32 - 1), st.lists(st.floats(width=64), min_size=1, max_size=4),
+    st.text(max_size=6))
+
+
+@SETTINGS
+@given(reports, st.data())
+def test_damaged_report_is_a_dict_or_a_caught_error(report, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        dataio.save_report(path, report)
+        _damaged(path, data)
+        try:
+            doc = dataio.load_report(path)
+        except (ValueError, ValidationError):  # JSON and UTF-8 errors are ValueErrors
+            return
+    assert isinstance(doc, dict)
 
 
 @SETTINGS
