@@ -23,7 +23,6 @@ noiseless encoder means.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -147,11 +146,7 @@ class CaeModel:
     def save(self, dirpath) -> None:
         arrays = self.store.arrays()
         if self.stats is not None:
-            dx = self.stats.split_point
-            arrays.update({"norm.x_mean": self.stats.means[:dx],
-                           "norm.x_std": self.stats.stds[:dx],
-                           "norm.y_mean": self.stats.means[dx:],
-                           "norm.y_std": self.stats.stds[dx:]})
+            arrays.update({f"norm.{name}": a for name, a in vars(self.stats).items()})
         extra = {
             "kind": "cae",
             "config": self.config.to_dict(),
@@ -174,10 +169,8 @@ class CaeModel:
         model.store.load_arrays(arrays)
         if norm:
             try:
-                model.stats = ColumnStats(
-                    means=np.concatenate([norm["x_mean"], norm["y_mean"]]),
-                    stds=np.concatenate([norm["x_std"], norm["y_std"]]),
-                    split_point=len(norm["x_mean"]))
+                model.stats = ColumnStats(norm["x_mean"], norm["x_std"],
+                                          norm["y_mean"], norm["y_std"])
             except KeyError as err:
                 raise DataError(f"checkpoint at {dirpath} lacks norm.{err.args[0]}") from err
         return model
@@ -380,7 +373,10 @@ def evaluate_model(model: CaeModel, x: np.ndarray,
 class TrainHistory:
     terms: dict[str, list[float]] = field(default_factory=lambda: {n: [] for n in TERM_NAMES})
     val: list[dict] = field(default_factory=list)
-    epochs_run: int = 0
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.val)  # one validation per epoch
 
 
 def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHistory]:
@@ -427,18 +423,6 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
         for k in TERM_NAMES:
             history.terms[k].append(sums[k] / n_batches)
         history.val.append(evaluate_model(model, x_val, y_val)[0])
-        history.epochs_run = epoch + 1
 
     return model, history
 
-
-def extract_macrovariables(model: CaeModel, inputs_x: np.ndarray,
-                           inputs_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Noiseless bottleneck means restricted to indices informative on both
-    sides of the given inputs, so column i of the first matrix
-    cross-predicts column i of the second."""
-    enc = encode_block(model, inputs_x, inputs_y)
-    paired = enc.paired
-    if len(paired) == 0:
-        warnings.warn("no informative bottleneck pair; returning empty macrovariables")
-    return enc.mu_x[:, paired], enc.mu_y[:, paired]

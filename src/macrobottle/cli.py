@@ -89,14 +89,8 @@ def cmd_gen(args) -> int:
         if not (np.array_equal(x, pair.x) and np.array_equal(y, pair.y)
                 and np.array_equal(truth, expected)):
             raise NumericalError(f"the files in {out} differ from the generated data")
-        v = dict(zip(names, truth.T))  # the reloaded latents and noises
-        if args.scenario == "main":
-            ok = (np.array_equal(v["x1"], v["c1"] + v["n_x1"])
-                  and np.array_equal(v["y1"], v["c1"] ** 3 + v["n_y1"])
-                  and np.array_equal(v["y2"], np.tanh(v["x2"]) + v["n_y2"]))
-        else:
-            ok = np.array_equal(v["y1"], v["x1"] ** 2)
-        if not ok:
+        columns = dict(zip(names, truth.T))  # the reloaded latents and noises
+        if not datagen.equations_hold(args.scenario, columns):
             raise NumericalError("structural-equation verification failed")
         print("written files and structural equations verified")
     print(f"wrote {pair.n} samples to {out}")

@@ -5,12 +5,15 @@ common cause and one directed edge:
 
     x1 = c1 + n_x1        y1 = c1^3 + n_y1        y2 = tanh(x2) + n_y2
 
-with c1, x2 uniform on [-1, 1] and the noises uniform on [-0.2, 0.2], all
-mutually independent. Samples are embedded as 8x8 grey-scale images: every
-pixel of the left/right half of X takes the value x1/x2, every pixel of the
-top/bottom half of Y takes y1/y2, then i.i.d. uniform pixel noise on
-[-0.2, 0.2] is added. The asymmetric scenario has a single macrovariable per
-side with y1 = x1^2 exactly, each spread over the whole image.
+with c1, x2 uniform on [-1, 1] and the noises uniform on [-0.2, 0.2]
+(EQUATION_NOISE), all mutually independent. Samples are embedded as 8x8
+grey-scale images: every pixel of the left/right half of X takes the value
+x1/x2, every pixel of the top/bottom half of Y takes y1/y2, then i.i.d.
+uniform pixel noise on [-0.2, 0.2] (IMAGE_NOISE) is added. The asymmetric
+scenario has a single macrovariable per side with y1 = x1^2 exactly, each
+spread over the whole image. Each scenario's structural equations are
+written once, for its generator and for equations_hold, which checks them on
+saved columns.
 """
 
 from __future__ import annotations
@@ -19,13 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError
 
 IMAGE_SIDE = 8
 IMAGE_DIM = IMAGE_SIDE * IMAGE_SIDE
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, val, test
+
+EQUATION_NOISE = 0.2  # half-width of the uniform noises n_x1, n_y1, n_y2
+IMAGE_NOISE = 0.2  # half-width of the uniform noise added to every pixel
 
 _SPLIT_SALT = 0x53504C49
 
@@ -100,69 +106,62 @@ def _embed_halves(left: np.ndarray, right: np.ndarray, by_rows: bool) -> np.ndar
     return img.reshape(n, IMAGE_DIM)
 
 
-def gen_main_synthetic(n: int, seed: int, structural_noise: float = 0.2,
-                       pixel_noise: float = 0.2) -> DatasetPair:
+def _main_equations(v: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {"x1": v["c1"] + v["n_x1"], "y1": v["c1"] ** 3 + v["n_y1"],
+            "y2": np.tanh(v["x2"]) + v["n_y2"]}
+
+
+def _asymmetric_equations(v: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {"y1": v["x1"] ** 2}
+
+
+# per scenario: the latents its structural equations derive from the columns
+# of the other latents and the noises, by name
+_EQUATIONS = {"main": _main_equations, "asymmetric": _asymmetric_equations}
+
+
+def equations_hold(model: str, columns: dict[str, np.ndarray]) -> bool:
+    """Whether named latent and noise columns satisfy the scenario's
+    structural equations bit for bit."""
+    derived = _EQUATIONS[model](columns)
+    return all(np.array_equal(columns[name], value) for name, value in derived.items())
+
+
+def gen_main_synthetic(n: int, seed: int) -> DatasetPair:
     """Common-cause pair (x1, y1) plus directed pair x2 -> y2, embedded in
-    8x8 images. Noise amplitudes are exposed so tests can switch them off."""
+    8x8 images."""
     if n < 1:
         raise DataError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    c1 = rng.uniform(-1.0, 1.0, n)
-    x2 = rng.uniform(-1.0, 1.0, n)
-    n_x1 = rng.uniform(-structural_noise, structural_noise, n)
-    n_y1 = rng.uniform(-structural_noise, structural_noise, n)
-    n_y2 = rng.uniform(-structural_noise, structural_noise, n)
-    x1 = c1 + n_x1
-    y1 = c1 ** 3 + n_y1
-    y2 = np.tanh(x2) + n_y2
+    v = {"c1": rng.uniform(-1.0, 1.0, n), "x2": rng.uniform(-1.0, 1.0, n)}
+    noises = {name: rng.uniform(-EQUATION_NOISE, EQUATION_NOISE, n)
+              for name in ("n_x1", "n_y1", "n_y2")}
+    v.update(noises)
+    v.update(_main_equations(v))
 
-    x = _embed_halves(x1, x2, by_rows=False)
-    y = _embed_halves(y1, y2, by_rows=True)
-    x += rng.uniform(-pixel_noise, pixel_noise, x.shape)
-    y += rng.uniform(-pixel_noise, pixel_noise, y.shape)
+    x = _embed_halves(v["x1"], v["x2"], by_rows=False)
+    y = _embed_halves(v["y1"], v["y2"], by_rows=True)
+    x += rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, x.shape)
+    y += rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, y.shape)
 
-    truth = GroundTruth(
-        model="main",
-        latents={"c1": c1, "x1": x1, "x2": x2, "y1": y1, "y2": y2},
-        noises={"n_x1": n_x1, "n_y1": n_y1, "n_y2": n_y2},
-    )
+    latents = {name: v[name] for name in ("c1", "x1", "x2", "y1", "y2")}
+    truth = GroundTruth(model="main", latents=latents, noises=noises)
     return DatasetPair(x, y, assign_splits(n, seed), truth)
 
 
-def gen_asymmetric(n: int, seed: int, pixel_noise: float = 0.2) -> DatasetPair:
+def gen_asymmetric(n: int, seed: int) -> DatasetPair:
     """One macrovariable per side with y1 = x1^2 exactly; x1 is spread over
     all of X and y1 over all of Y, so each macrovariable is the image mean."""
     if n < 1:
         raise DataError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    x1 = rng.uniform(-1.0, 1.0, n)
-    y1 = x1 ** 2
+    latents = {"x1": rng.uniform(-1.0, 1.0, n)}
+    latents.update(_asymmetric_equations(latents))
 
-    x = np.repeat(x1[:, None], IMAGE_DIM, axis=1)
-    y = np.repeat(y1[:, None], IMAGE_DIM, axis=1)
-    x = x + rng.uniform(-pixel_noise, pixel_noise, x.shape)
-    y = y + rng.uniform(-pixel_noise, pixel_noise, y.shape)
+    x = np.repeat(latents["x1"][:, None], IMAGE_DIM, axis=1)
+    y = np.repeat(latents["y1"][:, None], IMAGE_DIM, axis=1)
+    x = x + rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, x.shape)
+    y = y + rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, y.shape)
 
-    truth = GroundTruth(model="asymmetric", latents={"x1": x1, "y1": y1})
+    truth = GroundTruth(model="asymmetric", latents=latents)
     return DatasetPair(x, y, assign_splits(n, seed), truth)
-
-
-def macro_readout(pair: DatasetPair) -> tuple[np.ndarray, np.ndarray]:
-    """Half-average readouts: per-sample (x1, x2) from the left/right halves
-    of X and (y1, y2) from the top/bottom halves of Y."""
-    if pair.x.shape[1] != IMAGE_DIM or pair.y.shape[1] != IMAGE_DIM:
-        raise DimensionError(
-            f"macro_readout expects {IMAGE_DIM}-dimensional samples, got "
-            f"dX={pair.x.shape[1]}, dY={pair.y.shape[1]}")
-    half = IMAGE_SIDE // 2
-    ximg = pair.x.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    yimg = pair.y.reshape(-1, IMAGE_SIDE, IMAGE_SIDE)
-    x_read = np.column_stack([
-        ximg[:, :, :half].mean(axis=(1, 2)),
-        ximg[:, :, half:].mean(axis=(1, 2)),
-    ])
-    y_read = np.column_stack([
-        yimg[:, :half, :].mean(axis=(1, 2)),
-        yimg[:, half:, :].mean(axis=(1, 2)),
-    ])
-    return x_read, y_read

@@ -40,12 +40,15 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
     writes, formatting and writing _SAVE_BLOCK_ROWS rows at a time. Column
     names that load_matrix_csv could not give back raise DataError: one that
     holds a comma or a line break, or a lone empty name, whose empty header
-    line a reload would read as the first data row."""
+    line a reload would read as the first data row. So does a matrix with no
+    columns, whose rows would be blank lines that a reload skips."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError("save_matrix_csv expects a 2-D matrix")
     if not np.all(np.isfinite(matrix)):
         raise DataError("refusing to serialize non-finite values")
+    if matrix.shape[1] == 0:
+        raise DataError("refusing to serialize a matrix with no columns")
     if header is None:
         header = [f"c{j}" for j in range(matrix.shape[1])]
     if len(header) != matrix.shape[1]:
@@ -191,16 +194,28 @@ class JsonConfig:
 
 @dataclass
 class ColumnStats:
-    means: np.ndarray
-    stds: np.ndarray
-    split_point: int  # X columns come first
+    """Per-column centers and scales of each side, as checkpoints store them."""
+
+    x_mean: np.ndarray
+    x_std: np.ndarray
+    y_mean: np.ndarray
+    y_std: np.ndarray
 
     def apply(self, pair: DatasetPair) -> DatasetPair:
         """The pair centered and scaled column by column."""
-        dx = self.split_point
-        x = (pair.x - self.means[:dx]) / self.stds[:dx]
-        y = (pair.y - self.means[dx:]) / self.stds[dx:]
+        x = (pair.x - self.x_mean) / self.x_std
+        y = (pair.y - self.y_mean) / self.y_std
         return DatasetPair(x, y, pair.split, pair.ground_truth)
+
+
+def _center_scale(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and stds of ref; a zero-variance column gets 0 and 1."""
+    means = ref.mean(axis=0)
+    stds = ref.std(axis=0)
+    constant = stds == 0.0
+    means[constant] = 0.0
+    stds[constant] = 1.0
+    return means, stds
 
 
 def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
@@ -212,14 +227,7 @@ def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
             raise DataError("standardize needs a non-empty train split")
     else:
         ref_rows = np.arange(pair.n)
-    joined = np.hstack([pair.x, pair.y])
-    ref = joined[ref_rows]
-    means = ref.mean(axis=0)
-    stds = ref.std(axis=0)
-    constant = stds == 0.0
-    means[constant] = 0.0
-    stds[constant] = 1.0
-    stats = ColumnStats(means=means, stds=stds, split_point=pair.x.shape[1])
+    stats = ColumnStats(*_center_scale(pair.x[ref_rows]), *_center_scale(pair.y[ref_rows]))
     return stats.apply(pair), stats
 
 

@@ -113,11 +113,6 @@ class HsicResult:
     n: int
     alpha: float
 
-    @property
-    def rejected(self) -> bool:
-        """True when the independence hypothesis is rejected."""
-        return self.statistic >= self.threshold
-
 
 _CHUNK = 512  # Gram blocks are _CHUNK x _CHUNK
 _STRIP = 128  # rows per strip: a worker's two strip buffers (0.5 MB each) stay in its L2

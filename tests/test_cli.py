@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from macrobottle import autodiff as ad
-from macrobottle import anm, cli, dataio
+from macrobottle import anm, cli, datagen, dataio
 from macrobottle.errors import NumericalError
 
 
@@ -56,6 +56,25 @@ class TestGen:
         code = run(["gen", "--n", "60", "--seed", "2", "--out", str(tmp_path / "d"),
                     "--verify"])
         assert code == cli.EXIT_NUMERIC
+
+    @pytest.mark.parametrize("scenario, name, latent", [
+        ("main", "gen_main_synthetic", "y2"), ("asymmetric", "gen_asymmetric", "y1")])
+    def test_verify_checks_the_structural_equations(self, scenario, name, latent,
+                                                     tmp_path, monkeypatch, capsys):
+        # the files hold what was generated, but one effect is a bit off
+        gen = getattr(datagen, name)
+
+        def off_by_one_bit(n, seed):
+            pair = gen(n, seed)
+            column = pair.ground_truth.latents[latent]
+            column[7] = np.nextafter(column[7], np.inf)
+            return pair
+
+        monkeypatch.setattr(datagen, name, off_by_one_bit)
+        code = run(["gen", "--scenario", scenario, "--n", "60", "--seed", "2",
+                    "--out", str(tmp_path / "d"), "--verify"])
+        assert code == cli.EXIT_NUMERIC
+        assert "structural-equation verification failed" in capsys.readouterr().err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "99")

@@ -7,7 +7,16 @@ import pytest
 from scipy.stats import kstest
 
 from macrobottle import datagen
-from macrobottle.errors import DataError, DimensionError
+from macrobottle.errors import DataError
+
+
+def _halves(data, by_rows):
+    """The 32 pixels of each half of every 8x8 sample, as two (n, 32) arrays:
+    left/right halves, or top/bottom halves by rows."""
+    img = data.reshape(-1, 8, 8)
+    if by_rows:
+        img = img.transpose(0, 2, 1)
+    return img[:, :, :4].reshape(-1, 32), img[:, :, 4:].reshape(-1, 32)
 
 
 class TestMainSynthetic:
@@ -21,14 +30,24 @@ class TestMainSynthetic:
 
     def test_half_average_recovers_latents_within_pixel_noise(self):
         pair = datagen.gen_main_synthetic(2000, seed=1)
-        x_read, y_read = datagen.macro_readout(pair)
+        halves = [*_halves(pair.x, by_rows=False), *_halves(pair.y, by_rows=True)]
         gt = pair.ground_truth.latents
         # mean of 32 iid U(-0.2, 0.2) pixels has std ~= 0.0204
-        for read, key in ((x_read[:, 0], "x1"), (x_read[:, 1], "x2"),
-                          (y_read[:, 0], "y1"), (y_read[:, 1], "y2")):
-            diff = read - gt[key]
+        for pixels, key in zip(halves, ("x1", "x2", "y1", "y2")):
+            diff = pixels.mean(axis=1) - gt[key]
             assert np.abs(diff).max() < 0.12
             assert abs(diff.std() - 0.0204) < 0.004
+
+    def test_every_pixel_within_image_noise_of_its_latent(self):
+        pair = datagen.gen_main_synthetic(2000, seed=8)
+        lat = pair.ground_truth.latents
+        # X: left half x1, right half x2; Y: top half y1, bottom half y2
+        for data, by_rows, keys in ((pair.x, False, ("x1", "x2")),
+                                    (pair.y, True, ("y1", "y2"))):
+            for pixels, key in zip(_halves(data, by_rows), keys):
+                diff = np.abs(pixels - lat[key][:, None])
+                assert diff.max() <= datagen.IMAGE_NOISE
+                assert diff.max() > 0.99 * datagen.IMAGE_NOISE  # the noise is there
 
     def test_structural_equations_hold_exactly(self):
         pair = datagen.gen_main_synthetic(500, seed=2)
@@ -37,6 +56,19 @@ class TestMainSynthetic:
         assert np.array_equal(lat["x1"], lat["c1"] + noi["n_x1"])
         assert np.array_equal(lat["y1"], lat["c1"] ** 3 + noi["n_y1"])
         assert np.array_equal(lat["y2"], np.tanh(lat["x2"]) + noi["n_y2"])
+        for draws in noi.values():
+            assert np.abs(draws).max() <= datagen.EQUATION_NOISE
+
+    @pytest.mark.parametrize("key", ["x1", "y1", "y2"])
+    def test_equations_hold_detects_one_changed_bit(self, key):
+        # one ulp of an effect always breaks its equation; of a cause or a
+        # noise it can round away
+        truth = datagen.gen_main_synthetic(200, seed=9).ground_truth
+        columns = dict(zip(truth.column_names(), truth.as_matrix().T))
+        assert datagen.equations_hold("main", columns)
+        columns[key] = columns[key].copy()
+        columns[key][17] = np.nextafter(columns[key][17], np.inf)
+        assert not datagen.equations_hold("main", columns)
 
     def test_latent_correlations(self):
         pair = datagen.gen_main_synthetic(100_000, seed=3)
@@ -44,15 +76,6 @@ class TestMainSynthetic:
         assert np.corrcoef(lat["x1"], lat["y1"])[0, 1] > 0.8
         resid = lat["y2"] - np.tanh(lat["x2"])
         assert abs(np.corrcoef(lat["x2"], resid)[0, 1]) < 0.02
-
-    def test_zero_noise_variant(self):
-        pair = datagen.gen_main_synthetic(100, seed=4, structural_noise=0.0,
-                                          pixel_noise=0.0)
-        lat = pair.ground_truth.latents
-        assert np.array_equal(lat["y2"], np.tanh(lat["x2"]))
-        x_read, y_read = datagen.macro_readout(pair)
-        assert np.abs(x_read[:, 0] - lat["x1"]).max() < 1e-12
-        assert np.abs(y_read[:, 1] - lat["y2"]).max() < 1e-12
 
     def test_latent_marginals_uniform(self):
         pair = datagen.gen_main_synthetic(100_000, seed=5)
@@ -86,6 +109,9 @@ class TestAsymmetric:
         pair = datagen.gen_asymmetric(300, seed=0)
         lat = pair.ground_truth.latents
         assert np.array_equal(lat["y1"], lat["x1"] ** 2)
+        assert datagen.equations_hold("asymmetric", lat)
+        lat["y1"][5] = np.nextafter(lat["y1"][5], np.inf)
+        assert not datagen.equations_hold("asymmetric", lat)
 
     def test_sign_uniform_conditional_on_y(self):
         pair = datagen.gen_asymmetric(100_000, seed=1)
@@ -103,34 +129,12 @@ class TestAsymmetric:
         assert abs(pair.ground_truth.latents["x1"].mean()) < 0.02
 
     def test_micro_embedding_is_whole_image(self):
-        pair = datagen.gen_asymmetric(200, seed=3, pixel_noise=0.0)
+        pair = datagen.gen_asymmetric(2000, seed=3)
         lat = pair.ground_truth.latents
-        assert np.abs(pair.x - lat["x1"][:, None]).max() == 0.0
-        assert np.abs(pair.y - lat["y1"][:, None]).max() == 0.0
-
-
-class TestMacroReadout:
-    def test_constant_image(self):
-        x = np.full((3, 64), 2.5)
-        y = np.zeros((3, 64))
-        pair = datagen.DatasetPair(x, y)
-        x_read, y_read = datagen.macro_readout(pair)
-        assert np.array_equal(x_read, np.full((3, 2), 2.5))
-        assert np.array_equal(y_read, np.zeros((3, 2)))
-
-    def test_half_structure_row_major(self):
-        # left half = columns 0..3 of each 8-pixel row; top half = rows 0..3
-        img = np.zeros((1, 8, 8))
-        img[0, :, :4] = 1.0  # left
-        pair = datagen.DatasetPair(img.reshape(1, 64), img.reshape(1, 64))
-        x_read, y_read = datagen.macro_readout(pair)
-        assert x_read[0, 0] == 1.0 and x_read[0, 1] == 0.0
-        assert y_read[0, 0] == 0.5 and y_read[0, 1] == 0.5
-
-    def test_wrong_dimensionality(self):
-        pair = datagen.DatasetPair(np.zeros((2, 10)), np.zeros((2, 64)))
-        with pytest.raises(DimensionError):
-            datagen.macro_readout(pair)
+        for data, key in ((pair.x, "x1"), (pair.y, "y1")):
+            diff = np.abs(data - lat[key][:, None])
+            assert diff.max() <= datagen.IMAGE_NOISE
+            assert diff.max() > 0.99 * datagen.IMAGE_NOISE  # the noise is there
 
 
 class TestSplits:

@@ -96,6 +96,13 @@ class TestMatrixCsv:
         assert repr(bad) in str(exc.value)
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_matrix_without_columns_is_data_error(self, tmp_path, rows):
+        # its rows would be blank lines, and a reload finds no data rows
+        with pytest.raises(DataError, match="no columns"):
+            dataio.save_matrix_csv(tmp_path / "m.csv", np.zeros((rows, 0)))
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
     @pytest.mark.parametrize("cols", [1, 64])
     @pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 513])
@@ -181,17 +188,28 @@ class TestStandardize:
         x[:, 1] = 7.0
         pair = datagen.DatasetPair(x, rng.normal(size=(100, 2)))
         out, stats = dataio.standardize(pair)
-        assert stats.means[1] == 0.0 and stats.stds[1] == 1.0
+        assert stats.x_mean[1] == 0.0 and stats.x_std[1] == 1.0
         assert np.array_equal(out.x[:, 1], x[:, 1])
 
     def test_inverse_recovers_originals(self):
         pair = datagen.gen_main_synthetic(200, seed=2)
         out, stats = dataio.standardize(pair)
-        dx = stats.split_point
-        rx = out.x * stats.stds[:dx] + stats.means[:dx]
-        ry = out.y * stats.stds[dx:] + stats.means[dx:]
+        rx = out.x * stats.x_std + stats.x_mean
+        ry = out.y * stats.y_std + stats.y_mean
         assert np.abs(rx - pair.x).max() < 1e-12
         assert np.abs(ry - pair.y).max() < 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sides_give_the_bits_of_the_joined_columns(self, seed):
+        # statistics of X and Y apart equal those of the columns of [X | Y]
+        pair = datagen.gen_main_synthetic(2000, seed=seed)
+        pair.y = pair.y[:, :10]  # sides of different widths
+        _, stats = dataio.standardize(pair)
+        joined = np.hstack([pair.x, pair.y])[pair.rows(datagen.TRAIN)]
+        assert np.array_equal(np.concatenate([stats.x_mean, stats.y_mean]),
+                              joined.mean(axis=0))
+        assert np.array_equal(np.concatenate([stats.x_std, stats.y_std]),
+                              joined.std(axis=0))
 
     def test_train_split_statistics_used(self):
         pair = datagen.gen_main_synthetic(1000, seed=3)
