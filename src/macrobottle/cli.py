@@ -113,14 +113,15 @@ def _load_dataset(data_dir: Path, model: cae.CaeModel) -> datagen.DatasetPair:
     return model.stats.apply(pair) if model.stats is not None else pair
 
 
-def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair, epochs_run: int):
+def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair):
     """Report metrics and pair-table rows on the TEST rows of a pair in the
     model's units, plus the encoding behind them. This is where `train`,
-    `inspect` and `direction` choose the informative pairs."""
+    `inspect` and `direction` choose the informative pairs. Training runs
+    every configured epoch, so epochs_run is the model's config.epochs."""
     te = pair.rows(datagen.TEST)
     final, rows, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
     final.pop("val_loss")
-    final["epochs_run"] = epochs_run
+    final["epochs_run"] = model.config.epochs
     return final, rows, enc
 
 
@@ -136,7 +137,7 @@ def _run_cell(x: np.ndarray, y: np.ndarray, config: cae.CaeConfig, cell_dir: str
         with open(cell / "error.txt", "w", encoding="utf-8") as fh:
             fh.write(str(err))
         return {"beta": config.beta, "gamma": config.gamma, "failed": str(err)}
-    final, table_rows, _ = _test_report(model, model.stats.apply(pair), history.epochs_run)
+    final, table_rows, _ = _test_report(model, model.stats.apply(pair))
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
@@ -246,7 +247,7 @@ def cmd_direction(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     model = cae.CaeModel.load(args.checkpoint)
     pair = _load_dataset(Path(args.data), model)
-    final, rows, enc = _test_report(model, pair, epochs_run=0)
+    final, rows, enc = _test_report(model, pair)
     paired = enc.paired
     if len(paired) == 0:
         print("no informative macrovariable pair detected; nothing to analyze")
@@ -298,7 +299,7 @@ def cmd_inspect(args) -> int:
     else:
         layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
 
-    final, rows, enc = _test_report(model, pair, epochs_run=0)
+    final, rows, enc = _test_report(model, pair)
     k = args.k or max(1, pair.n // 50)
     for side, data, half, mask in (("x", pair.x, model.net_x, enc.mask_x),
                                    ("y", pair.y, model.net_y, enc.mask_y)):

@@ -2,8 +2,10 @@
 
 Matrices travel as comma-separated files with one header row and decimal
 values printed at 17 significant digits, which round-trips float64 exactly.
-Loading parses the lines after the header in one pass of numpy's C parser.
-When that pass fails, or yields the wrong shape or a non-finite value, the
+Loading reads the file in blocks of about 1 MB of text and parses each with
+numpy's C parser, so it holds the matrix and one block, not the whole text.
+When a block fails, or yields the wrong shape or a non-finite value, or a
+line holds a character the two parsers split or strip differently, the
 lines go one at a time through float(): that loop defines what a file may
 hold and raises the ParseError that names the first bad line. Run reports
 are JSON documents validated against a published schema; every float in a
@@ -68,8 +70,24 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+_LOAD_BLOCK_CHARS = 1 << 20  # readlines hint: about 1 MB of text per parsed block
+# characters that str.splitlines breaks a line on and file iteration does
+# not, and U+001F, which numpy strips around a number and float() does not
+_LINE_PATH_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
 def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
+    """The matrix and header of a file save_matrix_csv writes. The C parser
+    reads it block by block (_load_blocks); any file that path does not take
+    goes line by line through _parse_lines, which defines what a file may
+    hold and raises the ParseError that names the first bad line."""
     path = Path(path)
+    try:
+        loaded = _load_blocks(path)
+    except ValueError:  # UnicodeDecodeError included
+        loaded = None
+    if loaded is not None:
+        return loaded
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -79,19 +97,36 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
     if not lines:
         raise ParseError(f"{path}: empty file", str(path), 1)
     header = lines[0].split(",")
-    body = [line for line in lines[1:] if line.strip()]
-    # numpy strips U+001F around a number and float() does not; no other
-    # character that survives splitlines parses differently
-    if body and "\x1f" not in text:
-        try:
-            matrix = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
-                                quotechar=None, ndmin=2)
-        except ValueError:
-            pass
-        else:
-            if matrix.shape == (len(body), len(header)) and np.isfinite(matrix).all():
-                return matrix, header
     return _parse_lines(path, lines[1:], len(header)), header
+
+
+def _load_blocks(path: Path) -> tuple[np.ndarray, list[str]] | None:
+    """The matrix and header, the non-blank lines after the header parsed by
+    numpy's C parser in blocks of about _LOAD_BLOCK_CHARS characters; None
+    unless there is a data line, every block parses to a finite (lines x
+    header width) array, and no line holds one of _LINE_PATH_CHARS."""
+
+    def line_path_text(text: str) -> bool:
+        return any(c in text for c in _LINE_PATH_CHARS)
+
+    with open(path, encoding="utf-8") as fh:
+        head = fh.readline()
+        if line_path_text(head):
+            return None
+        header = head.removesuffix("\n").split(",")
+        blocks = []
+        while lines := fh.readlines(_LOAD_BLOCK_CHARS):
+            if line_path_text("".join(lines)):
+                return None
+            body = [line for line in lines if line.strip()]
+            if not body:
+                continue
+            block = np.loadtxt(body, dtype=np.float64, delimiter=",", comments=None,
+                               quotechar=None, ndmin=2)
+            if block.shape != (len(body), len(header)) or not np.isfinite(block).all():
+                return None
+            blocks.append(block)
+    return (np.concatenate(blocks), header) if blocks else None
 
 
 def _parse_lines(path: Path, lines: list[str], ncols: int) -> np.ndarray:

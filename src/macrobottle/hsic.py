@@ -10,12 +10,12 @@ strips small enough for a core's L2 cache; adding up strip sums instead of
 whole-block sums changes only the addition order, within 1e-14 relative of
 the whole-block result. The same statistic, built with
 the same kernel code (_gram), serves as a training loss with an analytic
-gradient, its two kernel sides computed on up to two threads; a training
-loop keeps one LossWorkspace (that pool and the four Gram buffers) for all
-its steps. Bandwidths are set by the median heuristic, an exact selection of
-the median pairwise distance, and treated as constants. Statistic, loss and
-bandwidths are the same bits for any number of CPUs, and the loss the same
-bits with or without a workspace.
+gradient, computed on up to two threads; a training loop keeps one
+LossWorkspace (that pool, the two Gram buffers and the threads' strip
+buffers) for all its steps. Bandwidths are set by the median heuristic, an
+exact selection of the median pairwise distance, and treated as constants.
+Statistic, loss and bandwidths are the same bits for any number of CPUs, and
+the loss the same bits with or without a workspace.
 """
 
 from __future__ import annotations
@@ -255,19 +255,26 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                       bandwidths=bandwidths, n=n, alpha=alpha)
 
 
+_LOSS_STRIP = 64  # rows per loss strip: a worker's two strip buffers are 0.5 MB each at n = 1000
+
+
 class LossWorkspace:
     """What hsic_loss reuses from step to step of one fit: a thread pool of
-    up to two workers, one per kernel side and no more than the affinity
-    mask's CPUs, and four n x n buffers for minibatches of up to n points.
-    The buffers are allocated on the thread that makes the workspace, so they
+    up to two workers, no more than the affinity mask's CPUs; two n x n
+    buffers, K and L, for minibatches of up to n points; and two strip
+    buffers of _LOSS_STRIP rows per worker, where centred rows live. All
+    buffers are allocated on the thread that makes the workspace, so they
     go back to the heap its later allocations draw from (freed in a worker,
     they raised the process's peak memory). Leaving its with block shuts the
     pool down."""
 
     def __init__(self, n: int):
         self.n = n
-        self._buffers = [np.empty(n * n) for _ in range(4)]
-        self.pool = ThreadPoolExecutor(_worker_count(2))
+        self.workers = _worker_count(2)
+        self._grams = [np.empty(n * n) for _ in range(2)]
+        strip = min(_LOSS_STRIP, n) * n
+        self._strips = [(np.empty(strip), np.empty(strip)) for _ in range(self.workers)]
+        self.pool = ThreadPoolExecutor(self.workers)
 
     def __enter__(self) -> "LossWorkspace":
         return self
@@ -278,29 +285,47 @@ class LossWorkspace:
     def loss(self, u: np.ndarray, v: np.ndarray, scales: list[float]
              ) -> tuple[float, np.ndarray, np.ndarray]:
         """hsic_loss of inputs already scaled by scales, in contiguous m x m
-        views of the buffers' first m * m entries; a worker writes only its
-        own side's buffers."""
+        views of the Gram buffers' first m * m entries. Each side's worker
+        builds its Gram in strips and takes its row sums; then the workers
+        split the row strips, each writing only its own rows of K and L and
+        its own strip buffers; then each side's worker takes its gradient
+        from the whole product in its buffer, whose matrix-vector product
+        would differ in the last bits if taken strip by strip."""
         n = u.size
         if n > self.n:
             raise ValueError(f"a minibatch of {n} does not fit a workspace for {self.n}")
-        k, kc, l, lc = (b[:n * n].reshape(n, n) for b in self._buffers)
+        k, l = (b[:n * n].reshape(n, n) for b in self._grams)
+        strip = min(_LOSS_STRIP, n)
+        row_sums = np.empty((2, n))
 
-        def centre(w, k, kc):
-            _gram(w, w, k)
-            offset = k.mean(axis=1) - k.mean() / 2  # Kc = K - offset_i - offset_j
-            np.subtract(k, offset[:, None], out=kc)
-            kc -= offset[None, :]
+        def offsets(w, gram, sums):
+            for r in range(0, n, strip):
+                np.sum(_gram(w[r:r + strip], w, gram[r:r + strip]), axis=1, out=sums[r:r + strip])
+            return sums / n - gram.mean() / 2  # Kc = K - offset_i - offset_j
 
-        def gradient(w, gram, other_centred, scale):
+        off_k, off_l = self.pool.map(offsets, (u, v), (k, l), row_sums)
+
+        def products(worker):
+            # K o Lc goes into K's rows and L o Kc into L's, once a strip holds
+            # both sides' centred rows
+            kc_buf, lc_buf = self._strips[worker]
+            for r in range(worker * strip, n, self.workers * strip):
+                s = slice(r, min(r + strip, n))
+                kc, lc = (b[:(s.stop - r) * n].reshape(-1, n) for b in (kc_buf, lc_buf))
+                for gram, off, c in ((k, off_k, kc), (l, off_l, lc)):
+                    np.subtract(gram[s], off[s, None], out=c)
+                    c -= off[None, :]
+                np.multiply(k[s], lc, out=k[s])
+                np.multiply(l[s], kc, out=l[s])
+
+        def gradient(w, m, scale):
             # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
-            # for x and m = L o Kc for y, then the chain through the scale; each m
-            # is built in its Gram's own buffer
-            m = np.multiply(gram, other_centred, out=gram)
-            return m, (-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
+            # for x and m = L o Kc for y, then the chain through the scale
+            return (-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
 
-        list(self.pool.map(centre, (u, v), (k, l), (kc, lc)))
-        (_, grad_x), (m_y, grad_y) = self.pool.map(gradient, (u, v), (k, l), (lc, kc), scales)
-        return float(m_y.sum() / n), grad_x, grad_y
+        list(self.pool.map(products, range(self.workers)))
+        grad_x, grad_y = self.pool.map(gradient, (u, v), (k, l), scales)
+        return float(l.sum() / n), grad_x, grad_y
 
 
 def hsic_loss(x: np.ndarray, y: np.ndarray,
@@ -313,12 +338,13 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     Bandwidths default to the median heuristic on the current values and are
     excluded from differentiation; a degenerate (constant) input falls back
     to bandwidth 1, where the centered statistic is 0 anyway. They are
-    computed on the calling thread. Each side's dense Gram, its centring and
-    then its gradient run on the thread pool of a LossWorkspace: the one
-    given, which a training loop keeps for all its steps, or one made for
-    this call. Every step is the same numpy operation on the same data in any
-    case, so the value and gradients are the same bits for any worker count,
-    with or without a workspace.
+    computed on the calling thread. The Grams, their centring and the
+    gradients run on the thread pool of a LossWorkspace: the one given,
+    which a training loop keeps for all its steps, or one made for this
+    call. Elementwise steps and row sums give an entry the same bits in any
+    strip, and means, sums and matrix-vector products are taken over whole
+    buffers, so the value and gradients are the same bits for any worker
+    count, with or without a workspace.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -313,6 +313,8 @@ class TestDirection:
         assert [v["pair_index"] for v in directed["verdicts"]] == paired
         for key in ("kl_x", "kl_y", "informative_x", "informative_y"):
             assert directed["metrics"][key] == inspected["metrics"][key], key
+        epochs = json.loads(tiny_run["config"].read_text())["epochs"]  # the checkpoint's
+        assert inspected["metrics"]["epochs_run"] == directed["metrics"]["epochs_run"] == epochs
         assert directed["timing_seconds"] > 0
 
     @pytest.mark.parametrize("failure", ["fit-diverges", "constant-transform"])

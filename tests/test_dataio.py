@@ -2,13 +2,56 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from macrobottle import anm, dataio, datagen
 from macrobottle.errors import DataError, ParseError
+
+
+# numbers as they are written, and tokens that float() and numpy's parser
+# read differently: float() alone takes 1_0 and Arabic-Indic digits, numpy
+# alone strips U+001F and the line breaks of str.splitlines that file
+# iteration does not break on
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v)
+_ODD_TOKENS = st.sampled_from(
+    ["1_0", " 3", "4 ", "nan", "-inf", "1e400", '"1"', "#1", "0x10", "1d3", "\u0661", "",
+     "\x1f5", "5\x1f", "\x00", "\xa06", "+.5"]
+    + [f"1{c}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"])
+_ODD_LINES = st.sampled_from(["", " ", "\t", " \u3000 "]).map(str.encode) | st.just(b"1\xff")
+_ODD_ENDS = st.sampled_from(["\x0c", "\x0b", "\x1e", "\x85", "\u2029"]).map(str.encode)
+
+
+@st.composite
+def _csv_files(draw):
+    """(file bytes, load block size in characters): a header and up to 40
+    rows of numbers with mixed line ends, then up to three changes anywhere,
+    header included: an odd token, a ragged row, a blank or undecodable
+    line, or a line end that only str.splitlines breaks on."""
+    ncols = draw(st.integers(1, 4), label="ncols")
+    lines = [[f"c{j}" for j in range(ncols)]] + [
+        [draw(_NUMBERS) for _ in range(ncols)] for _ in range(draw(st.integers(0, 40), label="rows"))]
+    lines = [",".join(tokens).encode() for tokens in lines]
+    ends = draw(st.lists(st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    for _ in range(draw(st.integers(0, 3), label="changes")):
+        i = draw(st.integers(0, len(lines) - 1), label="line")
+        change = draw(st.sampled_from(["token", "ragged", "line", "end"]))
+        if change == "token":
+            tokens = lines[i].split(b",")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_ODD_TOKENS).encode()
+            lines[i] = b",".join(tokens)
+        elif change == "ragged":
+            lines[i] = ",".join(draw(_NUMBERS) for _ in range(draw(st.integers(1, 5)))).encode()
+        elif change == "line":
+            lines[i] = draw(_ODD_LINES)
+        else:
+            ends[i] = draw(_ODD_ENDS)
+    return b"".join(a + b for a, b in zip(lines, ends)), draw(st.integers(1, 64), label="block")
 
 
 class TestMatrixCsv:
@@ -126,38 +169,46 @@ class TestMatrixCsv:
         assert (tmp_path / "m.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_loader_matches_line_parser(self, tmp_path_factory, data):
-        # the C-parser pass must give what the float() line loop gives: the
-        # same bits and header, or the same ParseError on the same line
-        ncols = data.draw(st.integers(1, 4), label="ncols")
-        lines = [",".join(f"c{j}" for j in range(ncols))]
-        for _ in range(data.draw(st.integers(0, 6), label="lines")):
-            kind = data.draw(st.sampled_from(["row", "row", "row", "ragged", "blank"]))
-            if kind == "blank":
-                lines.append(data.draw(st.sampled_from(["", " ", "\t", " \u3000 "])))
-                continue
-            width = ncols if kind == "row" else data.draw(st.integers(1, 5))
-            lines.append(",".join(data.draw(_CSV_TOKENS) for _ in range(width)))
-        ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]),
-                                  min_size=len(lines), max_size=len(lines)))
+    @given(_csv_files())
+    @example((b"a\n" + b"0.5\n" * 4000 + b"1\xff\n", 64))  # not UTF-8 after the first block
+    @example((b"a\n" + b"0.5\n" * 4000 + b"1e400\n", 64))  # non-finite after the first block
+    @example((b"a\n0.5\n\x1f5\n", 64))  # numpy alone reads 5
+    @example((b"a,b\n1,2\n3\x0b,4\n", 64))  # numpy alone reads one row of two
+    @example((b"a\x0bb\n1\n", 64))  # a header of two lines, numpy alone reads one
+    def test_loader_matches_line_parser(self, tmp_path_factory, file):
+        # the C-parser blocks must give what the float() line loop gives: the
+        # same bits and header, or the same ParseError on the same line. The
+        # load block shrinks to a few characters, so blank lines, line ends
+        # and bad tokens fall on both sides of a block edge
+        content, block = file
         path = tmp_path_factory.mktemp("csv") / "m.csv"
-        path.write_bytes("".join(a + b for a, b in zip(lines, ends)).encode("utf-8"))
-        assert _outcome(dataio.load_matrix_csv, path) == _outcome(_load_by_lines, path)
+        path.write_bytes(content)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_LOAD_BLOCK_CHARS", block)
+            assert _outcome(dataio.load_matrix_csv, path) == _outcome(_load_by_lines, path)
 
-
-# mostly numbers as they are written, and tokens that float() and numpy's
-# parser read differently: float() alone takes 1_0 and Arabic-Indic digits,
-# numpy alone strips U+001F
-_CSV_TOKENS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.17g" % v),
-    st.sampled_from(["1_0", " 3", "4 ", "nan", "-inf", "1e400", '"1"', "#1", "0x10",
-                     "1d3", "\u0661", "", "\x1f5", "5\x1f", "\x00", "\xa06", "+.5"]))
+    def test_load_peak_memory_follows_the_matrix(self, tmp_path):
+        # room for the matrix, its parsed blocks and one block of text; a load
+        # that holds the whole text and one string per line reads 6.3x
+        m = np.random.default_rng(7).normal(size=(10_000, 64))
+        dataio.save_matrix_csv(tmp_path / "m.csv", m)
+        tracemalloc.start()
+        try:
+            loaded, _ = dataio.load_matrix_csv(tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded, m)
+        assert peak <= 3 * m.nbytes
 
 
 def _load_by_lines(path):
-    """The loader's reference semantics: every line through float()."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    """The loader's reference semantics: the whole file decoded, then every
+    line through float()."""
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}", str(path)) from err
     header = lines[0].split(",")
     return dataio._parse_lines(path, lines[1:], len(header)), header
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,22 @@ class TestLoss:
                 hsic.hsic_loss(np.vstack([x, x[:1]]), np.vstack([y, y[:1]]), workspace=workspace)
         assert len(pools) == 1
         assert threading.active_count() == threads
+
+    def test_workspace_peak_memory(self):
+        # room for K, L and the strip buffers (2.25 x 8n^2 on two workers); a
+        # workspace of four n x n Gram buffers reads 4.1 x 8n^2
+        n = 1000
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(n, 1))
+        y = np.tanh(x) + 0.3 * rng.normal(size=(n, 1))
+        tracemalloc.start()
+        try:
+            with hsic.LossWorkspace(n) as workspace:
+                hsic.hsic_loss(x, y, workspace=workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * 8 * n * n
 
     def test_minibatch_size_guard(self):
         with pytest.raises(DataError):
