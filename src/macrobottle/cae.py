@@ -374,10 +374,6 @@ class TrainHistory:
     terms: dict[str, list[float]] = field(default_factory=lambda: {n: [] for n in TERM_NAMES})
     val: list[dict] = field(default_factory=list)
 
-    @property
-    def epochs_run(self) -> int:
-        return len(self.val)  # one validation per epoch
-
 
 def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHistory]:
     """Minibatch Adam on the combined loss.

@@ -29,32 +29,34 @@ EXIT_NO_PAIRS = 5
 SEED_ENV_VAR = "MACROBOTTLE_SEED"
 
 
-def _load_json(path: str) -> dict:
-    """The JSON object in a file; anything else is a data error."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise DataError(f"{path}: invalid JSON: {err}") from err
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    return doc
-
-
 def all_or_index(text: str) -> str | int:
     return text if text == "all" else int(text)  # argparse: ValueError -> exit 2
 
 
-def positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise ValueError(text)
-    return int(text)
+def int_at_least(low: int):
+    """An argparse type for integers of at least low; any other text raises
+    the ValueError that argparse reports as a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = f"integer >= {low}"  # argparse names the type in its message
+    return parse
 
 
-def nonnegative_int(text: str) -> int:
-    if int(text) < 0:
-        raise ValueError(text)
-    return int(text)
+def config_fields(flags: dict, *files: dict) -> dict:
+    """The config fields a command runs with, by one rule: a flag that is set
+    (an unset --seed defaults to $MACROBOTTLE_SEED), then the files' fields,
+    an earlier file before a later one. A field none of them sets keeps the
+    config class's default."""
+    fields = {}
+    for doc in reversed(files):
+        fields.update(doc)
+    fields.update({name: v for name, v in flags.items() if v is not None})
+    return fields
 
 
 def _fmt(v) -> str:
@@ -73,8 +75,7 @@ def cmd_gen(args) -> int:
         pair = datagen.gen_main_synthetic(args.n, args.seed)
     else:
         pair = datagen.gen_asymmetric(args.n, args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.save_pair(out, pair)
+    dataio.save_pair(out, pair)  # makes the directory
     dataio.save_ground_truth(out / "ground_truth.csv", pair.ground_truth, pair.split)
     layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
     layout.save(out / "layout.json")
@@ -101,16 +102,18 @@ def cmd_gen(args) -> int:
 # train
 
 
-def _load_dataset(data_dir: Path, model: cae.CaeModel) -> datagen.DatasetPair:
-    """The pair in a data directory, split as the model's training split it,
-    in the model's units."""
+def _load_checkpoint_and_data(args) -> tuple[cae.CaeModel, datagen.DatasetPair]:
+    """The --checkpoint model and the pair in the --data directory, split as
+    the model's training split it, in the model's units."""
+    model = cae.CaeModel.load(args.checkpoint)
+    data_dir = Path(args.data)
     pair = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
     widths = (pair.x.shape[1], pair.y.shape[1])
     if widths != (model.net_x.input_dim, model.net_y.input_dim):
         raise DataError(f"{data_dir} has {widths[0]} X and {widths[1]} Y columns; the model "
                         f"expects {model.net_x.input_dim} and {model.net_y.input_dim}")
     pair.split = datagen.assign_splits(pair.n, model.config.seed)
-    return model.stats.apply(pair) if model.stats is not None else pair
+    return model, model.stats.apply(pair) if model.stats is not None else pair
 
 
 def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair):
@@ -175,39 +178,31 @@ def _summary_table(results: list[dict]) -> str:
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    base = _load_json(args.config) if args.config else {}
-    if args.seed is not None:
-        base["seed"] = args.seed
-    if args.epochs is not None:
-        base["epochs"] = args.epochs
-
-    if args.sweep:
-        sweep = _load_json(args.sweep)
-        cells = sweep.get("cells")
-        if not isinstance(cells, list) or not cells:
-            raise DataError('sweep needs a non-empty "cells" list')
-        if not all(isinstance(c, dict) and {"beta", "gamma"} <= c.keys() for c in cells):
-            raise DataError('every sweep cell needs "beta" and "gamma"')
-        if len({(c["beta"], c["gamma"]) for c in cells}) != len(cells):
-            raise DataError("sweep cells must be unique")
-        sweep_base = sweep.get("base", {})
-        if not isinstance(sweep_base, dict):
-            raise DataError('sweep "base" must be a JSON object')
-        base.update(sweep_base)
-    else:
-        cells = [{"beta": base.get("beta", 0.01), "gamma": base.get("gamma", 1.0)}]
+    config = dataio.load_json_object(args.config) if args.config else {}
+    sweep = dataio.load_json_object(args.sweep) if args.sweep else {}
+    sweep_base = sweep.get("base", {})
+    if not isinstance(sweep_base, dict):
+        raise DataError('sweep "base" must be a JSON object')
+    base = cae.CaeConfig.from_dict(config_fields(
+        {"seed": args.seed, "epochs": args.epochs}, config, sweep_base))
+    cells = sweep.get("cells") if args.sweep else [{"beta": base.beta, "gamma": base.gamma}]
+    if not isinstance(cells, list) or not cells:
+        raise DataError('sweep needs a non-empty "cells" list')
+    if not all(isinstance(c, dict) and {"beta", "gamma"} <= c.keys() for c in cells):
+        raise DataError('every sweep cell needs "beta" and "gamma"')
 
     configs = []
     for i, cell in enumerate(cells):
-        cfg = dict(base)
-        cfg["beta"] = cell["beta"]
-        cfg["gamma"] = cell["gamma"]
-        cfg["seed"] = cfg.get("seed", 0) + i  # independent seeds per cell
+        cfg = {**base.to_dict(), "beta": cell["beta"], "gamma": cell["gamma"],
+               "seed": base.seed + i}  # independent seeds per cell
         cell_dir = out / f"cell_b{cell['beta']}_g{cell['gamma']}"
         configs.append((cae.CaeConfig.from_dict(cfg), str(cell_dir)))
+    # compared once validated, so a value JSON cannot hash is already a data error
+    if len({(c.beta, c.gamma) for c, _ in configs}) != len(configs):
+        raise DataError("sweep cells must be unique")
     # parsed once for all cells; each cell builds its own split from its seed
     data = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
+    out.mkdir(parents=True, exist_ok=True)  # only once every input has loaded
     jobs = [(data.x, data.y, config, cell_dir) for config, cell_dir in configs]
 
     if args.parallel > 1 and len(jobs) > 1:
@@ -239,14 +234,11 @@ def cmd_train(args) -> int:
 
 def cmd_direction(args) -> int:
     t0 = time.monotonic()
-    fields = {"seed": args.seed}
-    if args.anm_config:
-        fields.update(_load_json(args.anm_config))
-    anm_config = anm.AnmConfig.from_dict(fields)
+    fields = dataio.load_json_object(args.anm_config) if args.anm_config else {}
+    anm_config = anm.AnmConfig.from_dict(config_fields({"seed": args.seed}, fields))
+    model, pair = _load_checkpoint_and_data(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    model = cae.CaeModel.load(args.checkpoint)
-    pair = _load_dataset(Path(args.data), model)
     final, rows, enc = _test_report(model, pair)
     paired = enc.paired
     if len(paired) == 0:
@@ -290,14 +282,13 @@ def cmd_direction(args) -> int:
 
 def cmd_inspect(args) -> int:
     t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    model = cae.CaeModel.load(args.checkpoint)
-    pair = _load_dataset(Path(args.data), model)
+    model, pair = _load_checkpoint_and_data(args)
     if args.layout:
         layout = dataio.GridLayout.load(args.layout)
     else:
         layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     final, rows, enc = _test_report(model, pair)
     k = args.k or max(1, pair.n // 50)
@@ -344,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a synthetic paired dataset")
     p.add_argument("--scenario", choices=("main", "asymmetric"), default="main")
-    p.add_argument("--n", type=positive_int, default=10_000)
-    p.add_argument("--seed", type=nonnegative_int, default=env_seed or 0,
+    p.add_argument("--n", type=int_at_least(1), default=10_000)
+    p.add_argument("--seed", type=int_at_least(0), default=env_seed or 0,
                    help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true",
@@ -357,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON file mirroring CaeConfig fields")
     p.add_argument("--sweep", help='JSON file: {"cells": [{"beta": ..., "gamma": ...}]}')
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=nonnegative_int, default=env_seed,
-                   help=f"defaults to ${SEED_ENV_VAR}, else the config's seed")
-    p.add_argument("--epochs", type=nonnegative_int, default=None)
-    p.add_argument("--parallel", type=positive_int, default=1,
+    p.add_argument("--seed", type=int_at_least(0), default=env_seed,
+                   help=f"defaults to ${SEED_ENV_VAR}, else the --config seed, "
+                        'else the sweep "base" seed')
+    p.add_argument("--epochs", type=int_at_least(0), default=None)
+    p.add_argument("--parallel", type=int_at_least(1), default=1,
                    help="run sweep cells in this many worker processes")
     p.set_defaults(func=cmd_train)
 
@@ -370,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=all_or_index, default="all",
                    help='"all" or one pair index')
     p.add_argument("--anm-config", help="JSON file mirroring AnmConfig fields")
-    p.add_argument("--seed", type=nonnegative_int, default=env_seed or 0,
-                   help=f"defaults to ${SEED_ENV_VAR} or 0")
+    p.add_argument("--seed", type=int_at_least(0), default=env_seed,
+                   help=f"defaults to ${SEED_ENV_VAR}, else the --anm-config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_direction)
 
@@ -379,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--layout", help="layout.json; defaults to the 8x8 synthetic grid")
-    p.add_argument("--k", type=positive_int, default=None,
+    p.add_argument("--k", type=int_at_least(1), default=None,
                    help="top/bottom sample count")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inspect)

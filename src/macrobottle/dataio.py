@@ -7,9 +7,10 @@ numpy's C parser, so it holds the matrix and one block, not the whole text.
 When a block fails, or yields the wrong shape or a non-finite value, or a
 line holds a character the two parsers split or strip differently, the
 lines go one at a time through float(): that loop defines what a file may
-hold and raises the ParseError that names the first bad line. Run reports
-are JSON documents validated against a published schema; every float in a
-report is finite or explicitly null.
+hold and raises the ParseError that names the first bad line. The JSON
+files a command takes as options (configs, sweeps, grid layouts) are read
+by load_json_object. Run reports are JSON documents validated against a
+published schema; every float in a report is finite or explicitly null.
 """
 
 from __future__ import annotations
@@ -183,6 +184,19 @@ def save_ground_truth(path: str | Path, truth: GroundTruth,
 # config files
 
 
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object in a file; text that is not UTF-8 or not JSON, or a
+    document that is not an object, is a DataError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{path}: invalid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return doc
+
+
 class JsonConfig:
     """Base of the config dataclasses. REMOVED_FIELDS maps the fields of
     removed variants, which older files carry, to the value that meant the
@@ -271,18 +285,16 @@ def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
 
 
 @dataclass
-class GridLayout:
+class GridLayout(JsonConfig):
     rows: int
     cols: int
     channel_x: str = "x"
     channel_y: str = "y"
 
     def __post_init__(self):
-        if any(isinstance(v, bool) or not isinstance(v, int) or v < 1
-               for v in (self.rows, self.cols)):
-            raise DataError("grid layout needs positive integer dimensions")
+        self.check_numbers({"rows": 1, "cols": 1})
         if not all(isinstance(v, str) for v in (self.channel_x, self.channel_y)):
-            raise DataError("grid layout channel names must be strings")
+            raise ValueError("grid layout channel names must be strings")
 
     @property
     def dim(self) -> int:
@@ -294,11 +306,7 @@ class GridLayout:
 
     @classmethod
     def load(cls, path: str | Path) -> "GridLayout":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls(**json.load(fh))
-            except (TypeError, ValueError) as err:  # ValueError: not JSON
-                raise DataError(f"{path}: invalid grid layout: {err}") from err
+        return cls.from_dict(load_json_object(path))
 
 
 def anomaly_grids(data: np.ndarray, values: np.ndarray, layout: GridLayout,

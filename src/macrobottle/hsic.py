@@ -229,8 +229,8 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
     j >= i, split over a thread pool with one worker per CPU of the affinity
     mask (taskset limits it), each with two _CHUNK x _CHUNK buffers. The
     per-block sums are added in block order, so the result is bit-identical
-    for any worker count. Non-finite samples and bandwidths that are not
-    finite and > 0 raise DataError.
+    for any worker count. Non-finite samples, bandwidths that are not
+    finite and > 0, and an alpha outside (0, 1) raise DataError.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -241,6 +241,8 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
         raise DataError("hsic_statistic needs at least 6 samples")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("hsic_statistic needs finite samples")
+    if not 0 < alpha < 1:  # NaN included
+        raise DataError(f"alpha must lie in (0, 1), got {alpha}")
     if bandwidths is None:
         bandwidths = (median_bandwidth(x), median_bandwidth(y))
     sx, sy = _kernel_scales(bandwidths)

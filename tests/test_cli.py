@@ -178,7 +178,7 @@ class TestTrain:
         argv = _train({**tiny_run, "data": data}, tmp_path, sweep=sweep)
         assert run(argv + ["--epochs", "1"]) == cli.EXIT_DATA
         assert "Y.csv:402" in capsys.readouterr().err
-        assert not list((tmp_path / "o").glob("cell_*"))
+        assert not (tmp_path / "o").exists()  # no cell, no summary, no empty directory
 
     def test_partial_grid_prints_dash_for_missing_cells(self, tiny_run, tmp_path, capsys):
         sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 0.5}]}
@@ -219,22 +219,45 @@ class TestTrain:
         for filled in (filled_1, filled_2):
             assert filled.startswith("|X|=") and filled.count("|X|=") == 1 and len(filled) > 34
 
-    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("how", ["flag", "env", "file"])
     def test_seed_overrides_config_seed(self, tiny_run, tmp_path, monkeypatch, how):
+        # one rule for train and direction: a flag, then $MACROBOTTLE_SEED,
+        # then the files (--config before a sweep's "base"; --anm-config)
         from macrobottle import cae
-        argv = ["train", "--data", str(tiny_run["data"]), "--config", str(tiny_run["config"]),
-                "--out", str(tmp_path / "o"), "--epochs", "1"]
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        seed_flag, epochs_flag = [], []
         if how == "flag":
             monkeypatch.setenv(cli.SEED_ENV_VAR, "11")  # the flag wins over the variable
-            argv += ["--seed", "7"]
-        else:
+            seed_flag, epochs_flag = ["--seed", "7"], ["--epochs", "1"]
+        elif how == "env":
             monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
         assert json.loads(tiny_run["config"].read_text())["seed"] == 3
-        assert run(argv) == cli.EXIT_OK
-        (cell,) = (tmp_path / "o").glob("cell_*")
-        doc = dataio.load_report(cell / "report.json")
-        assert doc["seed"] == doc["config"]["seed"] == 7
-        assert cae.CaeModel.load(cell / "checkpoint").config.seed == 7
+        sweep = _write(tmp_path / "sweep.json", {"cells": [{"beta": 1.0, "gamma": 1.0}],
+                                                 "base": {"epochs": 2, "seed": 9}})
+        config = ["--config", str(tiny_run["config"])]  # seed 3, 5 epochs
+        for name, files, file_seed, file_epochs in (("config", config, 3, 5),
+                                                    ("sweep", ["--sweep", sweep], 9, 2),
+                                                    ("both", config + ["--sweep", sweep], 3, 5)):
+            out = tmp_path / name
+            assert run(["train", "--data", str(tiny_run["data"]), *files, "--out", str(out),
+                        *seed_flag, *epochs_flag]) == cli.EXIT_OK
+            (cell,) = out.glob("cell_*")
+            doc = dataio.load_report(cell / "report.json")
+            seed = file_seed if how == "file" else 7
+            epochs = 1 if epochs_flag else file_epochs
+            assert doc["seed"] == doc["config"]["seed"] == seed, name
+            assert doc["config"]["epochs"] == len(doc["loss_history"]["val_loss"]) == epochs, name
+            assert cae.CaeModel.load(cell / "checkpoint").config.seed == seed
+
+        anm_config = _write(tmp_path / "anm.json", {"epochs": 1, "batch_size": 100, "seed": 5,
+                                                    "fit_points": 100, "eval_points": 100})
+        assert run(["direction", "--checkpoint", _informative_checkpoint(tiny_run, tmp_path),
+                    "--data", str(tiny_run["data"]), "--anm-config", anm_config, "--pairs", "0",
+                    "--out", str(tmp_path / "dir"), *seed_flag]) == cli.EXIT_OK
+        doc = dataio.load_report(tmp_path / "dir" / "direction_report.json")
+        seed = 5 if how == "file" else 7
+        assert doc["seed"] == doc["config"]["anm"]["seed"] == seed
+        assert doc["verdicts"][0]["seeds"] == [2 * seed + 1, 2 * seed + 2]
 
     def test_huge_loss_weight_cell_is_reported_failed(self, tiny_run, tmp_path, capsys):
         config = {**json.loads(tiny_run["config"].read_text()), "beta": 1e300, "epochs": 2}
@@ -384,7 +407,10 @@ class TestDirection:
 
 
 def _write(path, doc):
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -495,10 +521,19 @@ EXIT_CASES = {
     "removed-variant": (lambda t, tmp: _train(t, tmp, config={"cross_map": "mlp"}),
                         cli.EXIT_DATA),
     "config-not-json": (lambda t, tmp: _train(t, tmp, config="{beta"), cli.EXIT_DATA),
+    # a byte that is not UTF-8 is a data error, not a UnicodeDecodeError traceback
+    "config-not-utf8": (lambda t, tmp: _train(t, tmp, config=b'{"beta": "\xff"}'),
+                        cli.EXIT_DATA),
+    "sweep-not-utf8": (lambda t, tmp: _train(t, tmp, sweep=b'\xff{"cells": []}'),
+                       cli.EXIT_DATA),
+    "anm-config-not-utf8": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", b'{"seed": 1}\xff')), cli.EXIT_DATA),
     "sweep-without-cells": (lambda t, tmp: _train(t, tmp, sweep={"base": {}}),
                             cli.EXIT_DATA),
     "sweep-cell-without-gamma": (lambda t, tmp: _train(t, tmp, sweep={"cells": [{"beta": 1}]}),
                                  cli.EXIT_DATA),
+    "sweep-cell-beta-a-list": (lambda t, tmp: _train(
+        t, tmp, sweep={"cells": [{"beta": [1], "gamma": 1}]}), cli.EXIT_DATA),
     "unknown-anm-field": (lambda t, tmp: _direction(
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"bogus": 1})), cli.EXIT_DATA),
     "anm-batch-size-zero": (lambda t, tmp: _direction(

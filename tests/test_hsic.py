@@ -320,6 +320,14 @@ class TestStatistic:
         with pytest.raises(DataError):
             hsic.hsic_loss(x, x ** 2, bandwidths=bw)
 
+    @pytest.mark.parametrize("alpha", [1.5, -0.1, np.nan, 0.0, 1.0])
+    def test_alpha_outside_the_unit_interval_is_data_error(self, alpha):
+        # a NaN threshold reads as dependent, an infinite one (alpha 0) as
+        # independent, and alpha 1 gives a threshold of 0
+        x = np.linspace(-1.0, 1.0, 20)
+        with pytest.raises(DataError):
+            hsic.hsic_statistic(x, x ** 2, alpha=alpha)
+
     def test_independent_level(self):
         # independent pairs stay below threshold in >= 90% of trials
         rng = np.random.default_rng(9)
