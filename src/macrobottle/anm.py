@@ -34,7 +34,6 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass
 class AnmConfig(JsonConfig):
-    REMOVED_FIELDS = {"activation": "tanh"}  # hidden layers are tanh
     hidden: int = 16
     beta_t: float = 0.01
     epochs: int = 450

@@ -302,8 +302,8 @@ def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
 
 def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Named arrays and the extra dict of a checkpoint; a manifest that is not
-    JSON, does not match its own sha256, lacks its array list or does not
-    match the blob raises DataError."""
+    JSON, lacks either sha256, does not match its own, lacks its array list
+    or does not match the blob raises DataError."""
     dirpath = Path(dirpath)
     with open(dirpath / _MANIFEST_NAME, encoding="utf-8") as fh:
         try:
@@ -312,9 +312,10 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise DataError(f"{dirpath / _MANIFEST_NAME}: invalid JSON: {err}") from err
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unrecognized checkpoint format in {dirpath}")
-    # both digests are absent from manifests of older versions
-    own = manifest.get("manifest_sha256")
-    if own is not None and own != _manifest_digest(manifest):
+    for key in ("sha256", "manifest_sha256"):
+        if key not in manifest:
+            raise DataError(f"{dirpath / _MANIFEST_NAME} lacks {key}")
+    if manifest["manifest_sha256"] != _manifest_digest(manifest):
         raise DataError(f"{dirpath / _MANIFEST_NAME} does not match its own sha256")
     try:
         entries = [(e["name"], [int(k) for k in e["shape"]], int(e["offset"]))
@@ -327,8 +328,7 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if len(blob) != 8 * sum(counts):
         raise DataError(f"{dirpath / _BLOB_NAME} holds {len(blob)} bytes, "
                         f"the manifest lists {8 * sum(counts)}")
-    digest = manifest.get("sha256")
-    if digest is not None and hashlib.sha256(blob).hexdigest() != digest:
+    if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
         raise DataError(f"{dirpath / _BLOB_NAME} does not match the sha256 in its manifest")
     arrays = {}
     for (name, shape, offset), count in zip(entries, counts):

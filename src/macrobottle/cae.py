@@ -23,7 +23,7 @@ noiseless encoder means.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,10 +37,6 @@ TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
 
 @dataclass
 class CaeConfig(JsonConfig):
-    # old checkpoints and config files carry these
-    REMOVED_FIELDS = {"training_mode": "combined", "cross_map": "diagonal",
-                      "cross_hidden": [16], "early_stop_patience": 0,
-                      "early_stop_min_delta": 1e-5}
     bottleneck_dim: int = 4
     encoder_hidden: tuple[int, ...] = (64,)
     decoder_hidden_per_variable: tuple[int, ...] = (32,)
@@ -141,12 +137,11 @@ class CaeModel:
     net_y: CaeHalf
     config: CaeConfig
     store: ad.ParamStore  # every parameter of both halves
-    stats: ColumnStats | None = None  # training standardization; None if untrained
+    stats: ColumnStats  # the units the model reads its inputs in
 
     def save(self, dirpath) -> None:
         arrays = self.store.arrays()
-        if self.stats is not None:
-            arrays.update({f"norm.{name}": a for name, a in vars(self.stats).items()})
+        arrays.update({f"norm.{name}": a for name, a in vars(self.stats).items()})
         extra = {
             "kind": "cae",
             "config": self.config.to_dict(),
@@ -165,23 +160,24 @@ class CaeModel:
             raise DataError(f"checkpoint manifest at {dirpath} needs an object extra.config and "
                             f"positive integers extra.input_dim_x and extra.input_dim_y")
         model = build_cae(*dims, CaeConfig.from_dict(config))
-        norm = {n[5:]: arrays.pop(n) for n in list(arrays) if n.startswith("norm.")}
+        try:
+            model.stats = ColumnStats(*(arrays.pop(f"norm.{f.name}") for f in fields(ColumnStats)))
+        except KeyError as err:
+            raise DataError(f"checkpoint at {dirpath} lacks {err.args[0]}") from err
         model.store.load_arrays(arrays)
-        if norm:
-            try:
-                model.stats = ColumnStats(norm["x_mean"], norm["x_std"],
-                                          norm["y_mean"], norm["y_std"])
-            except KeyError as err:
-                raise DataError(f"checkpoint at {dirpath} lacks norm.{err.args[0]}") from err
         return model
 
 
 def build_cae(input_dim_x: int, input_dim_y: int, config: CaeConfig) -> CaeModel:
+    """An untrained model whose statistics leave inputs as they are: subtracting
+    0.0 and dividing by 1.0 are exact."""
     rng = np.random.default_rng(config.seed)
     store = ad.ParamStore()
     net_x = CaeHalf("x", input_dim_x, input_dim_y, config, store, rng)
     net_y = CaeHalf("y", input_dim_y, input_dim_x, config, store, rng)
-    return CaeModel(net_x, net_y, config, store)
+    stats = ColumnStats(np.zeros(input_dim_x), np.ones(input_dim_x),
+                        np.zeros(input_dim_y), np.ones(input_dim_y))
+    return CaeModel(net_x, net_y, config, store, stats)
 
 
 # ---------------------------------------------------------------------------

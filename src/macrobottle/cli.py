@@ -104,7 +104,8 @@ def cmd_gen(args) -> int:
 
 def _load_checkpoint_and_data(args) -> tuple[cae.CaeModel, datagen.DatasetPair]:
     """The --checkpoint model and the pair in the --data directory, split as
-    the model's training split it, in the model's units."""
+    the model's training split it, standardized in place into the model's
+    units."""
     model = cae.CaeModel.load(args.checkpoint)
     data_dir = Path(args.data)
     pair = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
@@ -113,7 +114,7 @@ def _load_checkpoint_and_data(args) -> tuple[cae.CaeModel, datagen.DatasetPair]:
         raise DataError(f"{data_dir} has {widths[0]} X and {widths[1]} Y columns; the model "
                         f"expects {model.net_x.input_dim} and {model.net_y.input_dim}")
     pair.split = datagen.assign_splits(pair.n, model.config.seed)
-    return model, model.stats.apply(pair) if model.stats is not None else pair
+    return model, model.stats.apply(pair)
 
 
 def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair):
@@ -140,7 +141,9 @@ def _run_cell(x: np.ndarray, y: np.ndarray, config: cae.CaeConfig, cell_dir: str
         with open(cell / "error.txt", "w", encoding="utf-8") as fh:
             fh.write(str(err))
         return {"beta": config.beta, "gamma": config.gamma, "failed": str(err)}
-    final, table_rows, _ = _test_report(model, model.stats.apply(pair))
+    # copies, as a serial sweep hands every cell the same x and y
+    view = datagen.DatasetPair(x.copy(), y.copy(), pair.split)
+    final, table_rows, _ = _test_report(model, model.stats.apply(view))
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
@@ -218,10 +221,10 @@ def cmd_train(args) -> int:
     header = ["beta", "gamma", "informative_x", "informative_y",
               "ev_y_from_x", "ev_x_from_y", "cross_ev_y_from_x", "cross_ev_x_from_y"]
     rows = [[r[h] for h in header] for r in results if "failed" not in r]
-    if rows:
-        m = np.array(rows, dtype=np.float64)  # a None metric becomes NaN
-        m = np.nan_to_num(m, nan=-999.0)  # CSV matrices must be finite
-        dataio.save_matrix_csv(out / "summary.csv", m, header)
+    if rows:  # save_matrix_csv's number format, and an empty field for a missing metric
+        lines = [header] + [["" if v is None else "%.17g" % v for v in row] for row in rows]
+        with open(out / "summary.csv", "w", encoding="utf-8") as fh:
+            fh.writelines(",".join(line) + "\n" for line in lines)
     failed = [r for r in results if "failed" in r]
     if failed:
         print(f"{len(failed)} cell(s) failed; see error.txt in their directories")

@@ -198,21 +198,11 @@ def load_json_object(path: str | Path) -> dict:
 
 
 class JsonConfig:
-    """Base of the config dataclasses. REMOVED_FIELDS maps the fields of
-    removed variants, which older files carry, to the value that meant the
-    kept path; from_dict drops such a field at that value."""
-
-    REMOVED_FIELDS: dict = {}
+    """Base of the config dataclasses."""
 
     @classmethod
     def from_dict(cls, fields: dict):
         """Config from JSON-style fields; invalid input raises DataError."""
-        fields = dict(fields)
-        for key, kept in cls.REMOVED_FIELDS.items():
-            value = fields.pop(key, kept)
-            if (list(value) if isinstance(value, tuple) else value) != kept:
-                raise DataError(f"{key}={value!r} selects a removed variant; "
-                                f"only {kept!r} is supported")
         unknown = set(fields) - set(cls.__dataclass_fields__)
         if unknown:
             raise DataError(f"unknown config fields: {sorted(unknown)}")
@@ -251,10 +241,13 @@ class ColumnStats:
     y_std: np.ndarray
 
     def apply(self, pair: DatasetPair) -> DatasetPair:
-        """The pair centered and scaled column by column."""
-        x = (pair.x - self.x_mean) / self.x_std
-        y = (pair.y - self.y_mean) / self.y_std
-        return DatasetPair(x, y, pair.split, pair.ground_truth)
+        """Center and scale the pair's float64 columns in place, with the bits
+        of (v - mean) / std, and return the pair."""
+        for v, mean, std in ((pair.x, self.x_mean, self.x_std),
+                             (pair.y, self.y_mean, self.y_std)):
+            v -= mean
+            v /= std
+        return pair
 
 
 def _center_scale(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +261,9 @@ def _center_scale(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
-    """Center/scale every column by its train-split statistics (all rows if
-    no split is assigned); zero-variance columns pass through untouched."""
+    """A copy of the pair with every column centered and scaled by its
+    train-split statistics (all rows if no split is assigned), and those
+    statistics; zero-variance columns pass through untouched."""
     if pair.split is not None:
         ref_rows = pair.rows(TRAIN)
         if len(ref_rows) == 0:
@@ -277,7 +271,9 @@ def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
     else:
         ref_rows = np.arange(pair.n)
     stats = ColumnStats(*_center_scale(pair.x[ref_rows]), *_center_scale(pair.y[ref_rows]))
-    return stats.apply(pair), stats
+    copy = DatasetPair(pair.x.astype(np.float64), pair.y.astype(np.float64), pair.split,
+                       pair.ground_truth)
+    return stats.apply(copy), stats
 
 
 # ---------------------------------------------------------------------------

@@ -173,14 +173,19 @@ def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, flo
 
     def block_sums(w, i, j):
         """Row sums of the K and L blocks and, off the diagonal, their column
-        sums, which are the row sums of the mirror block."""
+        sums, which are the row sums of the mirror block. The column sums
+        run on from strip to strip: the sum so far is added into a strip's
+        first row before its rows are added down, one after another, so they
+        are the bits of the whole block's column sums, and so are the
+        centring offsets built from them."""
         row_sums = np.empty((2, min(_CHUNK, n - i)))
         col_sums = np.zeros((2, min(_CHUNK, n - j))) if j > i else None
         for r, *sides in strips(w, i, j):
             for side, b in enumerate(sides):
                 np.sum(b, axis=1, out=row_sums[side, r - i:r - i + b.shape[0]])
                 if col_sums is not None:
-                    col_sums[side] += b.sum(axis=0)
+                    b[0] += col_sums[side]
+                    np.sum(b, axis=0, out=col_sums[side])
         return row_sums, col_sums
 
     def centred_moments(w, i, j):

@@ -18,6 +18,10 @@ Two slices, each on seeds 1-3 at n = 10 000:
   both sides with one true pair (x1/y1 or x2/y2), the two covering both
   true pairs, and a Hungarian assignment on |corr(mu_x, mu_y)| must agree
   with the index pairing. Record in `.acceptance/cae_pairs_seed<seed>.json`.
+  On the asymmetric scenario (`gen_asymmetric`, y1 = x1^2) the same
+  training must find exactly one pair, correlated at |corr| >= 0.9 with x1
+  on the X side and with y1 on the Y side. Record in
+  `.acceptance/cae_pairs_asymmetric_seed<seed>.json`.
 
 Each test writes its record under `.acceptance/` at the repository root
 before anything is asserted, so a failing seed still leaves its numbers.
@@ -76,20 +80,22 @@ def _abs_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(np.corrcoef(a, b, rowvar=False)[:k, k:])
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_cae_pairs_match_true_latents(seed):
-    pair = datagen.gen_main_synthetic(N_SAMPLES, seed)
-    config = cae.CaeConfig(seed=seed)  # the split `train --seed <seed>` draws
+def _pairing_record(pair: datagen.DatasetPair, seed: int,
+                    true_pairs: tuple[tuple[str, str], ...]) -> dict:
+    """Train the default CAE on a generated pair, seeded with the data seed
+    (the split `train --seed <seed>` draws), and record its pairs on the
+    TEST rows, each with the true pairs it matches; the checks are left
+    empty."""
+    config = cae.CaeConfig(seed=seed)
     t0 = time.monotonic()
     model, history = cae.train_cae(pair, config)
     train_s = time.monotonic() - t0
-    test = model.stats.apply(pair)
-    te = test.rows(datagen.TEST)
-    metrics, rows, enc = cae.evaluate_model(model, test.x[te], test.y[te])
+    model.stats.apply(pair)  # in place, into the model's units
+    te = pair.rows(datagen.TEST)
+    metrics, rows, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
     latents = {name: v[te] for name, v in pair.ground_truth.latents.items()}
     names = list(latents)
     truth = np.column_stack([latents[name] for name in names])
-    paired = enc.paired.tolist()
     ix, iy = enc.mask_x.indices, enc.mask_y.indices
 
     pairs = []
@@ -97,7 +103,7 @@ def test_cae_pairs_match_true_latents(seed):
         i = row["index"]
         corr_x = dict(zip(names, _abs_corr(enc.mu_x[:, [i]], truth)[0].tolist()))
         corr_y = dict(zip(names, _abs_corr(enc.mu_y[:, [i]], truth)[0].tolist()))
-        matches = [f"{a}/{b}" for a, b in TRUE_PAIRS
+        matches = [f"{a}/{b}" for a, b in true_pairs
                    if corr_x[a] >= MIN_ABS_CORR and corr_y[b] >= MIN_ABS_CORR]
         pairs.append({"index": i, "abs_corr_x": corr_x, "abs_corr_y": corr_y,
                       "matches": matches, "cross_ev_y_from_x": row["cross_ev_y_from_x"],
@@ -108,19 +114,12 @@ def test_cae_pairs_match_true_latents(seed):
     if mu_corr is not None:
         r, c = linear_sum_assignment(mu_corr, maximize=True)
         assigned = sorted([int(ix[a]), int(iy[b])] for a, b in zip(r, c))
-    hungarian_agrees = assigned == [[i, i] for i in paired]
 
-    covered = sorted(m for p in pairs for m in p["matches"])
-    checks = {
-        "two_pairs": len(paired) == 2,
-        "each_pair_matches_one_true_pair": all(len(p["matches"]) == 1 for p in pairs),
-        "both_true_pairs_covered": covered == [f"{a}/{b}" for a, b in TRUE_PAIRS],
-        "hungarian_agrees": hungarian_agrees,
-    }
     record = {
         "seed": seed, "n": N_SAMPLES, "config": config.to_dict(),
-        "train_seconds": round(train_s, 1), "checks": checks,
-        "informative_x": ix.tolist(), "informative_y": iy.tolist(), "paired": paired,
+        "train_seconds": round(train_s, 1), "checks": {},
+        "informative_x": ix.tolist(), "informative_y": iy.tolist(),
+        "paired": enc.paired.tolist(),
         "pairs": pairs, "kl_x": enc.mask_x.kl.tolist(), "kl_y": enc.mask_y.kl.tolist(),
         "cross_ev_y_from_x": metrics["cross_ev_y_from_x"],
         "cross_ev_x_from_y": metrics["cross_ev_x_from_y"],
@@ -129,6 +128,34 @@ def test_cae_pairs_match_true_latents(seed):
         "val": [{"val_loss": v["val_loss"], "informative_x": v["informative_x"],
                  "informative_y": v["informative_y"]} for v in history.val],
     }
-    path = _write_record(f"cae_pairs_seed{seed}.json", record)
-    failed = [name for name, ok in checks.items() if not ok]
-    assert not failed, f"seed {seed}: {failed}; see {path}"
+    return record
+
+
+def _check(record: dict, checks: dict, name: str) -> None:
+    """Write the record with its checks, then fail on any check that fails."""
+    record["checks"] = checks
+    path = _write_record(name, record)
+    failed = [check for check, ok in checks.items() if not ok]
+    assert not failed, f"seed {record['seed']}: {failed}; see {path}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cae_pairs_match_true_latents(seed):
+    record = _pairing_record(datagen.gen_main_synthetic(N_SAMPLES, seed), seed, TRUE_PAIRS)
+    paired, pairs = record["paired"], record["pairs"]
+    covered = sorted(m for p in pairs for m in p["matches"])
+    _check(record, {
+        "two_pairs": len(paired) == 2,
+        "each_pair_matches_one_true_pair": all(len(p["matches"]) == 1 for p in pairs),
+        "both_true_pairs_covered": covered == [f"{a}/{b}" for a, b in TRUE_PAIRS],
+        "hungarian_agrees": record["hungarian_assignment"] == [[i, i] for i in paired],
+    }, f"cae_pairs_seed{seed}.json")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cae_pairs_asymmetric(seed):
+    record = _pairing_record(datagen.gen_asymmetric(N_SAMPLES, seed), seed, (("x1", "y1"),))
+    _check(record, {
+        "one_pair": len(record["paired"]) == 1,
+        "pair_matches_x1_y1": [p["matches"] for p in record["pairs"]] == [["x1/y1"]],
+    }, f"cae_pairs_asymmetric_seed{seed}.json")

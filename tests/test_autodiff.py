@@ -386,28 +386,36 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="bytes"):
             ad.load_checkpoint(tmp_path / "ck")
 
-    @pytest.mark.parametrize("edit", ["not-json", "no-arrays", "entry-without-shape",
-                                      "not-an-object", "offset-outside-blob",
-                                      "negative-dimension", "infinite-offset"])
+    # each edit and the message of the check it must reach
+    MALFORMED = {"not-json": "invalid JSON", "no-arrays": "malformed array list",
+                 "entry-without-shape": "malformed array list",
+                 "not-an-object": "unrecognized checkpoint format",
+                 "offset-outside-blob": "outside the blob",
+                 "negative-dimension": "outside the blob",
+                 "infinite-offset": "malformed array list"}
+
+    @pytest.mark.parametrize("edit", list(MALFORMED))
     def test_malformed_manifest_is_data_error(self, tmp_path, edit):
         _saved_store(tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest.pop("manifest_sha256")  # as older versions wrote it
+        entry = manifest["arrays"][0]  # "b", three values
         if edit == "no-arrays":
             del manifest["arrays"]
         elif edit == "entry-without-shape":
-            del manifest["arrays"][0]["shape"]
-        elif edit == "not-an-object":
-            manifest = [manifest]
+            del entry["shape"]
         elif edit == "offset-outside-blob":
-            manifest["arrays"][0]["offset"] = 10 ** 6
+            entry["offset"] = 10 ** 6
         elif edit == "negative-dimension":
-            manifest["arrays"][0]["shape"] = [-2, -3]
+            entry["shape"] = [-1, -3]  # as many values as the blob holds for it
         elif edit == "infinite-offset":
-            manifest["arrays"][0]["offset"] = float("inf")
+            entry["offset"] = float("inf")
+        # a new digest, so the edit reaches the checks behind it
+        manifest["manifest_sha256"] = ad._manifest_digest(manifest)
+        if edit == "not-an-object":
+            manifest = [manifest]
         path.write_text("{format" if edit == "not-json" else json.dumps(manifest))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=self.MALFORMED[edit]):
             ad.load_checkpoint(tmp_path / "ck")
 
     def test_edited_manifest_is_data_error(self, tmp_path):
@@ -419,14 +427,17 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="its own sha256"):
             ad.load_checkpoint(tmp_path / "ck")
 
-    def test_manifest_of_an_older_version_loads(self, tmp_path):
-        store = _saved_store(tmp_path / "ck")
+    def test_manifest_without_a_digest_is_data_error(self, tmp_path):
+        _saved_store(tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        del manifest["manifest_sha256"], manifest["sha256"]
-        path.write_text(json.dumps(manifest))
-        arrays, _ = ad.load_checkpoint(tmp_path / "ck")
-        assert all(np.array_equal(arrays[n], store[n].data) for n in store.names())
+        saved = json.loads(path.read_text())
+        for key in ("sha256", "manifest_sha256"):
+            manifest = {k: v for k, v in saved.items() if k != key}
+            if key == "sha256":  # the manifest still matches its own digest
+                manifest["manifest_sha256"] = ad._manifest_digest(manifest)
+            path.write_text(json.dumps(manifest))
+            with pytest.raises(DataError, match=f"lacks {key}"):
+                ad.load_checkpoint(tmp_path / "ck")
 
     def test_missing_array_is_data_error(self, tmp_path):
         store = _saved_store(tmp_path / "ck")

@@ -172,7 +172,7 @@ class TestCombinedLoss:
             terms = cae.loss_terms(m, b, b, np.random.default_rng(5))
             return cae.combine(terms, m.config.beta, m.config.gamma).item()
 
-        swapped = cae.CaeModel(model.net_y, model.net_x, model.config, model.store)
+        swapped = cae.CaeModel(model.net_y, model.net_x, model.config, model.store, model.stats)
         assert loss(model) == loss(swapped)
 
     def test_cross_half_gradient_flow(self):
@@ -264,6 +264,7 @@ class TestKlMonteCarlo:
 
 class TestCheckpointRoundTrip:
     def test_save_load_preserves_behavior(self, tmp_path):
+        # an untrained model: its statistics are zeros and ones, and they load
         model = small_model(seed=28)
         x = np.random.default_rng(29).normal(size=(4, 6))
         mu_before = model.net_x.encode_mean(x)
@@ -271,6 +272,9 @@ class TestCheckpointRoundTrip:
         loaded = cae.CaeModel.load(tmp_path / "ck")
         assert loaded.config == model.config
         assert np.array_equal(loaded.net_x.encode_mean(x), mu_before)
+        for side, dim in (("x", 6), ("y", 5)):
+            assert np.array_equal(getattr(loaded.stats, f"{side}_mean"), np.zeros(dim))
+            assert np.array_equal(getattr(loaded.stats, f"{side}_std"), np.ones(dim))
 
     def test_column_stats_round_trip(self, tmp_path):
         model = small_model(seed=33)
@@ -295,6 +299,14 @@ class TestCheckpointRoundTrip:
         with pytest.raises(DataError, match="norm.y_mean"):
             cae.CaeModel.load(tmp_path / "ck")
 
+    def test_checkpoint_without_column_stats_is_data_error(self, tmp_path):
+        model = small_model(seed=36)
+        ad.save_checkpoint(tmp_path / "ck", model.store.arrays(),
+                           {"kind": "cae", "config": model.config.to_dict(),
+                            "input_dim_x": 6, "input_dim_y": 5})
+        with pytest.raises(DataError, match="lacks norm.x_mean"):
+            cae.CaeModel.load(tmp_path / "ck")
+
     def test_config_json_round_trip(self):
         config = cae.CaeConfig(bottleneck_dim=5, beta=0.3, gamma=0.7, seed=9)
         again = cae.CaeConfig.from_dict(config.to_dict())
@@ -304,7 +316,8 @@ class TestCheckpointRoundTrip:
         model = small_model(seed=32)
         model.save(tmp_path / "ck")
         arrays, _ = ad.load_checkpoint(tmp_path / "ck")
-        assert sorted(arrays) == sorted(model.store.names())
+        norm = [f"norm.{side}_{stat}" for side in "xy" for stat in ("mean", "std")]
+        assert sorted(arrays) == sorted(model.store.names() + norm)
         assert {"x.enc.w0", "x.dec.w_out", "y.cross.a", "y.cross.b"} <= set(arrays)
 
 
@@ -314,9 +327,10 @@ class TestConfigInput:
                     "cross_hidden": [16], "early_stop_patience": 0,
                     "early_stop_min_delta": 1e-5}
 
-    def test_removed_fields_at_old_defaults_are_dropped(self):
-        config = cae.CaeConfig.from_dict({"beta": 0.5, **self.OLD_DEFAULTS})
-        assert config == cae.CaeConfig(beta=0.5)
+    def test_removed_fields_at_old_defaults_are_unknown(self):
+        for field, value in self.OLD_DEFAULTS.items():
+            with pytest.raises(DataError, match=f"unknown config fields: \\['{field}'\\]"):
+                cae.CaeConfig.from_dict({"beta": 0.5, field: value})
 
     @pytest.mark.parametrize("field, value", [
         ("training_mode", "alternating"), ("cross_map", "mlp"),

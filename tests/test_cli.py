@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +294,18 @@ class TestTrain:
         assert summary.shape[0] == 1 and summary[0, 0] == 0.1
         assert "1 cell(s) failed" in capsys.readouterr().out
 
+    def test_missing_metric_is_an_empty_summary_field(self, tiny_run, tmp_path):
+        # no neuron clears this threshold, so neither side has a cross-EV
+        config = {**json.loads(tiny_run["config"].read_text()), "kl_threshold": 1e9,
+                  "epochs": 1}
+        assert run(_train(tiny_run, tmp_path, config=config)) == cli.EXIT_OK
+        header, row = (tmp_path / "o" / "summary.csv").read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["informative_x"] == fields["informative_y"] == "0"
+        assert fields["cross_ev_y_from_x"] == fields["cross_ev_x_from_y"] == ""
+        assert float(fields["ev_y_from_x"]) == dataio.load_report(
+            next((tmp_path / "o").glob("cell_*/report.json")))["metrics"]["ev_y_from_x"]
+
 
 class TestInspect:
     def test_untrained_like_checkpoint_reports(self, tiny_run, tmp_path, capsys):
@@ -304,6 +318,24 @@ class TestInspect:
         assert "informative_x" in doc["metrics"]
         assert doc["timing_seconds"] > 0
         assert "informative neurons" in capsys.readouterr().out
+
+
+def test_loaded_pair_is_standardized_in_place(tiny_run, tmp_path):
+    # at the benchmark's size, so the CSV text is small next to the matrices
+    data = tmp_path / "data"
+    run(["gen", "--n", "10000", "--seed", "3", "--out", str(data)])
+    args = argparse.Namespace(checkpoint=str(_checkpoint(tiny_run)), data=str(data))
+    tracemalloc.start()
+    try:
+        model, pair = cli._load_checkpoint_and_data(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * (pair.x.nbytes + pair.y.nbytes)
+    raw = dataio.load_pair_csv(data / "X.csv", data / "Y.csv")
+    stats = model.stats
+    assert np.array_equal(pair.x, (raw.x - stats.x_mean) / stats.x_std)
+    assert np.array_equal(pair.y, (raw.y - stats.y_mean) / stats.y_std)
 
 
 class TestDirection:
@@ -481,13 +513,21 @@ def _edited_manifest(tiny, tmp, edit):
     shutil.copytree(_checkpoint(tiny), ck)
     path = ck / "manifest.json"
     manifest = json.loads(path.read_text())
-    # without its own digest, as older versions wrote it, so the edit reaches
-    # the checks behind that digest
-    manifest.pop("manifest_sha256")
     text = edit(manifest)  # the edit changes the manifest or returns the new text
+    if "manifest_sha256" in manifest:  # a new digest, so the edit reaches the checks behind it
+        manifest["manifest_sha256"] = ad._manifest_digest(manifest)
     path.write_text(text if isinstance(text, str) else json.dumps(manifest))
     return ["inspect", "--checkpoint", str(ck), "--data", str(tiny["data"]),
             "--out", str(tmp / "ins")]
+
+
+def _without_norm(tiny, tmp, command):
+    # the checkpoint re-saved, with valid digests, without its four norm.* arrays
+    arrays, extra = ad.load_checkpoint(_checkpoint(tiny))
+    ad.save_checkpoint(tmp / "ck", {k: a for k, a in arrays.items()
+                                    if not k.startswith("norm.")}, extra)
+    return [command, "--checkpoint", str(tmp / "ck"), "--data", str(tiny["data"]),
+            "--out", str(tmp / "out")]
 
 
 def _narrow_x(tiny, tmp, command):
@@ -543,10 +583,13 @@ EXIT_CASES = {
     "anm-activation-identity": (lambda t, tmp: _direction(
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"activation": "identity"})),
         cli.EXIT_DATA),
-    # an older config naming the one activation still loads: the run reaches the pair check
+    # the fields of removed variants are unknown fields, whatever their value
     "anm-activation-tanh": (lambda t, tmp: _direction(
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"activation": "tanh"}),
-        "--pairs", "7"), cli.EXIT_NO_PAIRS),
+        "--pairs", "7"), cli.EXIT_DATA),
+    "cae-removed-fields-at-old-defaults": (lambda t, tmp: _train(t, tmp, config={
+        "training_mode": "combined", "cross_map": "diagonal", "cross_hidden": [16],
+        "early_stop_patience": 0, "early_stop_min_delta": 1e-5, "epochs": 1}), cli.EXIT_DATA),
     "pairs-not-an-index": (lambda t, tmp: _direction(t, tmp, "--pairs", "abc"),
                            cli.EXIT_USAGE),
     "inspect-k-zero": (lambda t, tmp: ["inspect", "--checkpoint", str(_checkpoint(t)),
@@ -561,6 +604,12 @@ EXIT_CASES = {
                              cli.EXIT_NO_PAIRS),
     "manifest-not-json": (lambda t, tmp: _edited_manifest(t, tmp, lambda m: "{format"),
                           cli.EXIT_DATA),
+    "manifest-without-digests": (lambda t, tmp: _edited_manifest(
+        t, tmp, lambda m: [m.pop("sha256"), m.pop("manifest_sha256")]), cli.EXIT_DATA),
+    "checkpoint-without-norm": (lambda t, tmp: _without_norm(t, tmp, "inspect"),
+                                cli.EXIT_DATA),
+    "direction-checkpoint-without-norm": (lambda t, tmp: _without_norm(t, tmp, "direction"),
+                                          cli.EXIT_DATA),
     "manifest-without-arrays": (lambda t, tmp: _edited_manifest(
         t, tmp, lambda m: m.pop("arrays")), cli.EXIT_DATA),
     "manifest-without-config": (lambda t, tmp: _edited_manifest(
