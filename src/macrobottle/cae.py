@@ -161,9 +161,15 @@ class CaeModel:
                             f"positive integers extra.input_dim_x and extra.input_dim_y")
         model = build_cae(*dims, CaeConfig.from_dict(config))
         try:
-            model.stats = ColumnStats(*(arrays.pop(f"norm.{f.name}") for f in fields(ColumnStats)))
+            norm = {f.name: arrays.pop(f"norm.{f.name}") for f in fields(ColumnStats)}
         except KeyError as err:
             raise DataError(f"checkpoint at {dirpath} lacks {err.args[0]}") from err
+        for name, a in norm.items():
+            dim = dims[0] if name.startswith("x_") else dims[1]
+            if a.shape != (dim,):
+                raise DataError(f"checkpoint shape mismatch for norm.{name}: "
+                                f"{a.shape} vs {(dim,)}")
+        model.stats = ColumnStats(**norm)
         model.store.load_arrays(arrays)
         return model
 

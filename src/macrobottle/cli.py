@@ -82,13 +82,12 @@ def cmd_gen(args) -> int:
     with open(out / "gen.json", "w", encoding="utf-8") as fh:
         json.dump({"scenario": args.scenario, "n": args.n, "seed": args.seed}, fh, indent=2)
 
-    if args.verify:  # what was written must be what was generated
-        x, _ = dataio.load_matrix_csv(out / "X.csv")
-        y, _ = dataio.load_matrix_csv(out / "Y.csv")
+    if args.verify:  # what was written must be what was generated, text and twin
+        loaded = [dataio.load_pair(out, twin) for twin in (True, False)]
         truth, names = dataio.load_matrix_csv(out / "ground_truth.csv")
         expected = np.column_stack([pair.ground_truth.as_matrix(), pair.split])
-        if not (np.array_equal(x, pair.x) and np.array_equal(y, pair.y)
-                and np.array_equal(truth, expected)):
+        if not (all(np.array_equal(p.x, pair.x) and np.array_equal(p.y, pair.y)
+                    for p in loaded) and np.array_equal(truth, expected)):
             raise NumericalError(f"the files in {out} differ from the generated data")
         columns = dict(zip(names, truth.T))  # the reloaded latents and noises
         if not datagen.equations_hold(args.scenario, columns):
@@ -108,7 +107,7 @@ def _load_checkpoint_and_data(args) -> tuple[cae.CaeModel, datagen.DatasetPair]:
     units."""
     model = cae.CaeModel.load(args.checkpoint)
     data_dir = Path(args.data)
-    pair = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
+    pair = dataio.load_pair(data_dir)
     widths = (pair.x.shape[1], pair.y.shape[1])
     if widths != (model.net_x.input_dim, model.net_y.input_dim):
         raise DataError(f"{data_dir} has {widths[0]} X and {widths[1]} Y columns; the model "
@@ -179,7 +178,6 @@ def _summary_table(results: list[dict]) -> str:
 
 
 def cmd_train(args) -> int:
-    data_dir = Path(args.data)
     out = Path(args.out)
     config = dataio.load_json_object(args.config) if args.config else {}
     sweep = dataio.load_json_object(args.sweep) if args.sweep else {}
@@ -203,8 +201,8 @@ def cmd_train(args) -> int:
     # compared once validated, so a value JSON cannot hash is already a data error
     if len({(c.beta, c.gamma) for c, _ in configs}) != len(configs):
         raise DataError("sweep cells must be unique")
-    # parsed once for all cells; each cell builds its own split from its seed
-    data = dataio.load_pair_csv(data_dir / "X.csv", data_dir / "Y.csv")
+    # loaded once for all cells; each cell builds its own split from its seed
+    data = dataio.load_pair(args.data)
     out.mkdir(parents=True, exist_ok=True)  # only once every input has loaded
     jobs = [(data.x, data.y, config, cell_dir) for config, cell_dir in configs]
 

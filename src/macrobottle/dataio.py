@@ -7,7 +7,13 @@ numpy's C parser, so it holds the matrix and one block, not the whole text.
 When a block fails, or yields the wrong shape or a non-finite value, or a
 line holds a character the two parsers split or strip differently, the
 lines go one at a time through float(): that loop defines what a file may
-hold and raises the ParseError that names the first bad line. The JSON
+hold and raises the ParseError that names the first bad line. A dataset
+directory that save_pair writes also holds a float64 twin of X.csv and
+Y.csv (X.npy, Y.npy and the manifest twin.json with their sha256 digests
+and shapes), so the commands that read the directory parse no text the
+program wrote itself: load_pair reads each twin straight into the array it
+returns when every digest and shape matches, and parses the CSVs otherwise
+(a stale or damaged twin, or a user's own CSVs). The JSON
 files a command takes as options (configs, sweeps, grid layouts) are read
 by load_json_object. Run reports are JSON documents validated against a
 published schema; every float in a report is finite or explicitly null.
@@ -15,14 +21,19 @@ published schema; every float in a report is finite or explicitly null.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
-from jsonschema import validate as _validate_schema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
+from numpy.lib import format as npy_format
 
 from .datagen import TRAIN, DatasetPair, GroundTruth
 from .errors import DataError, ParseError
@@ -163,11 +174,114 @@ def load_pair_csv(path_x: str | Path, path_y: str | Path) -> DatasetPair:
     return DatasetPair(x, y)
 
 
+# ---------------------------------------------------------------------------
+# dataset directories and their float64 twin
+
+_PAIR_CSV = ("X.csv", "Y.csv")
+_TWIN_MANIFEST = "twin.json"
+_TWIN_DTYPE = np.dtype("<f8")
+_HASH_BLOCK_BYTES = 1 << 20
+
+
+def _file_sha256(path: Path) -> str:
+    """The sha256 of a file, read _HASH_BLOCK_BYTES at a time into one buffer."""
+    digest = hashlib.sha256()
+    block = bytearray(_HASH_BLOCK_BYTES)
+    view = memoryview(block)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
+    return digest.hexdigest()
+
+
+def _npy_header(shape: tuple[int, int]) -> bytes:
+    """The header np.save writes before a C-order little-endian float64 array."""
+    head = io.BytesIO()
+    npy_format.write_array_header_1_0(
+        head, {"descr": _TWIN_DTYPE.str, "fortran_order": False, "shape": shape})
+    return head.getvalue()
+
+
+def _twin_sha256(head: bytes, matrix: np.ndarray) -> str:
+    """The sha256 of a .npy twin file: its header, then the matrix's bytes."""
+    digest = hashlib.sha256(head)
+    digest.update(matrix)
+    return digest.hexdigest()
+
+
 def save_pair(dirpath: str | Path, pair: DatasetPair) -> None:
+    """Write X.csv and Y.csv, then their twin: X.npy and Y.npy, the .npy
+    files np.save writes for C-order little-endian float64, and the manifest
+    twin.json, which lists per CSV the sha256 of its bytes on disk, the
+    sha256 of its .npy file and its shape. The manifest is written last."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    save_matrix_csv(dirpath / "X.csv", pair.x)
-    save_matrix_csv(dirpath / "Y.csv", pair.y)
+    manifest = {}
+    for name, matrix in zip(_PAIR_CSV, (pair.x, pair.y)):
+        csv_path = dirpath / name
+        save_matrix_csv(csv_path, matrix)
+        twin = np.ascontiguousarray(matrix, dtype=_TWIN_DTYPE)
+        head = _npy_header(twin.shape)
+        with open(csv_path.with_suffix(".npy"), "wb") as fh:
+            fh.write(head)
+            twin.tofile(fh)
+        manifest[name] = {"sha256": _file_sha256(csv_path),
+                          "twin_sha256": _twin_sha256(head, twin), "shape": list(twin.shape)}
+    with open(dirpath / _TWIN_MANIFEST, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+
+
+def load_pair(dirpath: str | Path, twin: bool = True) -> DatasetPair:
+    """The pair in a dataset directory; split is left unassigned. With twin,
+    the matrices come from the .npy twin that save_pair wrote when its
+    manifest matches both CSVs and both twin files; otherwise, and without
+    twin, X.csv and Y.csv are parsed, with their own errors."""
+    dirpath = Path(dirpath)
+    pair = _load_twin(dirpath) if twin else None
+    if pair is None:
+        pair = load_pair_csv(*(dirpath / name for name in _PAIR_CSV))
+    return pair
+
+
+def _load_twin(dirpath: Path) -> DatasetPair | None:
+    """The pair from its twin; None unless the manifest reads, and for each
+    CSV its sha256, its twin's sha256 and the twin's shape all match it, and
+    the two matrices have the same number of rows."""
+    try:
+        with open(dirpath / _TWIN_MANIFEST, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        matrices = []
+        for name in _PAIR_CSV:
+            entry = manifest[name]
+            if _file_sha256(dirpath / name) != entry["sha256"]:
+                return None
+            matrix = _read_twin((dirpath / name).with_suffix(".npy"), entry)
+            if matrix is None:
+                return None
+            matrices.append(matrix)
+    except (OSError, ValueError, KeyError, TypeError):  # a missing or malformed file
+        return None
+    x, y = matrices
+    return DatasetPair(x, y) if len(x) == len(y) else None
+
+
+def _read_twin(path: Path, entry: dict) -> np.ndarray | None:
+    """The matrix in a .npy twin, read straight into the returned array; None
+    unless the entry's shape has two positive integers, and the file holds
+    the header save_pair writes for that shape, then that many values, and
+    hashes to the entry's twin_sha256."""
+    shape = tuple(entry["shape"])
+    if len(shape) != 2 or not all(type(v) is int and v >= 1 for v in shape):
+        return None
+    head = _npy_header(shape)
+    with open(path, "rb") as fh:
+        size = len(head) + _TWIN_DTYPE.itemsize * shape[0] * shape[1]
+        if os.fstat(fh.fileno()).st_size != size or fh.read(len(head)) != head:
+            return None  # checked before the array is allocated
+        matrix = np.empty(shape, dtype=_TWIN_DTYPE)
+        if fh.readinto(memoryview(matrix).cast("B")) != matrix.nbytes:
+            return None
+    return matrix if _twin_sha256(head, matrix) == entry["twin_sha256"] else None
 
 
 def save_ground_truth(path: str | Path, truth: GroundTruth,
@@ -408,8 +522,15 @@ def _sanitize_floats(obj):
     return obj
 
 
+_REPORT_VALIDATOR = Draft202012Validator(REPORT_SCHEMA)
+
+
 def validate_report(doc: dict) -> None:
-    _validate_schema(doc, REPORT_SCHEMA)
+    """Raise the ValidationError jsonschema.validate would raise for a
+    document that does not follow REPORT_SCHEMA."""
+    error = best_match(_REPORT_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def save_report(path: str | Path, report: RunReport) -> None:

@@ -20,12 +20,13 @@ the loss the same bits with or without a workspace.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincinv
 
 from .errors import DataError, DegenerateDataError
 
@@ -226,6 +227,16 @@ def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, flo
     return stat / n, var, mu_x, mu_y
 
 
+def gamma_quantile(q: float, shape: float, scale: float) -> float:
+    """The bits of scipy.stats.gamma.ppf(q, a=shape, scale=scale) for q in
+    (0, 1), without importing scipy.stats: gammaincinv(shape, q) * scale + 0,
+    and NaN unless shape and scale are > 0 (a shape that underflowed to 0
+    included), where gammaincinv alone can give 0."""
+    if not (shape > 0 and scale > 0):
+        return math.nan
+    return float(gammaincinv(shape, q) * scale)
+
+
 def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                    bandwidths: tuple[float, float] | None = None) -> HsicResult:
     """Biased-estimator test statistic n*HSIC_b with its gamma threshold.
@@ -257,7 +268,7 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
     var = max(var, 1e-300)
     shape = mean * mean / var
     scale = var * n / mean
-    threshold = float(gamma_dist.ppf(1.0 - alpha, a=shape, scale=scale))
+    threshold = gamma_quantile(1.0 - alpha, shape, scale)
     return HsicResult(statistic=stat, threshold=threshold,
                       bandwidths=bandwidths, n=n, alpha=alpha)
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +21,15 @@ from macrobottle.errors import NumericalError
 
 def run(argv):
     return cli.main(argv)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats takes most of a second to import, and the CLI needs none of it
+    src = str(Path(cli.__file__).parents[1])
+    code = "import sys, macrobottle.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestGen:
@@ -157,7 +169,13 @@ class TestTrain:
             reports.append(docs)
         assert len(reports[0]) == 2 and reports[0] == reports[1]
 
-    def test_sweep_parses_the_pair_once(self, tiny_run, tmp_path, monkeypatch):
+    def sweep_parses(self, tiny_run, tmp_path, monkeypatch, names) -> list[str]:
+        """The CSVs a three-cell sweep parses, on a copy of the data
+        directory that holds only the named files."""
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in names:
+            shutil.copy(tiny_run["data"] / name, data)
         load, paths = dataio.load_matrix_csv, []
 
         def counting_load(path):
@@ -167,9 +185,19 @@ class TestTrain:
         monkeypatch.setattr(dataio, "load_matrix_csv", counting_load)
         sweep = {"cells": [{"beta": 1.0, "gamma": 1.0}, {"beta": 0.1, "gamma": 1.0},
                            {"beta": 0.1, "gamma": 0.5}]}
-        assert run(_train(tiny_run, tmp_path, sweep=sweep) + ["--epochs", "1"]) == cli.EXIT_OK
-        assert paths == ["X.csv", "Y.csv"]
+        argv = _train({**tiny_run, "data": data}, tmp_path, sweep=sweep) + ["--epochs", "1"]
+        assert run(argv) == cli.EXIT_OK
         assert len(list((tmp_path / "o").glob("cell_*/report.json"))) == 3
+        return paths
+
+    def test_sweep_parses_the_pair_once(self, tiny_run, tmp_path, monkeypatch):
+        # the CSVs without their twin
+        paths = self.sweep_parses(tiny_run, tmp_path, monkeypatch, ["X.csv", "Y.csv"])
+        assert paths == ["X.csv", "Y.csv"]
+
+    def test_sweep_with_the_twin_parses_no_csv(self, tiny_run, tmp_path, monkeypatch):
+        names = ["X.csv", "Y.csv", "X.npy", "Y.npy", "twin.json"]
+        assert self.sweep_parses(tiny_run, tmp_path, monkeypatch, names) == []
 
     def test_bad_data_file_exits_before_any_cell(self, tiny_run, tmp_path, capsys):
         data = tmp_path / "data"
@@ -530,6 +558,15 @@ def _without_norm(tiny, tmp, command):
             "--out", str(tmp / "out")]
 
 
+def _short_norm(tiny, tmp, command):
+    # the checkpoint re-saved, with valid digests, with 5 X means for 64 inputs
+    arrays, extra = ad.load_checkpoint(_checkpoint(tiny))
+    arrays["norm.x_mean"] = arrays["norm.x_mean"][:5]
+    ad.save_checkpoint(tmp / "ck", arrays, extra)
+    return [command, "--checkpoint", str(tmp / "ck"), "--data", str(tiny["data"]),
+            "--out", str(tmp / "out")]
+
+
 def _narrow_x(tiny, tmp, command):
     # ten X columns against a model trained on 64
     data = tmp / "data"
@@ -610,6 +647,8 @@ EXIT_CASES = {
                                 cli.EXIT_DATA),
     "direction-checkpoint-without-norm": (lambda t, tmp: _without_norm(t, tmp, "direction"),
                                           cli.EXIT_DATA),
+    "checkpoint-norm-of-another-width": (lambda t, tmp: _short_norm(t, tmp, "inspect"),
+                                         cli.EXIT_DATA),
     "manifest-without-arrays": (lambda t, tmp: _edited_manifest(
         t, tmp, lambda m: m.pop("arrays")), cli.EXIT_DATA),
     "manifest-without-config": (lambda t, tmp: _edited_manifest(

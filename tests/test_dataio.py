@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import tracemalloc
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator, ValidationError
 
 from macrobottle import anm, dataio, datagen
 from macrobottle.errors import DataError, ParseError
@@ -221,6 +226,121 @@ def _outcome(load, path):
     return "matrix", matrix.shape, matrix.tobytes(), header
 
 
+_PAIR_FILES = ("X.csv", "Y.csv", "X.npy", "Y.npy", "twin.json")
+
+
+@st.composite
+def _pair_dir_changes(draw):
+    """One change to a save_pair directory: a byte flipped or a file
+    truncated (any file), a file deleted, a line appended to X.csv, or X.csv
+    rewritten with another matrix of the same shape."""
+    kind = draw(st.sampled_from(["flip", "truncate", "delete", "append", "swap"]))
+    if kind in ("flip", "truncate", "delete"):
+        return kind, draw(st.sampled_from(_PAIR_FILES)), draw(st.integers(0, 1 << 20)), \
+            draw(st.integers(1, 255))
+    if kind == "append":
+        return kind, draw(st.sampled_from(["0.5,1,2", "0.5,1", "oops", "", "nan,1,2"]))
+    return kind, draw(st.integers(0, 2**32 - 1))
+
+
+def _apply_change(d, change):
+    kind, *args = change
+    if kind in ("flip", "truncate"):
+        name, offset, mask = args
+        data = bytearray((d / name).read_bytes())
+        offset %= len(data)
+        if kind == "flip":
+            data[offset] ^= mask
+        else:
+            del data[offset:]
+        (d / name).write_bytes(bytes(data))
+    elif kind == "delete":
+        (d / args[0]).unlink()
+    elif kind == "append":
+        with open(d / "X.csv", "a", encoding="utf-8") as fh:
+            fh.write(args[0] + "\n")
+    else:
+        x, header = dataio.load_matrix_csv(d / "X.csv")
+        other = np.random.default_rng(args[0]).normal(size=x.shape)
+        dataio.save_matrix_csv(d / "X.csv", other, header)
+
+
+def _pair_outcome(load):
+    try:
+        pair = load()
+    except Exception as err:  # the text parse's own errors, whatever their type
+        return "error", type(err), str(err)
+    return "pair", pair.x.dtype, pair.x.shape, pair.x.tobytes(), pair.y.shape, pair.y.tobytes()
+
+
+class TestPairTwin:
+    @staticmethod
+    def saved(d, seed=0, rows=6):
+        rng = np.random.default_rng(seed)
+        pair = datagen.DatasetPair(rng.normal(size=(rows, 3)), rng.normal(size=(rows, 2)))
+        dataio.save_pair(d, pair)
+        return pair
+
+    def test_pair_writes_a_float64_twin(self, tmp_path):
+        pair = self.saved(tmp_path)
+        for name, matrix in (("X.npy", pair.x), ("Y.npy", pair.y)):
+            saved = io.BytesIO()
+            np.save(saved, matrix)
+            assert (tmp_path / name).read_bytes() == saved.getvalue()
+        assert np.array_equal(np.load(tmp_path / "X.npy"), pair.x)
+        assert np.array_equal(np.load(tmp_path / "Y.npy"), pair.y)
+        manifest = json.loads((tmp_path / "twin.json").read_text())
+        assert manifest["X.csv"]["shape"] == [6, 3]
+        assert manifest["Y.csv"]["twin_sha256"] == \
+            hashlib.sha256((tmp_path / "Y.npy").read_bytes()).hexdigest()
+
+    def test_matching_twin_parses_no_text(self, tmp_path, monkeypatch):
+        pair = self.saved(tmp_path)
+
+        def no_parse(path):
+            raise AssertionError(f"parsed {path}")
+
+        monkeypatch.setattr(dataio, "load_matrix_csv", no_parse)
+        loaded = dataio.load_pair(tmp_path)
+        assert loaded.split is None
+        assert np.array_equal(loaded.x, pair.x) and np.array_equal(loaded.y, pair.y)
+        assert loaded.x.flags.c_contiguous and loaded.x.dtype == np.float64
+        with pytest.raises(AssertionError, match="parsed"):
+            dataio.load_pair(tmp_path, twin=False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pair_dir_changes(), st.integers(1, 4))
+    @example(("flip", "twin.json", 0, 1), 6)  # a manifest that is not JSON
+    @example(("truncate", "X.npy", 200, 1), 6)  # inside the data, after the header
+    @example(("delete", "twin.json", 0, 1), 6)
+    @example(("append", "0.5,1,2"), 6)  # one more X row than Y rows
+    @example(("swap", 1), 6)
+    def test_any_change_loads_what_the_text_parse_loads(self, tmp_path_factory, change,
+                                                        rows):
+        # the twin either matches every digest and shape and gives the text
+        # parse's bits, or it is ignored and the text parse speaks: its
+        # arrays, or its error type and message
+        d = tmp_path_factory.mktemp("pair")
+        self.saved(d, rows=rows)
+        _apply_change(d, change)
+        assert _pair_outcome(lambda: dataio.load_pair(d)) == \
+            _pair_outcome(lambda: dataio.load_pair(d, twin=False))
+
+    @pytest.mark.parametrize("shape", [[6], [6, 3, 1], [0, 3], [6, True], [6.0, 3], "63",
+                                       [2**40, 2**40]])
+    def test_manifest_with_another_shape_falls_back(self, tmp_path, monkeypatch, shape):
+        self.saved(tmp_path)
+        manifest = json.loads((tmp_path / "twin.json").read_text())
+        manifest["X.csv"]["shape"] = shape
+        (tmp_path / "twin.json").write_text(json.dumps(manifest))
+        parsed = []
+        load = dataio.load_matrix_csv
+        monkeypatch.setattr(dataio, "load_matrix_csv",
+                            lambda path: parsed.append(path.name) or load(path))
+        dataio.load_pair(tmp_path)
+        assert parsed == ["X.csv", "Y.csv"]
+
+
 class TestStandardize:
     def test_already_standardized_identity(self):
         rng = np.random.default_rng(0)
@@ -375,3 +495,24 @@ class TestRunReport:
     def test_schema_rejects_malformed(self):
         with pytest.raises(Exception):
             dataio.validate_report({"schema_version": 1, "kind": "run_report"})
+
+    def test_schema_is_a_valid_schema(self):
+        # validate_report builds its validator once and skips this check
+        Draft202012Validator.check_schema(dataio.REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(schema_version=1),
+        lambda d: d.pop("metrics"),
+        lambda d: d["metrics"].update(kl_x=["a"]),
+        lambda d: d["metrics"].update(informative_x=1.5, epochs_run="x"),
+        lambda d: d.update(loss_history={"recon_x": [1, "a"]}, seed=None),
+    ])
+    def test_error_is_the_one_jsonschema_validate_raises(self, edit):
+        doc = self.make_report().to_dict()
+        edit(doc)
+        with pytest.raises(ValidationError) as expected:
+            jsonschema.validate(doc, dataio.REPORT_SCHEMA)
+        with pytest.raises(ValidationError) as raised:
+            dataio.validate_report(doc)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.path == expected.value.path

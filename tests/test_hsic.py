@@ -348,6 +348,22 @@ class TestStatistic:
             res = hsic.hsic_statistic(x, x)
             assert res.statistic > res.threshold
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1e300) | st.floats(1e-3, 1e3),
+           st.floats(5e-324, 1e300) | st.floats(1e-3, 1e3) | st.just(np.inf))
+    @example(0.95, 1e-320, 2.0)  # a shape scipy rejects: nan
+    @example(0.95, 0.0, 2.0)
+    @example(1.0 - 2.0**-52, 0.0, 1.0)  # gammaincinv gives 0 here, scipy's ppf NaN
+    def test_threshold_is_the_bits_of_gamma_ppf(self, q, shape, scale):
+        with np.errstate(all="ignore"):  # 0 * inf
+            expected = float(gamma_dist.ppf(q, a=shape, scale=scale))
+            got = hsic.gamma_quantile(q, shape, scale)
+        if np.isnan(expected):
+            assert np.isnan(got)
+        else:
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
     def test_type_one_error_of_gamma_threshold(self):
         rng = np.random.default_rng(11)
         rejections = 0
