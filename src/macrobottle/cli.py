@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true",
-                   help="re-check the structural equations after writing")
+                   help="after writing, reload the written text and twin, require the "
+                        "generated bits, and re-check the structural equations")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train one model or a beta/gamma sweep")

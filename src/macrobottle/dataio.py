@@ -2,6 +2,9 @@
 
 Matrices travel as comma-separated files with one header row and decimal
 values printed at 17 significant digits, which round-trips float64 exactly.
+Saving computes np.savetxt's "%.17g" text in numpy (_format_rows): the
+digits of a value in %g's fixed-notation range come from an exact product
+by a power of ten, the other values from % one at a time.
 Loading reads the file in blocks of about 1 MB of text and parses each with
 numpy's C parser, so it holds the matrix and one block, not the whole text.
 When a block fails, or yields the wrong shape or a non-finite value, or a
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -47,15 +51,138 @@ REPORT_SCHEMA_VERSION = 2
 
 _SAVE_BLOCK_ROWS = 256
 
+# "%.17g" computed in numpy. A value v with 1e-4 <= |v| < 1e17 prints in %g's
+# fixed notation with a decimal exponent k in [-4, 16], and its 17 digits are
+# the integer round-half-even(|v| * 10**(16 - k)). 10**q is a double for
+# q <= 22, and Dekker's product of two doubles is exact as hi + lo, so
+# rounding hi + lo gives the correctly rounded digits that % prints. Zeros and
+# every value % prints with an exponent go through % one at a time.
+_FIXED_RANGE = (1e-4, 1e17)
+_K_MIN, _K_MAX = -4, 16
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into 26-bit halves
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == a exactly, each of at most 26 significant bits."""
+    t = a * _SPLITTER
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** q) for q in range(16 - _K_MIN + 1)])  # 10**(16 - k)
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+# One row of _ROW bytes per value, which a mask cuts to the value's text. By
+# byte: 1 the sign, 2-6 "0.000", 7-23 the 17 digits, 24 ".", 28-43 digits 2-17
+# again, _SEP the "," or "\n" after the value. Exponent k >= 0 keeps digits
+# 1..k+1 of the first copy, then the point and the other kept digits from the
+# second copy; k < 0 keeps "0.", -k-1 zeros and the kept digits of the first
+# copy. Digits 2-17 fill 4-byte words 2-5 and 7-10 from a 4-digit table.
+_ROW = 48
+_SEP = 44
+_OTHER_CHARS = 24  # the longest text % gives the other values: "-1.7976931348623157e+308"
+_group = np.arange(10_000)
+_DIGITS4 = (np.stack([_group // 1000, _group // 100 % 10, _group // 10 % 10, _group % 10], axis=1)
+            .astype(np.uint8) + ord("0")).view("<u4").ravel()  # "0000".."9999"
+_ZEROS4 = sum((_group % 10 ** p == 0).astype(np.int64) for p in range(1, 5))  # of each group
+
+
+def _row_masks() -> np.ndarray:
+    """The bytes of a row kept, per (k, negative, digits kept), flat; kept 0 is unused."""
+    masks = np.zeros((_K_MAX - _K_MIN + 1, 2, 18, _ROW), dtype=bool)
+    for k in range(_K_MIN, _K_MAX + 1):
+        for kept in range(1, 18):
+            row = masks[k - _K_MIN, :, kept]
+            row[1, 1] = True
+            if k < 0:
+                row[:, 2:3 - k] = True
+                row[:, 7:7 + kept] = True
+            else:
+                row[:, 7:8 + k] = True
+                if kept > k + 1:
+                    row[:, 24] = True
+                    row[:, 28 + k:27 + kept] = True
+            row[:, _SEP] = True
+    return masks.reshape(-1, _ROW)
+
+
+_MASKS = _row_masks()
+
+
+def _row_template(ncols: int, rows: int) -> np.ndarray:
+    """The constant bytes of the value rows of `rows` matrix rows of ncols columns."""
+    template = np.zeros((rows * ncols, _ROW), dtype=np.uint8)
+    template[:, 1:7] = np.frombuffer(b"-0.000", dtype=np.uint8)
+    template[:, 24] = ord(".")
+    template[:, _SEP] = ord(",")
+    template[ncols - 1::ncols, _SEP] = ord("\n")
+    return template
+
+
+def _exact_product(a: np.ndarray, a_split: tuple[np.ndarray, np.ndarray],
+                   k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == a * 10**(16 - k) exactly (Dekker 1971)."""
+    q = 16 - k
+    p, p_hi, p_lo = _POW10[q], _POW10_HI[q], _POW10_LO[q]
+    a_hi, a_lo = a_split
+    hi = a * p
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _format_rows(block: np.ndarray, template: np.ndarray) -> bytes:
+    """The "%.17g" text of a block of finite rows, "," between values and
+    "\\n" after each row; template is _row_template for at least as many rows."""
+    v = block.ravel()
+    a = np.abs(v)
+    fixed = (a >= _FIXED_RANGE[0]) & (a < _FIXED_RANGE[1])
+    a[~fixed] = 1.0  # any value in range, so the arithmetic below stays finite
+    a_split = _split(a)
+    k = np.clip(np.floor(np.log10(a)), _K_MIN, _K_MAX).astype(np.int64)
+    hi, lo = _exact_product(a, a_split, k)
+    # log10 can be one off next to a power of ten: 16 or 18 digits
+    k -= (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    k += (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    hi, lo = _exact_product(a, a_split, k)
+    # hi >= 1e16 > 2**53 is an even integer, so lo rounded half to even rounds hi + lo so
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = digits == 10 ** 17  # rounded up to 10**17: 10**16 at the next exponent
+    digits[carry] = 10 ** 16
+    k += carry
+    top, bottom = np.divmod(digits, 10 ** 8)
+    lead, g1 = np.divmod(top, 10 ** 8)
+    g1, g2 = np.divmod(g1, 10 ** 4)
+    g3, g4 = np.divmod(bottom, 10 ** 4)
+    rows = template[:len(v)].copy()
+    rows[:, 7] = lead + ord("0")
+    words = rows.view("<u4")
+    for j, g in enumerate((g1, g2, g3, g4)):
+        words[:, 2 + j] = words[:, 7 + j] = _DIGITS4[g]
+    zeros = _ZEROS4[g4]
+    run = g4 == 0
+    for g in (g3, g2, g1):
+        zeros += run * _ZEROS4[g]
+        run &= g == 0
+    kept = np.maximum(17 - zeros, k + 1)
+    mask = _MASKS.take(((k - _K_MIN) * 2 + (v < 0)) * 18 + kept, axis=0)
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        texts = ["%.17g" % value for value in v[other].tolist()]
+        rows[other, :_OTHER_CHARS] = np.array(texts, dtype=f"S{_OTHER_CHARS}").view(
+            np.uint8).reshape(-1, _OTHER_CHARS)
+        mask[other] = np.arange(_ROW) < np.array([len(t) for t in texts])[:, None]
+        mask[other, _SEP] = True
+    return rows[mask].tobytes()
+
 
 def save_matrix_csv(path: str | Path, matrix: np.ndarray,
-                    header: list[str] | None = None) -> None:
+                    header: list[str] | None = None) -> str:
     """Write the bytes np.savetxt(fmt="%.17g", delimiter=",", comments="")
-    writes, formatting and writing _SAVE_BLOCK_ROWS rows at a time. Column
-    names that load_matrix_csv could not give back raise DataError: one that
-    holds a comma or a line break, or a lone empty name, whose empty header
-    line a reload would read as the first data row. So does a matrix with no
-    columns, whose rows would be blank lines that a reload skips."""
+    writes, formatting _SAVE_BLOCK_ROWS rows at a time in numpy (_format_rows),
+    and return their sha256. Column names that load_matrix_csv could not give
+    back raise DataError: one that holds a comma or a line break, or a lone
+    empty name, whose empty header line a reload would read as the first
+    data row. So does a matrix with no columns, whose rows would be blank
+    lines that a reload skips."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise DataError("save_matrix_csv expects a 2-D matrix")
@@ -73,13 +200,16 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
     head = ",".join(header)
     if header and not head:
         raise DataError(f"column name {header[0]!r} alone makes an empty header line")
-    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        if head:  # savetxt writes no empty header line
-            fh.write(head + "\n")
-        for start in range(0, len(matrix), _SAVE_BLOCK_ROWS):
-            block = matrix[start:start + _SAVE_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    template = _row_template(matrix.shape[1], min(len(matrix), _SAVE_BLOCK_ROWS))
+    head_line = [(head + "\n").encode("utf-8")] if head else []  # savetxt writes no empty one
+    blocks = (_format_rows(matrix[start:start + _SAVE_BLOCK_ROWS], template)
+              for start in range(0, len(matrix), _SAVE_BLOCK_ROWS))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in itertools.chain(head_line, blocks):
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 _LOAD_BLOCK_CHARS = 1 << 20  # readlines hint: about 1 MB of text per parsed block
@@ -212,20 +342,21 @@ def _twin_sha256(head: bytes, matrix: np.ndarray) -> str:
 def save_pair(dirpath: str | Path, pair: DatasetPair) -> None:
     """Write X.csv and Y.csv, then their twin: X.npy and Y.npy, the .npy
     files np.save writes for C-order little-endian float64, and the manifest
-    twin.json, which lists per CSV the sha256 of its bytes on disk, the
-    sha256 of its .npy file and its shape. The manifest is written last."""
+    twin.json, which lists per CSV the sha256 of the bytes save_matrix_csv
+    wrote, the sha256 of its .npy file and its shape. The manifest is
+    written last."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     manifest = {}
     for name, matrix in zip(_PAIR_CSV, (pair.x, pair.y)):
         csv_path = dirpath / name
-        save_matrix_csv(csv_path, matrix)
+        csv_sha256 = save_matrix_csv(csv_path, matrix)
         twin = np.ascontiguousarray(matrix, dtype=_TWIN_DTYPE)
         head = _npy_header(twin.shape)
         with open(csv_path.with_suffix(".npy"), "wb") as fh:
             fh.write(head)
             twin.tofile(fh)
-        manifest[name] = {"sha256": _file_sha256(csv_path),
+        manifest[name] = {"sha256": csv_sha256,
                           "twin_sha256": _twin_sha256(head, twin), "shape": list(twin.shape)}
     with open(dirpath / _TWIN_MANIFEST, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)

@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .errors import DataError, DegenerateDataError
 
@@ -231,7 +230,11 @@ def gamma_quantile(q: float, shape: float, scale: float) -> float:
     """The bits of scipy.stats.gamma.ppf(q, a=shape, scale=scale) for q in
     (0, 1), without importing scipy.stats: gammaincinv(shape, q) * scale + 0,
     and NaN unless shape and scale are > 0 (a shape that underflowed to 0
-    included), where gammaincinv alone can give 0."""
+    included), where gammaincinv alone can give 0. scipy.special is imported
+    here, not with the module: it is most of the CLI's import time, and only
+    this threshold uses it."""
+    from scipy.special import gammaincinv
+
     if not (shape > 0 and scale > 0):
         return math.nan
     return float(gammaincinv(shape, q) * scale)

@@ -23,10 +23,12 @@ def run(argv):
     return cli.main(argv)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats takes most of a second to import, and the CLI needs none of it
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.special"])
+def test_cli_import_leaves_out_scipy(module):
+    # scipy.stats takes most of a second to import, and the CLI needs none of
+    # it; scipy.special is half of the rest, and only the HSIC threshold uses it
     src = str(Path(cli.__file__).parents[1])
-    code = "import sys, macrobottle.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, macrobottle.cli; print({module!r} in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout.strip() == "False"
@@ -64,7 +66,7 @@ class TestGen:
             if path.name == "X.csv":
                 matrix = matrix.copy()
                 matrix[5, 7] = np.nextafter(matrix[5, 7], np.inf)
-            save(path, matrix, header)
+            return save(path, matrix, header)
 
         monkeypatch.setattr(dataio, "save_matrix_csv", perturb_x)
         code = run(["gen", "--n", "60", "--seed", "2", "--out", str(tmp_path / "d"),

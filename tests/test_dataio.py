@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import tracemalloc
 
 import jsonschema
@@ -29,6 +30,31 @@ _ODD_TOKENS = st.sampled_from(
     + [f"1{c}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"])
 _ODD_LINES = st.sampled_from(["", " ", "\t", " \u3000 "]).map(str.encode) | st.just(b"1\xff")
 _ODD_ENDS = st.sampled_from(["\x0c", "\x0b", "\x1e", "\x85", "\u2029"]).map(str.encode)
+
+
+def _ulps_from(v: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        v = math.nextafter(v, math.inf if steps > 0 else -math.inf)
+    return v
+
+
+def _signed(values):
+    return st.tuples(values, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+# any finite double, and drawn often: the range save_matrix_csv prints in
+# fixed notation by its own arithmetic, powers of ten up to 3 ulps away (where
+# log10 misjudges the exponent), and exact ties of the 17th digit, which
+# round half to even: m + 1/4 has 16 integer digits, m + 1/8 has 15
+_SAVETXT_VALUES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | _signed(st.floats(1e-4, 1e17, exclude_max=True))
+    | _signed(st.tuples(st.integers(-6, 18), st.integers(-3, 3)).map(
+        lambda t: _ulps_from(float(f"1e{t[0]}"), t[1])))
+    | _signed(st.tuples(st.integers(10 ** 15, 2 ** 51 - 1), st.sampled_from([1, 3])).map(
+        lambda t: t[0] + t[1] / 4))
+    | _signed(st.tuples(st.integers(10 ** 14, 2 ** 47 - 1), st.sampled_from([1, 3, 5, 7])).map(
+        lambda t: t[0] + t[1] / 8)))
 
 
 @st.composite
@@ -191,6 +217,30 @@ class TestMatrixCsv:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "_LOAD_BLOCK_CHARS", block)
             assert _outcome(dataio.load_matrix_csv, path) == _outcome(_load_by_lines, path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SAVETXT_VALUES, min_size=1, max_size=64), st.integers(1, 70),
+           st.integers(1, 2 * dataio._SAVE_BLOCK_ROWS + 1))
+    @example([9.9999999999999995e-07], 1, 1)  # %g's exponent notation below 1e-4
+    @example([1e-4, math.nextafter(1e-4, 0.0)], 2, 1)  # either side of the fixed range
+    @example([1e17, math.nextafter(1e17, 0.0)], 2, 1)
+    @example([1e-14], 1, 1)  # below 10**-14, and rounds up to it at 17 digits
+    @example([0.1, -2.5, 1e16 + 2], 70, dataio._SAVE_BLOCK_ROWS + 1)
+    def test_same_bytes_as_savetxt_for_any_finite_value(self, tmp_path_factory, values,
+                                                        ncols, nrows):
+        # the numpy formatter must print every finite double as % does; the
+        # drawn values fill the matrix in turn, so few draws cover many blocks
+        m = np.resize(np.array(values), nrows * ncols).reshape(nrows, ncols)
+        d = tmp_path_factory.mktemp("savetxt")
+        dataio.save_matrix_csv(d / "m.csv", m)
+        np.savetxt(d / "ref.csv", m, fmt="%.17g", delimiter=",", comments="",
+                   header=",".join(f"c{j}" for j in range(ncols)))
+        assert (d / "m.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    def test_returns_the_sha256_of_the_bytes_written(self, tmp_path):
+        m = np.random.default_rng(3).normal(size=(300, 5))
+        digest = dataio.save_matrix_csv(tmp_path / "m.csv", m)
+        assert digest == hashlib.sha256((tmp_path / "m.csv").read_bytes()).hexdigest()
 
     def test_load_peak_memory_follows_the_matrix(self, tmp_path):
         # room for the matrix, its parsed blocks and one block of text; a load
