@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -275,9 +277,9 @@ def _manifest_digest(manifest: dict) -> str:
 
 def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
-    """Write named arrays as one little-endian binary blob plus a JSON
-    manifest recording names, shapes, byte offsets, the blob's sha256 and
-    the sha256 of the manifest's own content."""
+    """Write named arrays back to back, in name order, as one little-endian
+    float64 blob, then a JSON manifest recording names, shapes, byte offsets,
+    the blob's sha256 and the sha256 of the manifest's own content."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
     manifest = {"format": CHECKPOINT_FORMAT, "dtype": "<f8", "arrays": []}
@@ -286,12 +288,11 @@ def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
     with open(dirpath / _BLOB_NAME, "wb") as fh:
         for name in sorted(arrays):
             src = np.asarray(arrays[name], dtype=np.float64)
-            a = np.ascontiguousarray(src, dtype="<f8").tobytes()
+            a = np.ascontiguousarray(src, dtype="<f8")  # no copy of a float64 matrix
             fh.write(a)
             digest.update(a)
-            manifest["arrays"].append(
-                {"name": name, "shape": list(src.shape), "offset": offset})
-            offset += len(a)
+            manifest["arrays"].append({"name": name, "shape": list(src.shape), "offset": offset})
+            offset += a.nbytes
     manifest["sha256"] = digest.hexdigest()
     if extra is not None:
         manifest["extra"] = extra
@@ -301,39 +302,52 @@ def save_checkpoint(dirpath: str | Path, arrays: dict[str, np.ndarray],
 
 
 def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Named arrays and the extra dict of a checkpoint; a manifest that is not
-    JSON, lacks either sha256, does not match its own, lacks its array list
-    or does not match the blob raises DataError."""
+    """Named arrays and the extra dict of a checkpoint, each array read
+    straight from the blob into the array returned and hashed as it is read.
+    A manifest that is not JSON, lacks either sha256, does not match its own
+    or lacks its array list raises DataError; so does a blob whose size or
+    layout differs from the manifest's (checked before any array is
+    allocated) or whose bytes do not match its sha256."""
     dirpath = Path(dirpath)
-    with open(dirpath / _MANIFEST_NAME, encoding="utf-8") as fh:
+    manifest_path, blob_path = dirpath / _MANIFEST_NAME, dirpath / _BLOB_NAME
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except ValueError as err:  # invalid JSON or invalid UTF-8
-            raise DataError(f"{dirpath / _MANIFEST_NAME}: invalid JSON: {err}") from err
+            raise DataError(f"{manifest_path}: invalid JSON: {err}") from err
     if not isinstance(manifest, dict) or manifest.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unrecognized checkpoint format in {dirpath}")
     for key in ("sha256", "manifest_sha256"):
         if key not in manifest:
-            raise DataError(f"{dirpath / _MANIFEST_NAME} lacks {key}")
+            raise DataError(f"{manifest_path} lacks {key}")
     if manifest["manifest_sha256"] != _manifest_digest(manifest):
-        raise DataError(f"{dirpath / _MANIFEST_NAME} does not match its own sha256")
+        raise DataError(f"{manifest_path} does not match its own sha256")
     try:
-        entries = [(e["name"], [int(k) for k in e["shape"]], int(e["offset"]))
-                   for e in manifest["arrays"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise DataError(f"{dirpath / _MANIFEST_NAME}: malformed array list "
+        entries = [(e["name"], [*e["shape"]], e["offset"]) for e in manifest["arrays"]]
+        if not all(type(name) is str and all(type(v) is int for v in (*shape, offset))
+                   for name, shape, offset in entries):
+            raise TypeError("a name that is not a string, or a dimension or offset not an int")
+    except (KeyError, TypeError) as err:
+        raise DataError(f"{manifest_path}: malformed array list "
                         f"({type(err).__name__}: {err})") from err
-    blob = (dirpath / _BLOB_NAME).read_bytes()
-    counts = [int(np.prod(shape)) for _, shape, _ in entries]
-    if len(blob) != 8 * sum(counts):
-        raise DataError(f"{dirpath / _BLOB_NAME} holds {len(blob)} bytes, "
-                        f"the manifest lists {8 * sum(counts)}")
-    if hashlib.sha256(blob).hexdigest() != manifest["sha256"]:
-        raise DataError(f"{dirpath / _BLOB_NAME} does not match the sha256 in its manifest")
+    end = 0  # each array starts where the one before it ends
+    for name, shape, offset in entries:
+        if min(shape, default=0) < 0 or offset != end:
+            raise DataError(f"{manifest_path}: array {name!r} lies outside the blob, "
+                            f"or not right after the array before it")
+        end += 8 * math.prod(shape)
     arrays = {}
-    for (name, shape, offset), count in zip(entries, counts):
-        if min(shape, default=0) < 0 or not 0 <= offset <= len(blob) - 8 * count:
-            raise DataError(f"{dirpath / _MANIFEST_NAME}: array {name!r} lies outside the blob")
-        a = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[name] = a.reshape(shape).astype(np.float64)
+    digest = hashlib.sha256()
+    with open(blob_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != end:
+            raise DataError(f"{blob_path} holds {size} bytes, the manifest lists {end}")
+        for name, shape, _ in entries:
+            a = np.empty(shape, dtype="<f8")
+            raw = a.reshape(-1).view(np.uint8)
+            fh.readinto(raw)  # the digest covers these bytes, whatever a short read left
+            digest.update(raw)
+            arrays[name] = a
+    if digest.hexdigest() != manifest["sha256"]:
+        raise DataError(f"{blob_path} does not match the sha256 in its manifest")
     return arrays, manifest.get("extra", {})

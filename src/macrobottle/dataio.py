@@ -12,24 +12,22 @@ line holds a character the two parsers split or strip differently, the
 lines go one at a time through float(): that loop defines what a file may
 hold and raises the ParseError that names the first bad line. A dataset
 directory that save_pair writes also holds a float64 twin of X.csv and
-Y.csv (X.npy, Y.npy and the manifest twin.json with their sha256 digests
-and shapes), so the commands that read the directory parse no text the
-program wrote itself: load_pair reads each twin straight into the array it
-returns when every digest and shape matches, and parses the CSVs otherwise
-(a stale or damaged twin, or a user's own CSVs). The JSON
-files a command takes as options (configs, sweeps, grid layouts) are read
-by load_json_object. Run reports are JSON documents validated against a
-published schema; every float in a report is finite or explicitly null.
+Y.csv, the checkpoint twin/ (autodiff.save_checkpoint) with the sha256 of
+both CSVs, so that load_pair parses no text the program wrote itself. It
+parses the CSVs when the twin does not load or match them: a stale or
+damaged twin, a user's own CSVs, or a directory from an older gen, whose
+X.npy, Y.npy and twin.json it ignores. The JSON files a command takes as
+options (configs, sweeps, grid layouts) are read by load_json_object. Run
+reports are JSON documents validated against a published schema; every
+float in a report is finite or explicitly null.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import itertools
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Real
 from pathlib import Path
@@ -37,8 +35,8 @@ from pathlib import Path
 import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
-from numpy.lib import format as npy_format
 
+from . import autodiff as ad
 from .datagen import TRAIN, DatasetPair, GroundTruth
 from .errors import DataError, ParseError
 
@@ -308,8 +306,7 @@ def load_pair_csv(path_x: str | Path, path_y: str | Path) -> DatasetPair:
 # dataset directories and their float64 twin
 
 _PAIR_CSV = ("X.csv", "Y.csv")
-_TWIN_MANIFEST = "twin.json"
-_TWIN_DTYPE = np.dtype("<f8")
+_TWIN = "twin"
 _HASH_BLOCK_BYTES = 1 << 20
 
 
@@ -324,95 +321,43 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _npy_header(shape: tuple[int, int]) -> bytes:
-    """The header np.save writes before a C-order little-endian float64 array."""
-    head = io.BytesIO()
-    npy_format.write_array_header_1_0(
-        head, {"descr": _TWIN_DTYPE.str, "fortran_order": False, "shape": shape})
-    return head.getvalue()
-
-
-def _twin_sha256(head: bytes, matrix: np.ndarray) -> str:
-    """The sha256 of a .npy twin file: its header, then the matrix's bytes."""
-    digest = hashlib.sha256(head)
-    digest.update(matrix)
-    return digest.hexdigest()
-
-
 def save_pair(dirpath: str | Path, pair: DatasetPair) -> None:
-    """Write X.csv and Y.csv, then their twin: X.npy and Y.npy, the .npy
-    files np.save writes for C-order little-endian float64, and the manifest
-    twin.json, which lists per CSV the sha256 of the bytes save_matrix_csv
-    wrote, the sha256 of its .npy file and its shape. The manifest is
-    written last."""
+    """Write X.csv and Y.csv, then their twin: the checkpoint twin/ holding
+    the arrays X and Y, whose extra lists the sha256 of the bytes
+    save_matrix_csv wrote for each CSV."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
-    manifest = {}
-    for name, matrix in zip(_PAIR_CSV, (pair.x, pair.y)):
-        csv_path = dirpath / name
-        csv_sha256 = save_matrix_csv(csv_path, matrix)
-        twin = np.ascontiguousarray(matrix, dtype=_TWIN_DTYPE)
-        head = _npy_header(twin.shape)
-        with open(csv_path.with_suffix(".npy"), "wb") as fh:
-            fh.write(head)
-            twin.tofile(fh)
-        manifest[name] = {"sha256": csv_sha256,
-                          "twin_sha256": _twin_sha256(head, twin), "shape": list(twin.shape)}
-    with open(dirpath / _TWIN_MANIFEST, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+    csv_sha256 = {name: save_matrix_csv(dirpath / name, matrix)
+                  for name, matrix in zip(_PAIR_CSV, (pair.x, pair.y))}
+    ad.save_checkpoint(dirpath / _TWIN, {"X": pair.x, "Y": pair.y},
+                       extra={"kind": "twin", "csv_sha256": csv_sha256})
 
 
 def load_pair(dirpath: str | Path, twin: bool = True) -> DatasetPair:
     """The pair in a dataset directory; split is left unassigned. With twin,
-    the matrices come from the .npy twin that save_pair wrote when its
-    manifest matches both CSVs and both twin files; otherwise, and without
-    twin, X.csv and Y.csv are parsed, with their own errors."""
+    the matrices come from the twin that save_pair wrote when it loads and
+    matches both CSVs; otherwise, and without twin, X.csv and Y.csv are
+    parsed, with their own errors."""
     dirpath = Path(dirpath)
     pair = _load_twin(dirpath) if twin else None
-    if pair is None:
-        pair = load_pair_csv(*(dirpath / name for name in _PAIR_CSV))
-    return pair
+    return pair if pair is not None else load_pair_csv(*(dirpath / n for n in _PAIR_CSV))
 
 
 def _load_twin(dirpath: Path) -> DatasetPair | None:
-    """The pair from its twin; None unless the manifest reads, and for each
-    CSV its sha256, its twin's sha256 and the twin's shape all match it, and
-    the two matrices have the same number of rows."""
+    """The pair from its twin; None unless the twin loads as a checkpoint
+    whose extra lists the sha256 of both CSVs (hashed first, so their buffer
+    is freed before the arrays are allocated), of non-empty matrices X and Y
+    with the same number of rows."""
     try:
-        with open(dirpath / _TWIN_MANIFEST, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        matrices = []
-        for name in _PAIR_CSV:
-            entry = manifest[name]
-            if _file_sha256(dirpath / name) != entry["sha256"]:
-                return None
-            matrix = _read_twin((dirpath / name).with_suffix(".npy"), entry)
-            if matrix is None:
-                return None
-            matrices.append(matrix)
-    except (OSError, ValueError, KeyError, TypeError):  # a missing or malformed file
+        csv_sha256 = {name: _file_sha256(dirpath / name) for name in _PAIR_CSV}
+        arrays, extra = ad.load_checkpoint(dirpath / _TWIN)
+        x, y = arrays["X"], arrays["Y"]
+        matches = extra["csv_sha256"] == csv_sha256
+    except (OSError, DataError, KeyError, TypeError):  # a missing, damaged or foreign twin
         return None
-    x, y = matrices
-    return DatasetPair(x, y) if len(x) == len(y) else None
-
-
-def _read_twin(path: Path, entry: dict) -> np.ndarray | None:
-    """The matrix in a .npy twin, read straight into the returned array; None
-    unless the entry's shape has two positive integers, and the file holds
-    the header save_pair writes for that shape, then that many values, and
-    hashes to the entry's twin_sha256."""
-    shape = tuple(entry["shape"])
-    if len(shape) != 2 or not all(type(v) is int and v >= 1 for v in shape):
-        return None
-    head = _npy_header(shape)
-    with open(path, "rb") as fh:
-        size = len(head) + _TWIN_DTYPE.itemsize * shape[0] * shape[1]
-        if os.fstat(fh.fileno()).st_size != size or fh.read(len(head)) != head:
-            return None  # checked before the array is allocated
-        matrix = np.empty(shape, dtype=_TWIN_DTYPE)
-        if fh.readinto(memoryview(matrix).cast("B")) != matrix.nbytes:
-            return None
-    return matrix if _twin_sha256(head, matrix) == entry["twin_sha256"] else None
+    if matches and x.ndim == y.ndim == 2 and len(x) == len(y) and 0 not in x.shape + y.shape:
+        return DatasetPair(x, y)
+    return None
 
 
 def save_ground_truth(path: str | Path, truth: GroundTruth,

@@ -4,6 +4,8 @@ vs finite differences, Adam, checkpoints."""
 from __future__ import annotations
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +352,29 @@ def _saved_store(path):
     return store
 
 
+def _saved_matrices(path):
+    """Two 10 000 x 64 arrays, the size of the benchmark's dataset twin, saved."""
+    rng = np.random.default_rng(5)
+    arrays = {"X": rng.normal(size=(10_000, 64)), "Y": rng.normal(size=(10_000, 64))}
+    ad.save_checkpoint(path, arrays)
+    return arrays
+
+
+def _traced_load(path):
+    """What load_checkpoint returns, or the DataError it raises, and the
+    tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        try:
+            result = ad.load_checkpoint(path)
+        except DataError as err:
+            result = err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -385,6 +410,36 @@ class TestCheckpoint:
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(DataError, match="bytes"):
             ad.load_checkpoint(tmp_path / "ck")
+
+    def test_load_peak_memory_is_the_arrays(self, tmp_path):
+        # each array is read straight into the array returned; a load that
+        # holds the whole blob as bytes and copies each array out reads 2x
+        arrays = _saved_matrices(tmp_path / "ck")
+        (loaded, _), peak = _traced_load(tmp_path / "ck")
+        assert peak <= 1.1 * sum(a.nbytes for a in arrays.values())
+        for name, a in arrays.items():
+            assert loaded[name].tobytes() == a.tobytes()
+
+    # each change to the blob's layout and the message of the check it must reach
+    LAYOUT = {"gap": "not right after the array before it",
+              "overlap": "not right after the array before it",
+              "longer": "holds 10240008 bytes, the manifest lists 10240000",
+              "shorter": "holds 10239992 bytes, the manifest lists 10240000"}
+
+    @pytest.mark.parametrize("edit", list(LAYOUT))
+    def test_layout_unlike_the_manifest_is_caught_before_allocating(self, tmp_path, edit):
+        arrays = _saved_matrices(tmp_path / "ck")
+        blob, path = tmp_path / "ck" / "params.bin", tmp_path / "ck" / "manifest.json"
+        if edit in ("gap", "overlap"):  # Y starts 8 bytes after or before X's end
+            manifest = json.loads(path.read_text())
+            manifest["arrays"][1]["offset"] += 8 if edit == "gap" else -8
+            manifest["manifest_sha256"] = ad._manifest_digest(manifest)
+            path.write_text(json.dumps(manifest))
+        else:
+            os.truncate(blob, blob.stat().st_size + (8 if edit == "longer" else -8))
+        err, peak = _traced_load(tmp_path / "ck")
+        assert isinstance(err, DataError) and self.LAYOUT[edit] in str(err)
+        assert peak < arrays["X"].nbytes / 50  # no array was allocated
 
     # each edit and the message of the check it must reach
     MALFORMED = {"not-json": "invalid JSON", "no-arrays": "malformed array list",

@@ -177,7 +177,8 @@ class TestTrain:
         data = tmp_path / "data"
         data.mkdir()
         for name in names:
-            shutil.copy(tiny_run["data"] / name, data)
+            src = tiny_run["data"] / name
+            (shutil.copytree if src.is_dir() else shutil.copy)(src, data / name)
         load, paths = dataio.load_matrix_csv, []
 
         def counting_load(path):
@@ -198,7 +199,7 @@ class TestTrain:
         assert paths == ["X.csv", "Y.csv"]
 
     def test_sweep_with_the_twin_parses_no_csv(self, tiny_run, tmp_path, monkeypatch):
-        names = ["X.csv", "Y.csv", "X.npy", "Y.npy", "twin.json"]
+        names = ["X.csv", "Y.csv", "twin"]
         assert self.sweep_parses(tiny_run, tmp_path, monkeypatch, names) == []
 
     def test_bad_data_file_exits_before_any_cell(self, tiny_run, tmp_path, capsys):
@@ -348,6 +349,14 @@ class TestInspect:
         assert "informative_x" in doc["metrics"]
         assert doc["timing_seconds"] > 0
         assert "informative neurons" in capsys.readouterr().out
+
+    def test_dataset_twin_is_not_a_model(self, tiny_run, tmp_path, capsys):
+        # the twin is a checkpoint too, of another kind
+        code = run(["inspect", "--checkpoint", str(tiny_run["data"] / "twin"),
+                    "--data", str(tiny_run["data"]), "--out", str(tmp_path / "ins")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "is not a CAE checkpoint" in err
 
 
 def test_loaded_pair_is_standardized_in_place(tiny_run, tmp_path):

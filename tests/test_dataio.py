@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
+import shutil
 import tracemalloc
 
 import jsonschema
@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, ValidationError
 
-from macrobottle import anm, dataio, datagen
+from macrobottle import anm, cli, dataio, datagen
+from macrobottle import autodiff as ad
 from macrobottle.errors import DataError, ParseError
 
 
@@ -276,7 +277,7 @@ def _outcome(load, path):
     return "matrix", matrix.shape, matrix.tobytes(), header
 
 
-_PAIR_FILES = ("X.csv", "Y.csv", "X.npy", "Y.npy", "twin.json")
+_PAIR_FILES = ("X.csv", "Y.csv", "twin/params.bin", "twin/manifest.json")
 
 
 @st.composite
@@ -333,16 +334,13 @@ class TestPairTwin:
 
     def test_pair_writes_a_float64_twin(self, tmp_path):
         pair = self.saved(tmp_path)
-        for name, matrix in (("X.npy", pair.x), ("Y.npy", pair.y)):
-            saved = io.BytesIO()
-            np.save(saved, matrix)
-            assert (tmp_path / name).read_bytes() == saved.getvalue()
-        assert np.array_equal(np.load(tmp_path / "X.npy"), pair.x)
-        assert np.array_equal(np.load(tmp_path / "Y.npy"), pair.y)
-        manifest = json.loads((tmp_path / "twin.json").read_text())
-        assert manifest["X.csv"]["shape"] == [6, 3]
-        assert manifest["Y.csv"]["twin_sha256"] == \
-            hashlib.sha256((tmp_path / "Y.npy").read_bytes()).hexdigest()
+        arrays, extra = ad.load_checkpoint(tmp_path / "twin")
+        assert np.array_equal(arrays["X"], pair.x) and np.array_equal(arrays["Y"], pair.y)
+        assert (tmp_path / "twin" / "params.bin").read_bytes() == \
+            pair.x.astype("<f8").tobytes() + pair.y.astype("<f8").tobytes()
+        assert extra == {"kind": "twin", "csv_sha256": {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("X.csv", "Y.csv")}}
 
     def test_matching_twin_parses_no_text(self, tmp_path, monkeypatch):
         pair = self.saved(tmp_path)
@@ -360,9 +358,9 @@ class TestPairTwin:
 
     @settings(max_examples=150, deadline=None)
     @given(_pair_dir_changes(), st.integers(1, 4))
-    @example(("flip", "twin.json", 0, 1), 6)  # a manifest that is not JSON
-    @example(("truncate", "X.npy", 200, 1), 6)  # inside the data, after the header
-    @example(("delete", "twin.json", 0, 1), 6)
+    @example(("flip", "twin/manifest.json", 0, 1), 6)  # a manifest that is not JSON
+    @example(("truncate", "twin/params.bin", 100, 1), 6)  # inside X's values
+    @example(("delete", "twin/manifest.json", 0, 1), 6)
     @example(("append", "0.5,1,2"), 6)  # one more X row than Y rows
     @example(("swap", 1), 6)
     def test_any_change_loads_what_the_text_parse_loads(self, tmp_path_factory, change,
@@ -379,16 +377,47 @@ class TestPairTwin:
     @pytest.mark.parametrize("shape", [[6], [6, 3, 1], [0, 3], [6, True], [6.0, 3], "63",
                                        [2**40, 2**40]])
     def test_manifest_with_another_shape_falls_back(self, tmp_path, monkeypatch, shape):
+        # the manifest's own digest made anew, so the shape reaches the checks
         self.saved(tmp_path)
-        manifest = json.loads((tmp_path / "twin.json").read_text())
-        manifest["X.csv"]["shape"] = shape
-        (tmp_path / "twin.json").write_text(json.dumps(manifest))
+        path = tmp_path / "twin" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["arrays"][0]["shape"] = shape  # X's
+        manifest["manifest_sha256"] = ad._manifest_digest(manifest)
+        path.write_text(json.dumps(manifest))
         parsed = []
         load = dataio.load_matrix_csv
         monkeypatch.setattr(dataio, "load_matrix_csv",
                             lambda path: parsed.append(path.name) or load(path))
         dataio.load_pair(tmp_path)
         assert parsed == ["X.csv", "Y.csv"]
+
+
+    def test_old_layout_loads_the_csvs_until_gen_writes_the_twin(self, tmp_path,
+                                                                   monkeypatch):
+        # X.npy, Y.npy and twin.json as an older gen wrote them, digests and all
+        pair = self.saved(tmp_path)
+        shutil.rmtree(tmp_path / "twin")
+        manifest = {}
+        for name, matrix in (("X", pair.x), ("Y", pair.y)):
+            np.save(tmp_path / f"{name}.npy", matrix)
+            manifest[f"{name}.csv"] = {
+                "sha256": hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest(),
+                "twin_sha256": hashlib.sha256(
+                    (tmp_path / f"{name}.npy").read_bytes()).hexdigest(),
+                "shape": list(matrix.shape)}
+        (tmp_path / "twin.json").write_text(json.dumps(manifest))
+        parsed = []
+        load = dataio.load_matrix_csv
+        monkeypatch.setattr(dataio, "load_matrix_csv",
+                            lambda path: parsed.append(path.name) or load(path))
+        loaded = dataio.load_pair(tmp_path)
+        assert parsed == ["X.csv", "Y.csv"]
+        assert loaded.x.tobytes() == pair.x.tobytes() and loaded.y.tobytes() == pair.y.tobytes()
+        assert cli.main(["gen", "--n", "50", "--seed", "4", "--out", str(tmp_path)]) == 0
+        parsed.clear()
+        regenerated = dataio.load_pair(tmp_path)
+        assert parsed == []
+        assert np.array_equal(regenerated.x, datagen.gen_main_synthetic(50, 4).x)
 
 
 class TestStandardize:
