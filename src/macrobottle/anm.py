@@ -99,8 +99,13 @@ class TransformNetPair:
         self.store.add("cross.a", np.array([[1.0]]))
         self.store.add("cross.b", np.array([0.0]))
 
-    def transform_mean(self, v: np.ndarray, side: str) -> np.ndarray:
-        return ad.mlp_forward(self.layers[f"{side}.mono."], np.reshape(v, (-1, 1)))[-1][:, 0]
+    def transform(self, v: np.ndarray, side: str) -> list[np.ndarray]:
+        """Layer values of side "p" or "t"'s monotone mean path at the column v."""
+        return ad.mlp_forward(self.layers[f"{side}.mono."], v)
+
+    def residual(self, p_prime: np.ndarray, t_prime: np.ndarray) -> np.ndarray:
+        """The column t' - (a * p' + b) of the cross-map's errors."""
+        return t_prime - (p_prime @ self.store["cross.a"].data + self.store["cross.b"].data)
 
 
 def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
@@ -145,7 +150,7 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
     n = bp.shape[0]
     a, b = net.store["cross.a"], net.store["cross.b"]
     inputs = {"p": bp, "t": bt}
-    mono = {s: ad.mlp_forward(net.layers[f"{s}.mono."], v) for s, v in inputs.items()}
+    mono = {s: net.transform(v, s) for s, v in inputs.items()}
     lv = {s: ad.mlp_forward(net.layers[f"{s}.lv."], v) for s, v in inputs.items()}
     noisy = {s: ad.gaussian_bottleneck(mono[s][-1], lv[s][-1], rng) for s in inputs}
     dec = {s: ad.mlp_forward(net.layers[f"{s}.dec."], noisy[s][0]) for s in inputs}
@@ -156,12 +161,12 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
 
     mu_p, mu_t, z_p = mono["p"][-1], mono["t"][-1], noisy["p"][0]
     var_t = max(float(mu_t.var()), 1e-3)  # constant per batch
-    fit = z_p @ a.data + b.data - mu_t
+    fit = net.residual(z_p, mu_t)
 
     # detached per-batch standardization keeps the independence term's
     # kernel geometry stationary: shrinking or rescaling a transform can
     # not lower the statistic, only reshaping the dependence can
-    res = mu_t - (mu_p @ a.data + b.data)
+    res = net.residual(mu_p, mu_t)
     inv_u = 1.0 / max(float(mu_p.std()), 1e-6)
     inv_r = 1.0 / max(float(res.std()), 1e-6)
     dep, g_u, g_r = hsic.hsic_loss((mu_p - mu_p.mean()) * inv_u, (res - res.mean()) * inv_r,
@@ -171,10 +176,11 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
     def backward_fn(g):
         g_fit = (2.0 * g / (n * var_t)) * fit
         g_res = (g * inv_r) * g_r
-        a.grad += z_p.T @ g_fit - mu_p.T @ g_res
-        b.grad += (g_fit - g_res).sum(axis=0)
-        g_mu = {"p": (g * inv_u) * g_u - g_res @ a.data.T, "t": g_res - g_fit}
-        g_z = {"p": g_fit @ a.data.T, "t": 0.0}
+        # a residual's gradient is minus that of its cross-map prediction
+        a.grad -= z_p.T @ g_fit + mu_p.T @ g_res
+        b.grad -= (g_fit + g_res).sum(axis=0)
+        g_mu = {"p": (g * inv_u) * g_u - g_res @ a.data.T, "t": g_res + g_fit}
+        g_z = {"p": -(g_fit @ a.data.T), "t": 0.0}
         for s in inputs:
             g_z[s] += ad.mlp_backward(net.layers[f"{s}.dec."], dec[s], (2.0 * g / n) * recon[s])
             g_mu_s, g_lv = ad.gaussian_bottleneck_grad(noisy[s][2], g_z[s], g * config.beta_t / n)
@@ -189,11 +195,8 @@ def residuals(net: TransformNetPair, x: np.ndarray, y: np.ndarray,
     """Noiseless transforms (predictor', target') and the residual
     target' - (a * predictor' + b)."""
     p, t = _roles(x, y, direction)
-    p_prime = net.transform_mean(p, "p")
-    t_prime = net.transform_mean(t, "t")
-    a = float(net.store["cross.a"].data[0, 0])
-    b = float(net.store["cross.b"].data[0])
-    return p_prime, t_prime, t_prime - (a * p_prime + b)
+    p_prime, t_prime = (net.transform(v[:, None], side)[-1] for v, side in ((p, "p"), (t, "t")))
+    return p_prime[:, 0], t_prime[:, 0], net.residual(p_prime, t_prime)[:, 0]
 
 
 def _ols_coeffs(p: np.ndarray, t: np.ndarray) -> tuple[float, float]:

@@ -343,7 +343,10 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if size != end:
             raise DataError(f"{blob_path} holds {size} bytes, the manifest lists {end}")
         for name, shape, _ in entries:
-            a = np.empty(shape, dtype="<f8")
+            try:
+                a = np.empty(shape, dtype="<f8")
+            except ValueError as err:  # an empty shape numpy cannot hold, e.g. [2**64, 0]
+                raise DataError(f"{manifest_path}: array {name!r}: {err}") from err
             raw = a.reshape(-1).view(np.uint8)
             fh.readinto(raw)  # the digest covers these bytes, whatever a short read left
             digest.update(raw)

@@ -81,10 +81,9 @@ class CaeHalf:
     then sums the per-neuron blocks, which *is* the additive decomposition.
     """
 
-    def __init__(self, name: str, input_dim: int, target_dim: int,
+    def __init__(self, name: str, input_dim: int, output_dim: int,
                  config: CaeConfig, store: ad.ParamStore, rng: np.random.Generator):
         self.input_dim = input_dim
-        self.target_dim = target_dim
         self.config = config
         self.store = store  # shared by both halves; names carry a "<name>." prefix
         self.prefix = f"{name}."
@@ -106,8 +105,8 @@ class CaeHalf:
         h_last = widths_per[-1]
         bound = 1.0 / np.sqrt(d * h_last)
         self.dec.append((store.add(self.prefix + "dec.w_out",
-                                   rng.uniform(-bound, bound, size=(d * h_last, target_dim))),
-                         store.add(self.prefix + "dec.bias", np.zeros(target_dim)), None))
+                                   rng.uniform(-bound, bound, size=(d * h_last, output_dim))),
+                         store.add(self.prefix + "dec.bias", np.zeros(output_dim)), None))
         store.add(self.prefix + "cross.a", 0.1 * rng.uniform(-1.0, 1.0, size=(d,)))
         store.add(self.prefix + "cross.b", np.zeros(d))
 
@@ -115,19 +114,18 @@ class CaeHalf:
         """This half's parameter `key`, e.g. "dec.bias"."""
         return self.store[self.prefix + key]
 
-    def encode_np(self, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bottleneck means and clamped log-variances."""
-        out = ad.mlp_forward(self.enc, inputs)[-1]
+    def encode(self, inputs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """The encoder's layer values (for encode_grad), the bottleneck means
+        and their unclamped log-variances."""
+        hs = ad.mlp_forward(self.enc, inputs)
         d = self.config.bottleneck_dim
-        return out[:, :d], np.clip(out[:, d:], ad.LOGVAR_MIN, ad.LOGVAR_MAX)
+        return hs, hs[-1][:, :d], hs[-1][:, d:]
 
-    def encode_mean(self, inputs: np.ndarray) -> np.ndarray:
-        return self.encode_np(inputs)[0]
+    def encode_grad(self, hs: list[np.ndarray], g_mu: np.ndarray, g_lv: np.ndarray) -> None:
+        """Backpropagate the gradients of encode's means and log-variances."""
+        ad.mlp_backward(self.enc, hs, np.hstack([g_mu, g_lv]))
 
-    def decode_np(self, z: np.ndarray) -> np.ndarray:
-        return ad.mlp_forward(self.dec, z)[-1]
-
-    def cross_predict_np(self, z: np.ndarray) -> np.ndarray:
+    def cross_predict(self, z: np.ndarray) -> np.ndarray:
         return z * self.param("cross.a").data + self.param("cross.b").data
 
 
@@ -199,16 +197,15 @@ def loss_terms(model: CaeModel, batch_x: np.ndarray, batch_y: np.ndarray,
     both halves."""
     halves = (model.net_x, model.net_y)
     batches = (batch_x, batch_y)
-    d = model.config.bottleneck_dim
-    enc = [ad.mlp_forward(h.enc, b) for h, b in zip(halves, batches)]
-    mus = [hs[-1][:, :d] for hs in enc]
-    samples = [ad.gaussian_bottleneck(hs[-1][:, :d], hs[-1][:, d:], rng) for hs in enc]
+    enc = [h.encode(b) for h, b in zip(halves, batches)]
+    mus = [mu for _, mu, _ in enc]
+    samples = [ad.gaussian_bottleneck(mu, lv, rng) for _, mu, lv in enc]
     values, saved = [], []
     for side, half in enumerate(halves):
         z, kl, _ = samples[side]
         dec = ad.mlp_forward(half.dec, z)
         recon = dec[-1] - batches[1 - side]
-        cross = z * half.param("cross.a").data + half.param("cross.b").data - mus[1 - side]
+        cross = half.cross_predict(z) - mus[1 - side]
         values += [np.mean(recon * recon), kl.mean(), np.mean(cross * cross)]
         saved.append((dec, recon, cross))
 
@@ -229,17 +226,23 @@ def loss_terms(model: CaeModel, batch_x: np.ndarray, batch_y: np.ndarray,
             g_mu[side] += g_mu_side
             g_lv.append(g_lv_side)
         for side, half in enumerate(halves):
-            ad.mlp_backward(half.enc, enc[side], np.hstack([g_mu[side], g_lv[side]]))
+            half.encode_grad(enc[side][0], g_mu[side], g_lv[side])
 
     return ad.Tensor(values, _backward_fn=backward_fn)
 
 
+def objective(terms, beta: float, gamma: float) -> tuple[float, np.ndarray]:
+    """recon + beta * kl + gamma * cross over both halves from the six terms in
+    TERM_NAMES order, and its gradient with respect to them: the terms' weights."""
+    t = terms
+    return ((t[0] + t[3]) + (t[1] + t[4]) * beta + (t[2] + t[5]) * gamma,
+            np.array([1.0, beta, gamma] * 2))
+
+
 def combine(terms: ad.Tensor, beta: float, gamma: float) -> ad.Tensor:
-    """recon + beta * kl + gamma * cross over both halves, as one node."""
-    t = terms.data
-    weights = np.array([1.0, beta, gamma] * 2)
-    return ad.Tensor((t[0] + t[3]) + (t[1] + t[4]) * beta + (t[2] + t[5]) * gamma,
-                     (terms,), lambda g: terms._backward_fn(g * weights))
+    """The objective of the six-term node, as one node."""
+    value, weights = objective(terms.data, beta, gamma)
+    return ad.Tensor(value, (terms,), lambda g: terms._backward_fn(g * weights))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +308,7 @@ def encode_block(model: CaeModel, x: np.ndarray, y: np.ndarray) -> Encoding:
     choice of macrovariable pairs goes through here."""
     mus, masks = [], []
     for half, inputs in ((model.net_x, x), (model.net_y, y)):
-        mu, lv = half.encode_np(inputs)
+        _, mu, lv = half.encode(inputs)
         kl = ad.gaussian_kl(mu, lv)[1].mean(axis=0)
         mus.append(mu)
         masks.append(InformativeMask(kl, kl > model.config.kl_threshold))
@@ -321,14 +324,13 @@ def evaluate_model(model: CaeModel, x: np.ndarray,
     predicts neuron i of the other. The rows list each pair with its
     cross-map and cross-EVs, then the neurons informative on one side only.
     """
-    cfg = model.config
     enc = encode_block(model, x, y)
     mu_x, mu_y, mask_x, mask_y = enc.mu_x, enc.mu_y, enc.mask_x, enc.mask_y
     kl_x, kl_y = mask_x.kl, mask_y.kl
-    pred_y = model.net_x.decode_np(mu_x)
-    pred_x = model.net_y.decode_np(mu_y)
-    cy = model.net_x.cross_predict_np(mu_x)
-    cx = model.net_y.cross_predict_np(mu_y)
+    pred_y = ad.mlp_forward(model.net_x.dec, mu_x)[-1]
+    pred_x = ad.mlp_forward(model.net_y.dec, mu_y)[-1]
+    cy = model.net_x.cross_predict(mu_x)
+    cx = model.net_y.cross_predict(mu_y)
 
     def masked_ev(target, pred, mask):
         if mask.count == 0:
@@ -338,9 +340,8 @@ def evaluate_model(model: CaeModel, x: np.ndarray,
 
     ev_y = explained_variance(y, pred_y)
     ev_x = explained_variance(x, pred_x)
-    val_loss = (float(((y - pred_y) ** 2).mean() + ((x - pred_x) ** 2).mean())
-                + cfg.beta * float(kl_x.mean() + kl_y.mean())
-                + cfg.gamma * float(((mu_y - cy) ** 2).mean() + ((mu_x - cx) ** 2).mean()))
+    terms = [((pred_y - y) ** 2).mean(), kl_x.mean(), ((cy - mu_y) ** 2).mean(),
+             ((pred_x - x) ** 2).mean(), kl_y.mean(), ((cx - mu_x) ** 2).mean()]
     metrics = {
         "ev_y_from_x": ev_y,
         "ev_x_from_y": ev_x,
@@ -350,7 +351,7 @@ def evaluate_model(model: CaeModel, x: np.ndarray,
         "informative_y": mask_y.count,
         "kl_x": kl_x.tolist(),
         "kl_y": kl_y.tolist(),
-        "val_loss": val_loss,
+        "val_loss": float(objective(terms, model.config.beta, model.config.gamma)[0]),
     }
     a_x, b_x = model.net_x.param("cross.a").data, model.net_x.param("cross.b").data
     a_y, b_y = model.net_y.param("cross.a").data, model.net_y.param("cross.b").data

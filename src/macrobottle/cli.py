@@ -76,20 +76,22 @@ def cmd_gen(args) -> int:
     else:
         pair = datagen.gen_asymmetric(args.n, args.seed)
     dataio.save_pair(out, pair)  # makes the directory
-    dataio.save_ground_truth(out / "ground_truth.csv", pair.ground_truth, pair.split)
+    truth = np.column_stack([pair.ground_truth.as_matrix(), pair.split])  # latents, noises, split
+    dataio.save_matrix_csv(out / "ground_truth.csv", truth,
+                           pair.ground_truth.column_names() + ["split"])
     layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
     layout.save(out / "layout.json")
     with open(out / "gen.json", "w", encoding="utf-8") as fh:
         json.dump({"scenario": args.scenario, "n": args.n, "seed": args.seed}, fh, indent=2)
 
-    if args.verify:  # what was written must be what was generated, text and twin
-        loaded = [dataio.load_pair(out, twin) for twin in (True, False)]
-        truth, names = dataio.load_matrix_csv(out / "ground_truth.csv")
-        expected = np.column_stack([pair.ground_truth.as_matrix(), pair.split])
-        if not (all(np.array_equal(p.x, pair.x) and np.array_equal(p.y, pair.y)
-                    for p in loaded) and np.array_equal(truth, expected)):
+    if args.verify:  # what was written must be what was generated: the twin, the text
+        loaded = [dataio._load_twin(out),
+                  dataio.load_pair_csv(*(out / name for name in dataio._PAIR_CSV))]
+        reloaded, names = dataio.load_matrix_csv(out / "ground_truth.csv")
+        if not (all(p is not None and np.array_equal(p.x, pair.x) and np.array_equal(p.y, pair.y)
+                    for p in loaded) and np.array_equal(reloaded, truth)):
             raise NumericalError(f"the files in {out} differ from the generated data")
-        columns = dict(zip(names, truth.T))  # the reloaded latents and noises
+        columns = dict(zip(names, reloaded.T))  # the reloaded latents and noises
         if not datagen.equations_hold(args.scenario, columns):
             raise NumericalError("structural-equation verification failed")
         print("written files and structural equations verified")
@@ -191,6 +193,10 @@ def cmd_train(args) -> int:
         raise DataError('sweep needs a non-empty "cells" list')
     if not all(isinstance(c, dict) and {"beta", "gamma"} <= c.keys() for c in cells):
         raise DataError('every sweep cell needs "beta" and "gamma"')
+    unknown = sweep.keys() - {"base", "cells"}
+    unknown |= {k for c in cells for k in c} - {"beta", "gamma"}
+    if unknown:
+        raise DataError(f"unknown sweep fields: {sorted(unknown)}")
 
     configs = []
     for i, cell in enumerate(cells):
@@ -251,11 +257,10 @@ def cmd_direction(args) -> int:
             return EXIT_NO_PAIRS
         paired = np.array([args.pairs])
 
-    mu_x = model.net_x.encode_mean(pair.x)
-    mu_y = model.net_y.encode_mean(pair.y)
+    every_row = cae.encode_block(model, pair.x, pair.y)
     verdicts = []
     for idx in paired:
-        verdict = anm.direction_verdict(mu_x[:, idx], mu_y[:, idx], anm_config,
+        verdict = anm.direction_verdict(every_row.mu_x[:, idx], every_row.mu_y[:, idx], anm_config,
                                         pair_index=int(idx))
         dataio.save_matrix_csv(out / f"scatter_pair{idx}.csv",
                                np.column_stack(list(verdict.scatter.values())),
@@ -293,9 +298,9 @@ def cmd_inspect(args) -> int:
 
     final, rows, enc = _test_report(model, pair)
     k = args.k or max(1, pair.n // 50)
-    for side, data, half, mask in (("x", pair.x, model.net_x, enc.mask_x),
-                                   ("y", pair.y, model.net_y, enc.mask_y)):
-        mu = half.encode_mean(data)
+    every_row = cae.encode_block(model, pair.x, pair.y)
+    for side, data, mu, mask in (("x", pair.x, every_row.mu_x, enc.mask_x),
+                                 ("y", pair.y, every_row.mu_y, enc.mask_y)):
         for neuron in mask.indices:
             dataio.emit_anomaly_grid(
                 out / f"anomaly_{side}_n{neuron}_high.csv",
@@ -341,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"defaults to ${SEED_ENV_VAR} or 0")
     p.add_argument("--out", required=True)
     p.add_argument("--verify", action="store_true",
-                   help="after writing, reload the written text and twin, require the "
-                        "generated bits, and re-check the structural equations")
+                   help="after writing, reload the written twin and text, require the "
+                        "generated bits from both, and re-check the structural equations")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train one model or a beta/gamma sweep")

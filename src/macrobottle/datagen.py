@@ -40,7 +40,6 @@ _SPLIT_SALT = 0x53504C49
 class GroundTruth:
     """Per-sample latent values and noise draws of the generating equations."""
 
-    model: str
     latents: dict[str, np.ndarray]
     noises: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -145,7 +144,7 @@ def gen_main_synthetic(n: int, seed: int) -> DatasetPair:
     y += rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, y.shape)
 
     latents = {name: v[name] for name in ("c1", "x1", "x2", "y1", "y2")}
-    truth = GroundTruth(model="main", latents=latents, noises=noises)
+    truth = GroundTruth(latents, noises)
     return DatasetPair(x, y, assign_splits(n, seed), truth)
 
 
@@ -163,5 +162,5 @@ def gen_asymmetric(n: int, seed: int) -> DatasetPair:
     x = x + rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, x.shape)
     y = y + rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, y.shape)
 
-    truth = GroundTruth(model="asymmetric", latents=latents)
+    truth = GroundTruth(latents)
     return DatasetPair(x, y, assign_splits(n, seed), truth)

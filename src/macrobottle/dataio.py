@@ -37,7 +37,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from . import autodiff as ad
-from .datagen import TRAIN, DatasetPair, GroundTruth
+from .datagen import TRAIN, DatasetPair
 from .errors import DataError, ParseError
 
 REPORT_SCHEMA_VERSION = 2
@@ -333,13 +333,13 @@ def save_pair(dirpath: str | Path, pair: DatasetPair) -> None:
                        extra={"kind": "twin", "csv_sha256": csv_sha256})
 
 
-def load_pair(dirpath: str | Path, twin: bool = True) -> DatasetPair:
-    """The pair in a dataset directory; split is left unassigned. With twin,
-    the matrices come from the twin that save_pair wrote when it loads and
-    matches both CSVs; otherwise, and without twin, X.csv and Y.csv are
-    parsed, with their own errors."""
+def load_pair(dirpath: str | Path) -> DatasetPair:
+    """The pair in a dataset directory; split is left unassigned. The
+    matrices come from the twin that save_pair wrote when it loads and
+    matches both CSVs; otherwise X.csv and Y.csv are parsed, with their own
+    errors."""
     dirpath = Path(dirpath)
-    pair = _load_twin(dirpath) if twin else None
+    pair = _load_twin(dirpath)
     return pair if pair is not None else load_pair_csv(*(dirpath / n for n in _PAIR_CSV))
 
 
@@ -358,16 +358,6 @@ def _load_twin(dirpath: Path) -> DatasetPair | None:
     if matches and x.ndim == y.ndim == 2 and len(x) == len(y) and 0 not in x.shape + y.shape:
         return DatasetPair(x, y)
     return None
-
-
-def save_ground_truth(path: str | Path, truth: GroundTruth,
-                      split: np.ndarray | None = None) -> None:
-    cols = truth.column_names()
-    matrix = truth.as_matrix()
-    if split is not None:
-        cols = cols + ["split"]
-        matrix = np.column_stack([matrix, split.astype(np.float64)])
-    save_matrix_csv(path, matrix, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +442,9 @@ def _center_scale(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
     """A copy of the pair with every column centered and scaled by its
-    train-split statistics (all rows if no split is assigned), and those
-    statistics; zero-variance columns pass through untouched."""
-    if pair.split is not None:
-        ref_rows = pair.rows(TRAIN)
-        if len(ref_rows) == 0:
-            raise DataError("standardize needs a non-empty train split")
-    else:
-        ref_rows = np.arange(pair.n)
+    train-split statistics, and those statistics; zero-variance columns pass
+    through untouched."""
+    ref_rows = pair.rows(TRAIN)
     stats = ColumnStats(*_center_scale(pair.x[ref_rows]), *_center_scale(pair.y[ref_rows]))
     copy = DatasetPair(pair.x.astype(np.float64), pair.y.astype(np.float64), pair.split,
                        pair.ground_truth)

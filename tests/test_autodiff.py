@@ -473,6 +473,19 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=self.MALFORMED[edit]):
             ad.load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("shape", [[2**64, 0], [2**63, 0], [0] * 70],
+                             ids=["2**64-by-0", "2**63-by-0", "70-zero-dimensions"])
+    def test_empty_array_numpy_cannot_hold_is_data_error(self, tmp_path, shape):
+        # it holds no value, so the blob's size matches the manifest
+        _saved_store(tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["arrays"].append({"name": "empty", "shape": shape, "offset": 72})
+        manifest["manifest_sha256"] = ad._manifest_digest(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match="array 'empty'"):
+            ad.load_checkpoint(tmp_path / "ck")
+
     def test_edited_manifest_is_data_error(self, tmp_path):
         _saved_store(tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"

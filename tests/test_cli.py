@@ -73,6 +73,21 @@ class TestGen:
                     "--verify"])
         assert code == cli.EXIT_NUMERIC
 
+    def test_verify_requires_a_usable_twin(self, tmp_path, monkeypatch, capsys):
+        # the CSVs are right, but the twin lists a wrong digest for X.csv, so
+        # a load would ignore it
+        save = ad.save_checkpoint
+
+        def wrong_digest(dirpath, arrays, extra=None):
+            if extra is not None and extra.get("kind") == "twin":
+                extra = {**extra, "csv_sha256": {**extra["csv_sha256"], "X.csv": "0" * 64}}
+            return save(dirpath, arrays, extra)
+
+        monkeypatch.setattr(ad, "save_checkpoint", wrong_digest)
+        code = run(["gen", "--n", "50", "--out", str(tmp_path / "d"), "--verify"])
+        assert code == cli.EXIT_NUMERIC
+        assert "differ from the generated data" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario, name, latent", [
         ("main", "gen_main_synthetic", "y2"), ("asymmetric", "gen_asymmetric", "y1")])
     def test_verify_checks_the_structural_equations(self, scenario, name, latent,
@@ -622,6 +637,11 @@ EXIT_CASES = {
                                  cli.EXIT_DATA),
     "sweep-cell-beta-a-list": (lambda t, tmp: _train(
         t, tmp, sweep={"cells": [{"beta": [1], "gamma": 1}]}), cli.EXIT_DATA),
+    # a key the sweep does not read would otherwise be dropped in silence
+    "sweep-cell-with-epochs": (lambda t, tmp: _train(
+        t, tmp, sweep={"cells": [{"beta": 1, "gamma": 1, "epochs": 5}]}), cli.EXIT_DATA),
+    "sweep-with-unknown-key": (lambda t, tmp: _train(
+        t, tmp, sweep={"cells": [{"beta": 1, "gamma": 1}], "epochs": 5}), cli.EXIT_DATA),
     "unknown-anm-field": (lambda t, tmp: _direction(
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"bogus": 1})), cli.EXIT_DATA),
     "anm-batch-size-zero": (lambda t, tmp: _direction(

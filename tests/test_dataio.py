@@ -354,7 +354,7 @@ class TestPairTwin:
         assert np.array_equal(loaded.x, pair.x) and np.array_equal(loaded.y, pair.y)
         assert loaded.x.flags.c_contiguous and loaded.x.dtype == np.float64
         with pytest.raises(AssertionError, match="parsed"):
-            dataio.load_pair(tmp_path, twin=False)
+            dataio.load_pair_csv(tmp_path / "X.csv", tmp_path / "Y.csv")
 
     @settings(max_examples=150, deadline=None)
     @given(_pair_dir_changes(), st.integers(1, 4))
@@ -372,7 +372,7 @@ class TestPairTwin:
         self.saved(d, rows=rows)
         _apply_change(d, change)
         assert _pair_outcome(lambda: dataio.load_pair(d)) == \
-            _pair_outcome(lambda: dataio.load_pair(d, twin=False))
+            _pair_outcome(lambda: dataio.load_pair_csv(d / "X.csv", d / "Y.csv"))
 
     @pytest.mark.parametrize("shape", [[6], [6, 3, 1], [0, 3], [6, True], [6.0, 3], "63",
                                        [2**40, 2**40]])
@@ -390,6 +390,23 @@ class TestPairTwin:
                             lambda path: parsed.append(path.name) or load(path))
         dataio.load_pair(tmp_path)
         assert parsed == ["X.csv", "Y.csv"]
+
+    def test_manifest_with_an_array_numpy_cannot_hold_falls_back(self, tmp_path, monkeypatch):
+        # an extra empty array of shape [2**64, 0] leaves the blob's size right
+        pair = self.saved(tmp_path)
+        path = tmp_path / "twin" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        end = 8 * (pair.x.size + pair.y.size)
+        manifest["arrays"].append({"name": "Z", "shape": [2**64, 0], "offset": end})
+        manifest["manifest_sha256"] = ad._manifest_digest(manifest)
+        path.write_text(json.dumps(manifest))
+        parsed = []
+        load = dataio.load_matrix_csv
+        monkeypatch.setattr(dataio, "load_matrix_csv",
+                            lambda path: parsed.append(path.name) or load(path))
+        loaded = dataio.load_pair(tmp_path)
+        assert parsed == ["X.csv", "Y.csv"]
+        assert loaded.x.tobytes() == pair.x.tobytes() and loaded.y.tobytes() == pair.y.tobytes()
 
 
     def test_old_layout_loads_the_csvs_until_gen_writes_the_twin(self, tmp_path,
@@ -427,7 +444,7 @@ class TestStandardize:
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         y = rng.normal(size=(500, 2))
         y = (y - y.mean(axis=0)) / y.std(axis=0)
-        pair = datagen.DatasetPair(x, y)
+        pair = datagen.DatasetPair(x, y, np.full(500, datagen.TRAIN))
         out, stats = dataio.standardize(pair)
         assert np.abs(out.x - x).max() < 1e-12
         assert np.abs(out.y - y).max() < 1e-12
@@ -436,7 +453,7 @@ class TestStandardize:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(100, 2))
         x[:, 1] = 7.0
-        pair = datagen.DatasetPair(x, rng.normal(size=(100, 2)))
+        pair = datagen.DatasetPair(x, rng.normal(size=(100, 2)), np.full(100, datagen.TRAIN))
         out, stats = dataio.standardize(pair)
         assert stats.x_mean[1] == 0.0 and stats.x_std[1] == 1.0
         assert np.array_equal(out.x[:, 1], x[:, 1])
