@@ -305,9 +305,10 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Named arrays and the extra dict of a checkpoint, each array read
     straight from the blob into the array returned and hashed as it is read.
     A manifest that is not JSON, lacks either sha256, does not match its own
-    or lacks its array list raises DataError; so does a blob whose size or
-    layout differs from the manifest's (checked before any array is
-    allocated) or whose bytes do not match its sha256."""
+    or lacks its array list raises DataError; so does an array shape numpy
+    cannot hold, a blob whose size or layout differs from the manifest's (all
+    checked before any array is allocated) or whose bytes do not match its
+    sha256."""
     dirpath = Path(dirpath)
     manifest_path, blob_path = dirpath / _MANIFEST_NAME, dirpath / _BLOB_NAME
     with open(manifest_path, encoding="utf-8") as fh:
@@ -335,6 +336,10 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if min(shape, default=0) < 0 or offset != end:
             raise DataError(f"{manifest_path}: array {name!r} lies outside the blob, "
                             f"or not right after the array before it")
+        try:  # a zero-stride view: np.empty's checks of the shape, with nothing allocated
+            np.broadcast_to(np.float64(0.0), shape)
+        except ValueError as err:  # an empty shape numpy cannot hold, e.g. [2**64, 0]
+            raise DataError(f"{manifest_path}: array {name!r}: {err}") from err
         end += 8 * math.prod(shape)
     arrays = {}
     digest = hashlib.sha256()
@@ -343,10 +348,7 @@ def load_checkpoint(dirpath: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if size != end:
             raise DataError(f"{blob_path} holds {size} bytes, the manifest lists {end}")
         for name, shape, _ in entries:
-            try:
-                a = np.empty(shape, dtype="<f8")
-            except ValueError as err:  # an empty shape numpy cannot hold, e.g. [2**64, 0]
-                raise DataError(f"{manifest_path}: array {name!r}: {err}") from err
+            a = np.empty(shape, dtype="<f8")
             raw = a.reshape(-1).view(np.uint8)
             fh.readinto(raw)  # the digest covers these bytes, whatever a short read left
             digest.update(raw)

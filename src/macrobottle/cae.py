@@ -23,6 +23,7 @@ noiseless encoder means.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -231,10 +232,10 @@ def loss_terms(model: CaeModel, batch_x: np.ndarray, batch_y: np.ndarray,
     return ad.Tensor(values, _backward_fn=backward_fn)
 
 
-def objective(terms, beta: float, gamma: float) -> tuple[float, np.ndarray]:
-    """recon + beta * kl + gamma * cross over both halves from the six terms in
-    TERM_NAMES order, and its gradient with respect to them: the terms' weights."""
-    t = terms
+def objective(t: Sequence[float] | np.ndarray, beta: float,
+              gamma: float) -> tuple[float, np.ndarray]:
+    """recon + beta * kl + gamma * cross over both halves from the six terms t
+    in TERM_NAMES order, and its gradient with respect to them: the terms' weights."""
     return ((t[0] + t[3]) + (t[1] + t[4]) * beta + (t[2] + t[5]) * gamma,
             np.array([1.0, beta, gamma] * 2))
 

@@ -257,10 +257,10 @@ def cmd_direction(args) -> int:
             return EXIT_NO_PAIRS
         paired = np.array([args.pairs])
 
-    every_row = cae.encode_block(model, pair.x, pair.y)
+    mu_x, mu_y = model.net_x.encode(pair.x)[1], model.net_y.encode(pair.y)[1]
     verdicts = []
     for idx in paired:
-        verdict = anm.direction_verdict(every_row.mu_x[:, idx], every_row.mu_y[:, idx], anm_config,
+        verdict = anm.direction_verdict(mu_x[:, idx], mu_y[:, idx], anm_config,
                                         pair_index=int(idx))
         dataio.save_matrix_csv(out / f"scatter_pair{idx}.csv",
                                np.column_stack(list(verdict.scatter.values())),
@@ -298,9 +298,9 @@ def cmd_inspect(args) -> int:
 
     final, rows, enc = _test_report(model, pair)
     k = args.k or max(1, pair.n // 50)
-    every_row = cae.encode_block(model, pair.x, pair.y)
-    for side, data, mu, mask in (("x", pair.x, every_row.mu_x, enc.mask_x),
-                                 ("y", pair.y, every_row.mu_y, enc.mask_y)):
+    for side, data, half, mask in (("x", pair.x, model.net_x, enc.mask_x),
+                                   ("y", pair.y, model.net_y, enc.mask_y)):
+        mu = half.encode(data)[1]
         for neuron in mask.indices:
             dataio.emit_anomaly_grid(
                 out / f"anomaly_{side}_n{neuron}_high.csv",

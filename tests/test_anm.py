@@ -47,7 +47,8 @@ class TestMonotonicity:
             grid = np.linspace(-4.0, 4.0, 1000)
             for side in ("p", "t"):
                 out = net.transform(grid[:, None], side)[-1]
-                assert np.all(np.diff(out) >= 0.0), f"seed {seed} side {side}"
+                assert out.shape == (1000, 1)
+                assert np.all(np.diff(out[:, 0]) >= 0.0), f"seed {seed} side {side}"
 
     def test_trained_encoder_stays_monotone(self):
         rng = np.random.default_rng(0)

@@ -477,14 +477,16 @@ class TestCheckpoint:
                              ids=["2**64-by-0", "2**63-by-0", "70-zero-dimensions"])
     def test_empty_array_numpy_cannot_hold_is_data_error(self, tmp_path, shape):
         # it holds no value, so the blob's size matches the manifest
-        _saved_store(tmp_path / "ck")
+        arrays = _saved_matrices(tmp_path / "ck")
         path = tmp_path / "ck" / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest["arrays"].append({"name": "empty", "shape": shape, "offset": 72})
+        end = sum(a.nbytes for a in arrays.values())
+        manifest["arrays"].append({"name": "empty", "shape": shape, "offset": end})
         manifest["manifest_sha256"] = ad._manifest_digest(manifest)
         path.write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="array 'empty'"):
-            ad.load_checkpoint(tmp_path / "ck")
+        err, peak = _traced_load(tmp_path / "ck")
+        assert isinstance(err, DataError) and "array 'empty'" in str(err)
+        assert peak < arrays["X"].nbytes / 50  # not even the arrays listed before it
 
     def test_edited_manifest_is_data_error(self, tmp_path):
         _saved_store(tmp_path / "ck")
