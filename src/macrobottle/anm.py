@@ -75,15 +75,16 @@ def _roles(x: np.ndarray, y: np.ndarray, direction: str) -> tuple[np.ndarray, np
 
 
 class TransformNetPair:
-    """Monotone transform VAEs for one direction (predictor -> target).
+    """Monotone transform VAEs for one direction (predictor -> target):
+    "x_to_y" or "y_to_x", which `residuals` reads back.
 
     Each side has a monotone mean path, a free log-variance path and a free
     decoder, all scalar maps through one hidden layer; the cross-map is the
     scalar affine prediction of the target's transform from the predictor's.
     """
 
-    def __init__(self, config: AnmConfig, seed: int):
-        self.config = config
+    def __init__(self, config: AnmConfig, direction: str, seed: int):
+        self.direction = direction
         self.store = ad.ParamStore()
         widths = (1, config.hidden, 1) if config.hidden > 0 else (1, 1)
         rng = np.random.default_rng(seed)
@@ -119,7 +120,7 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise DataError("transform inputs must be finite")
 
-    net = TransformNetPair(config, seed)
+    net = TransformNetPair(config, direction, seed)
     rng = np.random.default_rng([seed, 0xA7A])
     n = p.shape[0]
     # one HSIC loss workspace (thread pool and Gram buffers) for every step
@@ -144,9 +145,9 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
 
 def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
                     config: AnmConfig, rng: np.random.Generator,
-                    workspace: hsic.LossWorkspace | None = None) -> ad.Tensor:
+                    workspace: hsic.LossWorkspace) -> ad.Tensor:
     """The objective in the module docstring as one node with a hand-written
-    backward; the HSIC term uses the workspace if one is given."""
+    backward; the HSIC term uses the fit's workspace."""
     n = bp.shape[0]
     a, b = net.store["cross.a"], net.store["cross.b"]
     inputs = {"p": bp, "t": bt}
@@ -190,11 +191,11 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
     return ad.Tensor(value, _backward_fn=backward_fn)
 
 
-def residuals(net: TransformNetPair, x: np.ndarray, y: np.ndarray,
-              direction: str = "x_to_y") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def residuals(net: TransformNetPair, x: np.ndarray,
+              y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noiseless transforms (predictor', target') and the residual
-    target' - (a * predictor' + b)."""
-    p, t = _roles(x, y, direction)
+    target' - (a * predictor' + b), in the roles of the net's direction."""
+    p, t = _roles(x, y, net.direction)
     p_prime, t_prime = (net.transform(v[:, None], side)[-1] for v, side in ((p, "p"), (t, "t")))
     return p_prime[:, 0], t_prime[:, 0], net.residual(p_prime, t_prime)[:, 0]
 
@@ -295,7 +296,7 @@ def direction_verdict(x: np.ndarray, y: np.ndarray,
     for name, direction, seed in (("fwd", "x_to_y", seeds[0]), ("rev", "y_to_x", seeds[1])):
         try:
             net = fit_transform(xf, yf, direction, config, seed)
-            p_prime, t_prime, res = residuals(net, xe, ye, direction)
+            p_prime, t_prime, res = residuals(net, xe, ye)
             scores.append(test(f"{name}_transformed", p_prime, t_prime, res))
         except (NumericalError, DegenerateDataError) as err:
             scores.append(DirectionScores(float("nan"), float("nan")))

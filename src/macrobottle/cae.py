@@ -24,7 +24,7 @@ noiseless encoder means.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class CaeConfig(JsonConfig):
             raise ValueError("beta and gamma must be >= 0")
         if not (self.learning_rate > 0 and self.kl_threshold > 0):
             raise ValueError("learning_rate and kl_threshold must be > 0")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("encoder_hidden", "decoder_hidden_per_variable"):
-            d[key] = list(d[key])
-        return d
 
 
 def _block_mask(d: int, in_per: int, out_per: int) -> np.ndarray:

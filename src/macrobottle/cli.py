@@ -2,7 +2,8 @@
 
 Every command is reproducible from its inputs, config and seed, all of which
 are embedded in the emitted reports. Exit codes: 0 success, 2 usage error,
-3 data error, 4 numerical failure, 5 no informative pair to analyze.
+3 data error (a size that cannot be allocated included), 4 numerical failure
+(for `train`, every cell failed), 5 no informative pair to analyze.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def cmd_train(args) -> int:
     failed = [r for r in results if "failed" in r]
     if failed:
         print(f"{len(failed)} cell(s) failed; see error.txt in their directories")
-    return EXIT_OK
+    return EXIT_NUMERIC if len(failed) == len(results) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def cmd_direction(args) -> int:
 
     report = dataio.RunReport(
         seed=anm_config.seed,
-        config={"anm": vars(anm_config), "checkpoint": str(args.checkpoint)},
+        config={"anm": anm_config.to_dict(), "checkpoint": str(args.checkpoint)},
         metrics=final, timing_seconds=time.monotonic() - t0, pair_table=rows,
         verdicts=[v.to_dict() for v in verdicts])
     dataio.save_report(out / "direction_report.json", report)
@@ -302,10 +303,9 @@ def cmd_inspect(args) -> int:
                                    ("y", pair.y, model.net_y, enc.mask_y)):
         mu = half.encode(data)[1]
         for neuron in mask.indices:
-            dataio.emit_anomaly_grid(
-                out / f"anomaly_{side}_n{neuron}_high.csv",
-                out / f"anomaly_{side}_n{neuron}_low.csv",
-                data, mu[:, neuron], layout, k)
+            grids = dataio.anomaly_grids(data, mu[:, neuron], layout, k)
+            for end, grid in zip(("high", "low"), grids):
+                dataio.save_matrix_csv(out / f"anomaly_{side}_n{neuron}_{end}.csv", grid)
 
     report = dataio.RunReport(seed=model.config.seed, config=model.config.to_dict(),
                               metrics=final, timing_seconds=time.monotonic() - t0,
@@ -393,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, OSError) as err:
+    except (DataError, OSError, MemoryError) as err:  # a size numpy cannot allocate
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except MacrobottleError as err:

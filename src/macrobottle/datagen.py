@@ -26,6 +26,8 @@ from .errors import DataError
 
 IMAGE_SIDE = 8
 IMAGE_DIM = IMAGE_SIDE * IMAGE_SIDE
+# the most samples whose n x IMAGE_DIM float64 matrix numpy can hold
+MAX_SAMPLES = np.iinfo(np.intp).max // (8 * IMAGE_DIM)
 
 TRAIN, VAL, TEST = 0, 1, 2
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, val, test
@@ -126,11 +128,15 @@ def equations_hold(model: str, columns: dict[str, np.ndarray]) -> bool:
     return all(np.array_equal(columns[name], value) for name, value in derived.items())
 
 
+def _check_samples(n: int) -> None:
+    if not 1 <= n <= MAX_SAMPLES:
+        raise DataError(f"n must lie in [1, {MAX_SAMPLES}], got {n}")
+
+
 def gen_main_synthetic(n: int, seed: int) -> DatasetPair:
     """Common-cause pair (x1, y1) plus directed pair x2 -> y2, embedded in
     8x8 images."""
-    if n < 1:
-        raise DataError("n must be >= 1")
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     v = {"c1": rng.uniform(-1.0, 1.0, n), "x2": rng.uniform(-1.0, 1.0, n)}
     noises = {name: rng.uniform(-EQUATION_NOISE, EQUATION_NOISE, n)
@@ -151,8 +157,7 @@ def gen_main_synthetic(n: int, seed: int) -> DatasetPair:
 def gen_asymmetric(n: int, seed: int) -> DatasetPair:
     """One macrovariable per side with y1 = x1^2 exactly; x1 is spread over
     all of X and y1 over all of Y, so each macrovariable is the image mean."""
-    if n < 1:
-        raise DataError("n must be >= 1")
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     latents = {"x1": rng.uniform(-1.0, 1.0, n)}
     latents.update(_asymmetric_equations(latents))

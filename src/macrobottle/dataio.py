@@ -391,6 +391,10 @@ class JsonConfig:
         except (TypeError, ValueError, OverflowError) as err:  # an int beyond float range
             raise DataError(f"invalid {cls.__name__}: {err}") from err
 
+    def to_dict(self) -> dict:
+        """The fields, as from_dict takes them; json writes a tuple as a list."""
+        return asdict(self)
+
     def check_numbers(self, minimums: dict[str, int]) -> None:
         """Raise ValueError unless each field named in minimums is an int (not
         a bool) of at least its minimum, a tuple field holding only such ints,
@@ -473,7 +477,7 @@ class GridLayout(JsonConfig):
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2)
+            json.dump(self.to_dict(), fh, indent=2)
 
     @classmethod
     def load(cls, path: str | Path) -> "GridLayout":
@@ -499,15 +503,6 @@ def anomaly_grids(data: np.ndarray, values: np.ndarray, layout: GridLayout,
     hi = data[order[-k:]].mean(axis=0) - base
     shape = (layout.rows, layout.cols)
     return hi.reshape(shape), lo.reshape(shape)
-
-
-def emit_anomaly_grid(path_high: str | Path, path_low: str | Path,
-                      data: np.ndarray, values: np.ndarray, layout: GridLayout,
-                      k: int) -> None:
-    hi, lo = anomaly_grids(data, values, layout, k)
-    header = [f"c{j}" for j in range(layout.cols)]
-    save_matrix_csv(path_high, hi, header)
-    save_matrix_csv(path_low, lo, header)
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +567,6 @@ def _sanitize_floats(obj):
     """Replace non-finite floats by null, recursively."""
     if isinstance(obj, float):
         return obj if np.isfinite(obj) else None
-    if isinstance(obj, (np.floating, np.integer)):
-        return _sanitize_floats(obj.item())
-    if isinstance(obj, np.ndarray):
-        return _sanitize_floats(obj.tolist())
     if isinstance(obj, dict):
         return {k: _sanitize_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

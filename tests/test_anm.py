@@ -43,7 +43,7 @@ class TestMonotonicity:
     def test_untrained_encoder_mean_nondecreasing_on_grid(self):
         cfg = anm.AnmConfig(hidden=16)
         for seed in range(5):
-            net = anm.TransformNetPair(cfg, seed)
+            net = anm.TransformNetPair(cfg, "x_to_y", seed)
             grid = np.linspace(-4.0, 4.0, 1000)
             for side in ("p", "t"):
                 out = net.transform(grid[:, None], side)[-1]
@@ -98,7 +98,7 @@ class TestTransformLoss:
 
     @staticmethod
     def setup_net():
-        net = anm.TransformNetPair(TestTransformLoss.CONFIG, seed=5)
+        net = anm.TransformNetPair(TestTransformLoss.CONFIG, "x_to_y", seed=5)
         # t's log-variance sits below the clamp on every row: no gradient
         net.store["t.lv.b1"].data[...] = -40.0
         rng = np.random.default_rng(41)
@@ -108,15 +108,20 @@ class TestTransformLoss:
 
     def test_value_matches_recomputation(self):
         net, bp, bt = self.setup_net()
-        loss = anm._transform_loss(net, bp, bt, self.CONFIG, np.random.default_rng(40))
+        with hsic.LossWorkspace(len(bp)) as workspace:
+            loss = anm._transform_loss(net, bp, bt, self.CONFIG, np.random.default_rng(40),
+                                       workspace)
         value, _ = frozen_objective(net, bp, bt, self.CONFIG)
         assert abs(loss.item() - value) < 1e-10 * abs(value)
 
-    @pytest.mark.parametrize("name", anm.TransformNetPair(CONFIG, seed=5).store.names())
+    @pytest.mark.parametrize("name",
+                             anm.TransformNetPair(CONFIG, "x_to_y", seed=5).store.names())
     def test_matches_finite_differences(self, name):
         net, bp, bt = self.setup_net()
         net.store.zero_grad()
-        ad.backward(anm._transform_loss(net, bp, bt, self.CONFIG, np.random.default_rng(40)))
+        with hsic.LossWorkspace(len(bp)) as workspace:
+            ad.backward(anm._transform_loss(net, bp, bt, self.CONFIG,
+                                            np.random.default_rng(40), workspace))
         _, frozen = frozen_objective(net, bp, bt, self.CONFIG)
         p = net.store[name]
         fd = np.zeros_like(p.data)
@@ -139,7 +144,7 @@ class TestResiduals:
         # single linear layer with softplus-inverse weights set so the
         # composite map is the identity; cross-map a=1, b=0
         cfg = anm.AnmConfig(hidden=0)
-        net = anm.TransformNetPair(cfg, seed=0)
+        net = anm.TransformNetPair(cfg, "x_to_y", seed=0)
         for side in ("p", "t"):
             net.store[f"{side}.mono.w0"].data[...] = ad.softplus_inv(1.0)
             net.store[f"{side}.mono.b0"].data[...] = 0.0
@@ -151,18 +156,18 @@ class TestResiduals:
         net = self.make_identity_net()
         v = np.random.default_rng(1).normal(size=200)
         v = anm.standardize_vector(v)
-        xp, yp, res = anm.residuals(net, v, v.copy(), "x_to_y")
+        xp, yp, res = anm.residuals(net, v, v.copy())
         assert np.abs(xp - v).max() < 1e-12
         assert np.abs(res).max() < 1e-12
 
     def test_residuals_deterministic(self):
         cfg = anm.AnmConfig(hidden=8)
-        net = anm.TransformNetPair(cfg, seed=3)
+        net = anm.TransformNetPair(cfg, "x_to_y", seed=3)
         rng = np.random.default_rng(2)
         x = rng.normal(size=100)
         y = rng.normal(size=100)
-        r1 = anm.residuals(net, x, y, "x_to_y")
-        r2 = anm.residuals(net, x, y, "x_to_y")
+        r1 = anm.residuals(net, x, y)
+        r2 = anm.residuals(net, x, y)
         for a, b in zip(r1, r2):
             assert np.array_equal(a, b)
 
@@ -176,7 +181,7 @@ class TestResiduals:
             if call == "fit_transform":
                 anm.fit_transform(x, y, anm.X_CAUSES_Y, cfg)
             else:
-                anm.residuals(anm.TransformNetPair(cfg, seed=0), x, y, anm.X_CAUSES_Y)
+                anm.residuals(anm.TransformNetPair(cfg, anm.X_CAUSES_Y, seed=0), x, y)
 
     def test_trained_residual_mean_near_zero(self):
         rng = np.random.default_rng(3)
@@ -184,8 +189,22 @@ class TestResiduals:
         y = x + rng.uniform(-0.2, 0.2, 600)
         cfg = anm.AnmConfig(hidden=8, epochs=60, batch_size=600, learning_rate=1e-2)
         net = anm.fit_transform(x, y, "x_to_y", cfg, seed=4)
-        _, _, res = anm.residuals(net, x, y, "x_to_y")
+        _, _, res = anm.residuals(net, x, y)
         assert abs(res.mean()) < 0.05
+
+    def test_minibatch_tail_under_eight_rows_is_skipped(self, monkeypatch):
+        # 100 points in batches of 96 leave a tail of 4: one step per epoch
+        x, y = np.random.default_rng(6).normal(size=(2, 100))
+        backward, steps = ad.backward, []
+        monkeypatch.setattr(ad, "backward", lambda loss: steps.append(backward(loss)))
+        anm.fit_transform(x, y, "x_to_y", anm.AnmConfig(hidden=4, epochs=3, batch_size=96))
+        assert len(steps) == 3
+
+    def test_non_finite_input_is_data_error(self):
+        x, y = np.random.default_rng(6).normal(size=(2, 50))
+        y[7] = np.nan
+        with pytest.raises(DataError, match="transform inputs must be finite"):
+            anm.fit_transform(x, y, "x_to_y", anm.AnmConfig(hidden=4, epochs=1))
 
     def test_one_loss_workspace_per_fit(self, monkeypatch):
         # every step calls hsic.hsic_loss through the module, on this thread,
@@ -309,7 +328,7 @@ class TestVerdictPlumbing:
         x = rng.uniform(-1, 1, 100)
         y = x + rng.uniform(-0.2, 0.2, 100)
         monkeypatch.setattr(anm, "residuals",
-                            lambda net, x, y, direction: (np.ones(x.size),) * 2
+                            lambda net, x, y: (np.ones(x.size),) * 2
                             + (np.zeros(x.size),))
         v = anm.direction_verdict(x, y, anm.AnmConfig(hidden=2, epochs=1, batch_size=50,
                                                       fit_points=50, eval_points=50))
@@ -330,6 +349,11 @@ class TestVerdictPlumbing:
             anm.direction_verdict(np.arange(30, dtype=float),
                                   np.arange(31, dtype=float),
                                   anm.AnmConfig(epochs=1))
+
+    def test_too_few_samples(self):
+        x, y = np.random.default_rng(7).normal(size=(2, 23))
+        with pytest.raises(DataError, match="at least 24 samples"):
+            anm.direction_verdict(x, y, anm.AnmConfig(epochs=1))
 
     def test_fit_eval_subsampling(self):
         rng = np.random.default_rng(7)

@@ -389,3 +389,14 @@ def test_huge_loss_weight_is_numerical_error(weight):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=r"Adam step \d+"):
             cae.train_cae(pair, config)
+
+
+def test_nan_input_is_numerical_error_naming_the_terms():
+    from macrobottle import datagen
+    pair = datagen.gen_main_synthetic(300, seed=30)
+    pair.x[pair.rows(datagen.TRAIN)[0], 5] = np.nan
+    config = cae.CaeConfig(bottleneck_dim=2, encoder_hidden=(16,),
+                           decoder_hidden_per_variable=(8,), epochs=1, batch_size=64)
+    with pytest.raises(NumericalError, match="non-finite loss at epoch 0: ") as raised:
+        cae.train_cae(pair, config)
+    assert all(f"{name}=" in str(raised.value) for name in cae.TERM_NAMES)

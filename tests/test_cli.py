@@ -113,6 +113,16 @@ class TestGen:
         meta = json.loads((tmp_path / "e" / "gen.json").read_text())
         assert meta["seed"] == 99
 
+    def test_memory_error_is_a_data_error(self, tmp_path, monkeypatch, capsys):
+        # a size numpy cannot allocate exits 3 before anything is written
+        def no_memory(n, seed):
+            raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+        monkeypatch.setattr(datagen, "gen_main_synthetic", no_memory)
+        assert run(["gen", "--n", "1000", "--out", str(tmp_path / "g")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: Unable to allocate 8000 bytes\n"
+        assert not (tmp_path / "g").exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--scenario", "bogus", "--out", "/tmp/x"])
@@ -308,8 +318,9 @@ class TestTrain:
         assert doc["verdicts"][0]["seeds"] == [2 * seed + 1, 2 * seed + 2]
 
     def test_huge_loss_weight_cell_is_reported_failed(self, tiny_run, tmp_path, capsys):
+        # the only cell failed, so nothing trained: a numerical failure
         config = {**json.loads(tiny_run["config"].read_text()), "beta": 1e300, "epochs": 2}
-        assert run(_train(tiny_run, tmp_path, config=config)) == cli.EXIT_OK
+        assert run(_train(tiny_run, tmp_path, config=config)) == cli.EXIT_NUMERIC
         out = tmp_path / "o"
         (cell,) = out.glob("cell_*")
         assert "Adam step" in (cell / "error.txt").read_text()
@@ -439,11 +450,11 @@ class TestDirection:
                 raise NumericalError(f"transform training diverged ({direction})")
             return fit(x, y, direction, config, seed)
 
-        def constant_transform(net, x, y, direction):
-            calls.append(direction)
+        def constant_transform(net, x, y):
+            calls.append(net.direction)
             if len(calls) <= 2:
                 return np.ones(x.size), np.ones(x.size), np.zeros(x.size)
-            return residuals(net, x, y, direction)
+            return residuals(net, x, y)
 
         if failure == "fit-diverges":
             monkeypatch.setattr(anm, "fit_transform", diverging_fit)
@@ -611,6 +622,13 @@ def _x_not_utf8(tiny, tmp):
             "--out", str(tmp / "o")]
 
 
+def _train_fresh(tmp, n):
+    """train at 2 epochs on a fresh n-row dataset."""
+    data = str(tmp / "data")
+    assert run(["gen", "--n", str(n), "--seed", "1", "--out", data]) == cli.EXIT_OK
+    return ["train", "--data", data, "--epochs", "2", "--out", str(tmp / "o")]
+
+
 def _direction(tiny, tmp, *extra):
     return ["direction", "--checkpoint", str(_checkpoint(tiny)),
             "--data", str(tiny["data"]), "--out", str(tmp / "dir"), *extra]
@@ -663,6 +681,18 @@ EXIT_CASES = {
     "inspect-k-zero": (lambda t, tmp: ["inspect", "--checkpoint", str(_checkpoint(t)),
                                        "--data", str(t["data"]), "--k", "0",
                                        "--out", str(tmp / "ins")], cli.EXIT_USAGE),
+    "inspect-k-above-rows": (lambda t, tmp: [
+        "inspect", "--checkpoint", _informative_checkpoint(t, tmp), "--data", str(t["data"]),
+        "--k", "401", "--out", str(tmp / "ins")], cli.EXIT_DATA),
+    # every cell failed, so nothing trained: 10 rows leave one val row, whose
+    # explained variance is undefined
+    "train-no-cell-trained": (lambda t, tmp: _train_fresh(tmp, 10), cli.EXIT_NUMERIC),
+    "train-without-val-rows": (lambda t, tmp: _train_fresh(tmp, 2), cli.EXIT_DATA),
+    # more rows than numpy can index, and more bytes than it can hold
+    "gen-n-beyond-bytes": (lambda t, tmp: ["gen", "--n", "100000000000000000",
+                                           "--out", str(tmp / "g")], cli.EXIT_DATA),
+    "gen-n-beyond-dimension": (lambda t, tmp: ["gen", "--n", "10000000000000000000",
+                                               "--out", str(tmp / "g")], cli.EXIT_DATA),
     "truncated-checkpoint": (_truncated, cli.EXIT_DATA),
     "checkpoint-byte-flipped": (_flipped_byte, cli.EXIT_DATA),
     "layout-unknown-field": (lambda t, tmp: _inspect_with_layout(

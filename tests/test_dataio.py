@@ -513,10 +513,10 @@ class TestAnomalyGrids:
     def test_shape_matches_layout(self, tmp_path):
         pair = datagen.gen_main_synthetic(60, seed=6)
         layout = dataio.GridLayout(8, 8)
-        dataio.emit_anomaly_grid(tmp_path / "hi.csv", tmp_path / "lo.csv",
-                                 pair.y, _half_means(pair.y)[:, 1], layout, k=5)
-        hi, _ = dataio.load_matrix_csv(tmp_path / "hi.csv")
-        assert hi.shape == (8, 8)
+        for grid in dataio.anomaly_grids(pair.y, _half_means(pair.y)[:, 1], layout, k=5):
+            dataio.save_matrix_csv(tmp_path / "grid.csv", grid)  # as inspect writes it
+            again, header = dataio.load_matrix_csv(tmp_path / "grid.csv")
+            assert again.shape == (8, 8) and header == [f"c{j}" for j in range(8)]
 
     def test_layout_mismatch(self):
         pair = datagen.gen_main_synthetic(10, seed=7)

@@ -58,7 +58,7 @@ def test_transform_fit_residuals():
     x, y = latents["x2"], latents["y2"]
     config = anm.AnmConfig(hidden=8, epochs=5, batch_size=300)
     net = anm.fit_transform(x, y, "x_to_y", config, seed=9)
-    p, t, res = anm.residuals(net, x, y, "x_to_y")
+    p, t, res = anm.residuals(net, x, y)
     assert close(res[:5], RES_HEAD)
     assert close(res @ res, RES_SS)
     assert close(p.sum(), P_SUM)

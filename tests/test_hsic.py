@@ -195,6 +195,10 @@ class TestMedianBandwidth:
         with pytest.raises(DegenerateDataError):
             hsic.median_bandwidth(np.full(10, 3.0))
 
+    def test_one_value_is_data_error(self):
+        with pytest.raises(DataError, match="at least 2 values"):
+            hsic.median_bandwidth(np.array([3.0]))
+
     def test_subsample_deterministic_per_seed(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=5000)
@@ -303,6 +307,11 @@ class TestStatistic:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             hsic.hsic_statistic(np.zeros(10), np.zeros(11))
+
+    def test_five_samples_is_data_error(self):
+        x = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(DataError, match="at least 6 samples"):
+            hsic.hsic_statistic(x, x ** 2)
 
     @pytest.mark.parametrize("bad", ["x", "y"])
     def test_non_finite_sample_is_data_error(self, bad):
@@ -505,3 +514,9 @@ class TestLoss:
     def test_minibatch_size_guard(self):
         with pytest.raises(DataError):
             hsic.hsic_loss(np.zeros((4, 1)), np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("shapes", [((10, 1), (9, 1)), ((10,), (10,)), ((10, 2), (10, 2))])
+    def test_mismatched_shapes_are_data_errors(self, shapes):
+        x, y = (np.zeros(shape) for shape in shapes)
+        with pytest.raises(DataError, match="matching \\(n, 1\\) batches"):
+            hsic.hsic_loss(x, y)
