@@ -185,8 +185,8 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
         for s in inputs:
             g_z[s] += ad.mlp_backward(net.layers[f"{s}.dec."], dec[s], (2.0 * g / n) * recon[s])
             g_mu_s, g_lv = ad.gaussian_bottleneck_grad(noisy[s][2], g_z[s], g * config.beta_t / n)
-            ad.mlp_backward(net.layers[f"{s}.mono."], mono[s], g_mu[s] + g_mu_s)
-            ad.mlp_backward(net.layers[f"{s}.lv."], lv[s], g_lv)
+            ad.mlp_backward(net.layers[f"{s}.mono."], mono[s], g_mu[s] + g_mu_s, input_grad=False)
+            ad.mlp_backward(net.layers[f"{s}.lv."], lv[s], g_lv, input_grad=False)
 
     return ad.Tensor(value, _backward_fn=backward_fn)
 

@@ -84,6 +84,7 @@ class ParamStore:
         self._grad = np.zeros(0)
         self._m = np.zeros(0)
         self._v = np.zeros(0)
+        self._scratch = np.zeros((2, 0))  # adam_step's two temporaries
         self.step_count = 0
 
     def add(self, name: str, data) -> Tensor:
@@ -98,6 +99,7 @@ class ParamStore:
         self._grad = np.concatenate([self._grad, zeros])
         self._m = np.concatenate([self._m, zeros])
         self._v = np.concatenate([self._v, zeros])
+        self._scratch = np.empty((2, self._data.size))
         offset = 0
         for p in self._tensors.values():
             end = offset + p.data.size
@@ -116,25 +118,34 @@ class ParamStore:
         self._grad.fill(0.0)
 
     def adam_step(self, learning_rate: float) -> None:
-        """One Adam update over all parameters at once. A gradient whose
-        square overflows (or is not finite) would zero its update and freeze
-        training silently, so it raises NumericalError, naming the step."""
+        """One Adam update over all parameters at once, in place through the
+        store's two scratch buffers. A gradient whose square overflows (or is
+        not finite) would zero its update and freeze training silently, so
+        it raises NumericalError, naming the step."""
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - ADAM_BETA1 ** t
         bc2 = 1.0 - ADAM_BETA2 ** t
-        g = self._grad
+        g, (s1, s2) = self._grad, self._scratch
         with np.errstate(over="ignore"):
             self._m *= ADAM_BETA1
-            self._m += (1.0 - ADAM_BETA1) * g
+            self._m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
             self._v *= ADAM_BETA2
-            self._v += (1.0 - ADAM_BETA2) * (g * g)
+            np.multiply(g, g, out=s1)
+            self._v += np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
         if not np.isfinite(self._v).all():
             raise NumericalError(
                 f"Adam step {t}: the second moment of "
                 f"{int(np.count_nonzero(~np.isfinite(self._v)))} gradient entries is "
                 f"not finite (a loss weight or gradient too large)")
-        self._data -= learning_rate * (self._m / bc1) / (np.sqrt(self._v / bc2) + ADAM_EPS)
+        # learning_rate * (m / bc1) / (sqrt(v / bc2) + eps), one operation at a time
+        np.divide(self._m, bc1, out=s1)
+        s1 *= learning_rate
+        np.divide(self._v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPS
+        s1 /= s2
+        self._data -= s1
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._tensors.items()}
@@ -202,26 +213,33 @@ def _weight(w: Tensor, wmap) -> np.ndarray:
 
 def mlp_forward(layers: list[tuple], x) -> list[np.ndarray]:
     """Every layer's input, then the output; tanh between layers. Layers are
-    (weight, bias, weight map) with the map None, SOFTPLUS or a 0/1 mask."""
+    (weight, bias, weight map) with the map None, SOFTPLUS or a 0/1 mask.
+    The bias and tanh act in place on each layer's own matmul output."""
     x = np.asarray(x, dtype=np.float64)
     width = layers[0][0].data.shape[0]
     if x.ndim != 2 or x.shape[1] != width:
         raise DimensionError(f"input shape {x.shape} does not match first layer width {width}")
     hs = [x]
     for i, (w, b, wmap) in enumerate(layers):
-        h = hs[-1] @ _weight(w, wmap) + b.data
-        hs.append(np.tanh(h) if i < len(layers) - 1 else h)
+        h = hs[-1] @ _weight(w, wmap)
+        h += b.data
+        if i < len(layers) - 1:
+            np.tanh(h, out=h)
+        hs.append(h)
     return hs
 
 
-def mlp_backward(layers: list[tuple], hs: list[np.ndarray], g: np.ndarray) -> np.ndarray:
+def mlp_backward(layers: list[tuple], hs: list[np.ndarray], g: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
     """Add into every weight's and bias's .grad the gradient of a loss whose
     gradient with respect to the output hs[-1] is g; return the gradient
-    with respect to the input hs[0]."""
+    with respect to the input hs[0], or None without input_grad. Neither g
+    nor hs is written to."""
     for i in reversed(range(len(layers))):
         w, b, wmap = layers[i]
-        if i < len(layers) - 1:
-            g = g * (1.0 - hs[i + 1] * hs[i + 1])
+        if i < len(layers) - 1:  # g is this pass's own matmul output here
+            d = hs[i + 1] * hs[i + 1]
+            g *= np.subtract(1.0, d, out=d)
         gw = hs[i].T @ g
         if wmap is SOFTPLUS:
             gw *= 1.0 / (1.0 + np.exp(-w.data))
@@ -229,6 +247,8 @@ def mlp_backward(layers: list[tuple], hs: list[np.ndarray], g: np.ndarray) -> np
             gw *= wmap  # off-block weights stay where they are
         w.grad += gw
         b.grad += g.sum(axis=0)
+        if i == 0 and not input_grad:
+            return None
         g = g @ _weight(w, wmap).T
     return g
 

@@ -29,11 +29,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .datagen import TRAIN, VAL, DatasetPair
-from .dataio import ColumnStats, JsonConfig, standardize
+from .datagen import TEST, TRAIN, VAL, DatasetPair
+from .dataio import ColumnStats, JsonConfig
 from .errors import DataError, DimensionError, NumericalError
 
 TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
+MIN_EVAL_ROWS = 2  # an explained variance needs rows that can vary
 
 
 @dataclass
@@ -118,7 +119,7 @@ class CaeHalf:
 
     def encode_grad(self, hs: list[np.ndarray], g_mu: np.ndarray, g_lv: np.ndarray) -> None:
         """Backpropagate the gradients of encode's means and log-variances."""
-        ad.mlp_backward(self.enc, hs, np.hstack([g_mu, g_lv]))
+        ad.mlp_backward(self.enc, hs, np.hstack([g_mu, g_lv]), input_grad=False)
 
     def cross_predict(self, z: np.ndarray) -> np.ndarray:
         return z * self.param("cross.a").data + self.param("cross.b").data
@@ -373,24 +374,46 @@ class TrainHistory:
     val: list[dict] = field(default_factory=list)
 
 
+def eval_rows(pair: DatasetPair, label: int) -> np.ndarray:
+    """The rows of split `label` that an evaluation reads; fewer than
+    MIN_EVAL_ROWS is a DataError, as an explained variance over them is
+    undefined."""
+    rows = pair.rows(label)
+    if len(rows) < MIN_EVAL_ROWS:
+        name = {VAL: "val", TEST: "test"}[label]
+        raise DataError(f"the {name} split holds {len(rows)} row(s) of {pair.n}; "
+                        f"evaluating needs at least {MIN_EVAL_ROWS}")
+    return rows
+
+
 def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHistory]:
     """Minibatch Adam on the combined loss.
 
-    Inputs are standardized per column with train-split statistics (stored
-    in the model; all downstream consumers see the standardized units).
-    Per-epoch validation metrics are recorded with noiseless bottlenecks.
-    Raises NumericalError with the offending term values if the loss goes
-    non-finite, and from the Adam step if a gradient's square overflows.
+    The train and val rows are gathered as float64 and standardized in
+    place per column with train-split statistics (stored in the model; all
+    downstream consumers see the standardized units); the pair itself is
+    neither copied whole nor changed. A split with no train rows, or too
+    few val or test rows to evaluate (eval_rows), is a DataError before any
+    epoch. Per-epoch validation metrics are recorded with noiseless
+    bottlenecks. Raises NumericalError with the offending term values if the
+    loss goes non-finite, and from the Adam step if a gradient's square
+    overflows.
     """
     train_idx = pair.rows(TRAIN)
-    val_idx = pair.rows(VAL)
-    if len(train_idx) == 0 or len(val_idx) == 0:
-        raise DataError("training requires non-empty train and val splits")
+    if len(train_idx) == 0:
+        raise DataError("training requires a non-empty train split")
+    val_idx = eval_rows(pair, VAL)
+    eval_rows(pair, TEST)  # what train reports on, checked before any epoch
 
+    x_train, y_train, x_val, y_val = (np.asarray(v[idx], dtype=np.float64)
+                                      for idx in (train_idx, val_idx) for v in (pair.x, pair.y))
+    # fitted before the model is built, so the std's temporary and the
+    # model's buffers are never held together
+    stats = ColumnStats.fit(x_train, y_train)
+    stats.apply(DatasetPair(x_train, y_train))
+    stats.apply(DatasetPair(x_val, y_val))
     model = build_cae(pair.x.shape[1], pair.y.shape[1], config)
-    pair, model.stats = standardize(pair)
-    x_train, y_train = pair.x[train_idx], pair.y[train_idx]
-    x_val, y_val = pair.x[val_idx], pair.y[val_idx]
+    model.stats = stats
     rng = np.random.default_rng([config.seed, 0x7E41])
     history = TrainHistory()
 

@@ -121,10 +121,11 @@ def _load_checkpoint_and_data(args) -> tuple[cae.CaeModel, datagen.DatasetPair]:
 
 def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair):
     """Report metrics and pair-table rows on the TEST rows of a pair in the
-    model's units, plus the encoding behind them. This is where `train`,
-    `inspect` and `direction` choose the informative pairs. Training runs
-    every configured epoch, so epochs_run is the model's config.epochs."""
-    te = pair.rows(datagen.TEST)
+    model's units, plus the encoding behind them; too few TEST rows is a
+    DataError (cae.eval_rows). This is where `train`, `inspect` and
+    `direction` choose the informative pairs. Training runs every configured
+    epoch, so epochs_run is the model's config.epochs."""
+    te = cae.eval_rows(pair, datagen.TEST)
     final, rows, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
     final.pop("val_loss")
     final["epochs_run"] = model.config.epochs
@@ -143,9 +144,11 @@ def _run_cell(x: np.ndarray, y: np.ndarray, config: cae.CaeConfig, cell_dir: str
         with open(cell / "error.txt", "w", encoding="utf-8") as fh:
             fh.write(str(err))
         return {"beta": config.beta, "gamma": config.gamma, "failed": str(err)}
-    # copies, as a serial sweep hands every cell the same x and y
-    view = datagen.DatasetPair(x.copy(), y.copy(), pair.split)
-    final, table_rows, _ = _test_report(model, model.stats.apply(view))
+    # the TEST rows alone, gathered before they are standardized in place,
+    # as a serial sweep hands every cell the same x and y
+    te = pair.rows(datagen.TEST)
+    test = model.stats.apply(datagen.DatasetPair(x[te], y[te], pair.split[te]))
+    final, table_rows, _ = _test_report(model, test)
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
@@ -240,14 +243,22 @@ def cmd_train(args) -> int:
 # direction
 
 
+def _report_and_means(args):
+    """The test report of the --checkpoint model on the --data pair and the
+    bottleneck means of every row of the pair. Only these outlive the call,
+    so the pair is freed before a verdict allocates its Gram matrices."""
+    model, pair = _load_checkpoint_and_data(args)
+    final, rows, enc = _test_report(model, pair)
+    return final, rows, enc, model.net_x.encode(pair.x)[1], model.net_y.encode(pair.y)[1]
+
+
 def cmd_direction(args) -> int:
     t0 = time.monotonic()
     fields = dataio.load_json_object(args.anm_config) if args.anm_config else {}
     anm_config = anm.AnmConfig.from_dict(config_fields({"seed": args.seed}, fields))
-    model, pair = _load_checkpoint_and_data(args)
+    final, rows, enc, mu_x, mu_y = _report_and_means(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    final, rows, enc = _test_report(model, pair)
     paired = enc.paired
     if len(paired) == 0:
         print("no informative macrovariable pair detected; nothing to analyze")
@@ -258,7 +269,6 @@ def cmd_direction(args) -> int:
             return EXIT_NO_PAIRS
         paired = np.array([args.pairs])
 
-    mu_x, mu_y = model.net_x.encode(pair.x)[1], model.net_y.encode(pair.y)[1]
     verdicts = []
     for idx in paired:
         verdict = anm.direction_verdict(mu_x[:, idx], mu_y[:, idx], anm_config,

@@ -37,7 +37,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from . import autodiff as ad
-from .datagen import TRAIN, DatasetPair
+from .datagen import DatasetPair
 from .errors import DataError, ParseError
 
 REPORT_SCHEMA_VERSION = 2
@@ -424,6 +424,19 @@ class ColumnStats:
     y_mean: np.ndarray
     y_std: np.ndarray
 
+    @classmethod
+    def fit(cls, x: np.ndarray, y: np.ndarray) -> "ColumnStats":
+        """The column means and stds of the rows given (the training rows);
+        a zero-variance column gets 0 and 1, so it passes through untouched."""
+        stats = []
+        for ref in (x, y):
+            means, stds = ref.mean(axis=0), ref.std(axis=0)
+            constant = stds == 0.0
+            means[constant] = 0.0
+            stds[constant] = 1.0
+            stats += [means, stds]
+        return cls(*stats)
+
     def apply(self, pair: DatasetPair) -> DatasetPair:
         """Center and scale the pair's float64 columns in place, with the bits
         of (v - mean) / std, and return the pair."""
@@ -432,27 +445,6 @@ class ColumnStats:
             v -= mean
             v /= std
         return pair
-
-
-def _center_scale(ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column means and stds of ref; a zero-variance column gets 0 and 1."""
-    means = ref.mean(axis=0)
-    stds = ref.std(axis=0)
-    constant = stds == 0.0
-    means[constant] = 0.0
-    stds[constant] = 1.0
-    return means, stds
-
-
-def standardize(pair: DatasetPair) -> tuple[DatasetPair, ColumnStats]:
-    """A copy of the pair with every column centered and scaled by its
-    train-split statistics, and those statistics; zero-variance columns pass
-    through untouched."""
-    ref_rows = pair.rows(TRAIN)
-    stats = ColumnStats(*_center_scale(pair.x[ref_rows]), *_center_scale(pair.y[ref_rows]))
-    copy = DatasetPair(pair.x.astype(np.float64), pair.y.astype(np.float64), pair.split,
-                       pair.ground_truth)
-    return stats.apply(copy), stats
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,16 @@ class TestMlpForward:
         with pytest.raises(DimensionError):
             forward(layers, np.zeros((2, 5)))
 
+    def test_input_left_untouched(self):
+        # the bias and tanh act in place, on each layer's own matmul output
+        rng = np.random.default_rng(5)
+        layers = ad.init_mlp(ad.ParamStore(), rng, "", (4, 6, 3))
+        x = rng.normal(size=(7, 4))
+        before = x.copy()
+        hs = ad.mlp_forward(layers, x)
+        assert np.array_equal(x, before)
+        assert hs[0] is x and all(not np.shares_memory(x, h) for h in hs[1:])
+
 
 class TestBackward:
     def test_bias_gradient_of_sum_is_ones(self):
@@ -187,6 +197,39 @@ class TestBackward:
         for name in store.names():
             fd = finite_diff_grad(store, name, lambda: loss().item())
             assert rel_err(store[name].grad, fd) < 1e-6, name
+
+
+def _layers(kind: str, rng: np.random.Generator) -> tuple[ad.ParamStore, list[tuple]]:
+    """Three layers of each weight map: plain, 0/1-masked or SOFTPLUS."""
+    store = ad.ParamStore()
+    widths = (4, 6, 6, 2)
+    if kind == "masked":
+        masks = [rng.integers(0, 2, size=(a, b)).astype(float)
+                 for a, b in zip(widths, widths[1:])]
+        layers = [(store.add(f"w{i}", rng.normal(size=m.shape) * m),
+                   store.add(f"b{i}", rng.normal(size=m.shape[1])), m)
+                  for i, m in enumerate(masks)]
+        return store, layers
+    return store, ad.init_mlp(store, rng, "", widths, ad.SOFTPLUS if kind == "softplus" else None)
+
+
+@pytest.mark.parametrize("kind", ["plain", "masked", "softplus"])
+def test_backward_without_input_grad_adds_the_same_parameter_gradients(kind):
+    rng = np.random.default_rng(31)
+    store, layers = _layers(kind, rng)
+    hs = ad.mlp_forward(layers, rng.normal(size=(9, 4)))
+    g = rng.normal(size=(9, 2))
+    kept = [h.copy() for h in hs], g.copy()
+    grads = []
+    for input_grad in (True, False):
+        for name in store.names():
+            store[name].grad[...] = 0.25  # the pass adds onto what is there
+        out = ad.mlp_backward(layers, hs, g, input_grad=input_grad)
+        assert (out is None) != input_grad
+        grads.append({name: store[name].grad.copy() for name in store.names()})
+    assert all(np.array_equal(grads[0][name], grads[1][name]) for name in store.names())
+    # neither the layer values nor the output gradient were written to
+    assert all(np.array_equal(a, b) for a, b in zip(hs, kept[0])) and np.array_equal(g, kept[1])
 
 
 class TestOps:

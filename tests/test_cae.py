@@ -8,6 +8,7 @@ tests) has no automated check yet.
 from __future__ import annotations
 
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -400,3 +401,42 @@ def test_nan_input_is_numerical_error_naming_the_terms():
     with pytest.raises(NumericalError, match="non-finite loss at epoch 0: ") as raised:
         cae.train_cae(pair, config)
     assert all(f"{name}=" in str(raised.value) for name in cae.TERM_NAMES)
+
+
+def test_train_cae_holds_the_gathers_not_a_copy_of_the_pair():
+    # the train and val rows are gathered once and standardized in place, so
+    # the peak stays near their 90 % of the pair's bytes plus the std's
+    # temporary of the train X rows
+    from macrobottle import datagen
+    pair = datagen.gen_main_synthetic(10_000, seed=5)
+    config = cae.CaeConfig(epochs=1, seed=5)
+    tracemalloc.start()
+    try:
+        cae.train_cae(pair, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (pair.x.nbytes + pair.y.nbytes)
+
+
+def test_train_cae_leaves_the_pair_unchanged():
+    from macrobottle import datagen
+    pair = datagen.gen_main_synthetic(300, seed=30)
+    x, y = pair.x.copy(), pair.y.copy()
+    cae.train_cae(pair, cae.CaeConfig(bottleneck_dim=2, encoder_hidden=(16,),
+                                      decoder_hidden_per_variable=(8,), epochs=2,
+                                      batch_size=64))
+    assert pair.x.tobytes() == x.tobytes() and pair.y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("counts,split_name", [((15, 1, 3), "val"), ((15, 2, 1), "test"),
+                                               ((15, 0, 2), "val")])
+def test_split_too_small_to_evaluate_is_data_error_before_any_epoch(counts, split_name,
+                                                                    monkeypatch):
+    from macrobottle import datagen
+    split = np.repeat([datagen.TRAIN, datagen.VAL, datagen.TEST], counts)
+    pair = datagen.gen_main_synthetic(len(split), seed=0)
+    pair.split = split
+    monkeypatch.setattr(cae, "build_cae", lambda *a: pytest.fail("a model was built"))
+    with pytest.raises(DataError, match=f"the {split_name} split holds"):
+        cae.train_cae(pair, cae.CaeConfig(epochs=2))

@@ -403,6 +403,21 @@ def test_loaded_pair_is_standardized_in_place(tiny_run, tmp_path):
     assert np.array_equal(pair.y, (raw.y - stats.y_mean) / stats.y_std)
 
 
+def test_serial_sweep_cells_leave_the_shared_matrices_unchanged(tmp_path):
+    # a serial sweep hands every cell the same x and y; each cell gathers the
+    # rows it standardizes
+    from macrobottle import cae
+    pair = datagen.gen_main_synthetic(300, seed=8)
+    x, y = pair.x.copy(), pair.y.copy()
+    base = {"bottleneck_dim": 2, "encoder_hidden": [16], "decoder_hidden_per_variable": [8],
+            "epochs": 2, "batch_size": 64}
+    for i, beta in enumerate((0.01, 0.1)):
+        config = cae.CaeConfig.from_dict({**base, "beta": beta, "seed": i})
+        result = cli._run_cell(pair.x, pair.y, config, str(tmp_path / f"cell{i}"))
+        assert "failed" not in result
+    assert pair.x.tobytes() == x.tobytes() and pair.y.tobytes() == y.tobytes()
+
+
 class TestDirection:
     def test_no_informative_pairs_exit_code(self, tiny_run, tmp_path, capsys):
         from macrobottle import cae
@@ -629,6 +644,13 @@ def _train_fresh(tmp, n):
     return ["train", "--data", data, "--epochs", "2", "--out", str(tmp / "o")]
 
 
+def _on_ten_rows(tiny, tmp, command):
+    data = str(tmp / "data")
+    assert run(["gen", "--n", "10", "--seed", "1", "--out", data]) == cli.EXIT_OK
+    return [command, "--checkpoint", str(_checkpoint(tiny)), "--data", data,
+            "--out", str(tmp / "out")]
+
+
 def _direction(tiny, tmp, *extra):
     return ["direction", "--checkpoint", str(_checkpoint(tiny)),
             "--data", str(tiny["data"]), "--out", str(tmp / "dir"), *extra]
@@ -684,10 +706,15 @@ EXIT_CASES = {
     "inspect-k-above-rows": (lambda t, tmp: [
         "inspect", "--checkpoint", _informative_checkpoint(t, tmp), "--data", str(t["data"]),
         "--k", "401", "--out", str(tmp / "ins")], cli.EXIT_DATA),
-    # every cell failed, so nothing trained: 10 rows leave one val row, whose
-    # explained variance is undefined
-    "train-no-cell-trained": (lambda t, tmp: _train_fresh(tmp, 10), cli.EXIT_NUMERIC),
+    # one val row has no explained variance: a data error before any epoch.
+    # 10 rows split 8/1/1, 19 rows 15/1/3
+    "train-one-val-row": (lambda t, tmp: _train_fresh(tmp, 10), cli.EXIT_DATA),
+    "train-one-val-row-of-19": (lambda t, tmp: _train_fresh(tmp, 19), cli.EXIT_DATA),
     "train-without-val-rows": (lambda t, tmp: _train_fresh(tmp, 2), cli.EXIT_DATA),
+    # the model's seed splits 10 rows 8/1/1: one test row to report on
+    "inspect-one-test-row": (lambda t, tmp: _on_ten_rows(t, tmp, "inspect"), cli.EXIT_DATA),
+    "direction-one-test-row": (lambda t, tmp: _on_ten_rows(t, tmp, "direction"),
+                               cli.EXIT_DATA),
     # more rows than numpy can index, and more bytes than it can hold
     "gen-n-beyond-bytes": (lambda t, tmp: ["gen", "--n", "100000000000000000",
                                            "--out", str(tmp / "g")], cli.EXIT_DATA),

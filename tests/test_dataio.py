@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator, ValidationError
 
-from macrobottle import anm, cli, dataio, datagen
+from macrobottle import anm, cae, cli, dataio, datagen
 from macrobottle import autodiff as ad
 from macrobottle.errors import DataError, ParseError
 
@@ -437,6 +437,14 @@ class TestPairTwin:
         assert np.array_equal(regenerated.x, datagen.gen_main_synthetic(50, 4).x)
 
 
+def standardize(pair):
+    """A copy of the pair standardized in place with the statistics of its
+    TRAIN rows, and those statistics, as train_cae treats its gathers."""
+    tr = pair.rows(datagen.TRAIN)
+    stats = dataio.ColumnStats.fit(pair.x[tr], pair.y[tr])
+    return stats.apply(datagen.DatasetPair(pair.x.copy(), pair.y.copy(), pair.split)), stats
+
+
 class TestStandardize:
     def test_already_standardized_identity(self):
         rng = np.random.default_rng(0)
@@ -445,7 +453,7 @@ class TestStandardize:
         y = rng.normal(size=(500, 2))
         y = (y - y.mean(axis=0)) / y.std(axis=0)
         pair = datagen.DatasetPair(x, y, np.full(500, datagen.TRAIN))
-        out, stats = dataio.standardize(pair)
+        out, stats = standardize(pair)
         assert np.abs(out.x - x).max() < 1e-12
         assert np.abs(out.y - y).max() < 1e-12
 
@@ -454,13 +462,13 @@ class TestStandardize:
         x = rng.normal(size=(100, 2))
         x[:, 1] = 7.0
         pair = datagen.DatasetPair(x, rng.normal(size=(100, 2)), np.full(100, datagen.TRAIN))
-        out, stats = dataio.standardize(pair)
+        out, stats = standardize(pair)
         assert stats.x_mean[1] == 0.0 and stats.x_std[1] == 1.0
         assert np.array_equal(out.x[:, 1], x[:, 1])
 
     def test_inverse_recovers_originals(self):
         pair = datagen.gen_main_synthetic(200, seed=2)
-        out, stats = dataio.standardize(pair)
+        out, stats = standardize(pair)
         rx = out.x * stats.x_std + stats.x_mean
         ry = out.y * stats.y_std + stats.y_mean
         assert np.abs(rx - pair.x).max() < 1e-12
@@ -471,7 +479,7 @@ class TestStandardize:
         # statistics of X and Y apart equal those of the columns of [X | Y]
         pair = datagen.gen_main_synthetic(2000, seed=seed)
         pair.y = pair.y[:, :10]  # sides of different widths
-        _, stats = dataio.standardize(pair)
+        _, stats = standardize(pair)
         joined = np.hstack([pair.x, pair.y])[pair.rows(datagen.TRAIN)]
         assert np.array_equal(np.concatenate([stats.x_mean, stats.y_mean]),
                               joined.mean(axis=0))
@@ -479,8 +487,12 @@ class TestStandardize:
                               joined.std(axis=0))
 
     def test_train_split_statistics_used(self):
+        # the statistics a trained model carries are those of the TRAIN rows
         pair = datagen.gen_main_synthetic(1000, seed=3)
-        out, stats = dataio.standardize(pair)
+        model, _ = cae.train_cae(pair, cae.CaeConfig(epochs=0))
+        out, stats = standardize(pair)
+        for name, value in vars(model.stats).items():
+            assert np.array_equal(value, getattr(stats, name)), name
         tr = pair.rows(datagen.TRAIN)
         assert abs(out.x[tr].mean()) < 1e-12
         # non-train rows keep slight offsets
