@@ -123,31 +123,28 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
     net = TransformNetPair(config, direction, seed)
     rng = np.random.default_rng([seed, 0xA7A])
     n = p.shape[0]
-    # one HSIC loss workspace (thread pool and Gram buffers) for every step
-    with hsic.LossWorkspace(min(config.batch_size, n)) as workspace:
-        for epoch in range(config.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                sel = order[start:start + config.batch_size]
-                if len(sel) < 8:  # hsic_loss needs a real minibatch
-                    continue
-                bp, bt = p[sel], t[sel]
-                loss = _transform_loss(net, bp, bt, config, rng, workspace)
-                if not np.isfinite(loss.item()):
-                    raise NumericalError(
-                        f"transform training diverged at epoch {epoch} "
-                        f"(direction {direction}, seed {seed})")
-                net.store.zero_grad()
-                ad.backward(loss)
-                net.store.adam_step(config.learning_rate)
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            sel = order[start:start + config.batch_size]
+            if len(sel) < 8:  # hsic_loss needs a real minibatch
+                continue
+            bp, bt = p[sel], t[sel]
+            loss = _transform_loss(net, bp, bt, config, rng)
+            if not np.isfinite(loss.item()):
+                raise NumericalError(
+                    f"transform training diverged at epoch {epoch} "
+                    f"(direction {direction}, seed {seed})")
+            net.store.zero_grad()
+            ad.backward(loss)
+            net.store.adam_step(config.learning_rate)
     return net
 
 
 def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
-                    config: AnmConfig, rng: np.random.Generator,
-                    workspace: hsic.LossWorkspace) -> ad.Tensor:
+                    config: AnmConfig, rng: np.random.Generator) -> ad.Tensor:
     """The objective in the module docstring as one node with a hand-written
-    backward; the HSIC term uses the fit's workspace."""
+    backward."""
     n = bp.shape[0]
     a, b = net.store["cross.a"], net.store["cross.b"]
     inputs = {"p": bp, "t": bt}
@@ -170,8 +167,7 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
     res = net.residual(mu_p, mu_t)
     inv_u = 1.0 / max(float(mu_p.std()), 1e-6)
     inv_r = 1.0 / max(float(res.std()), 1e-6)
-    dep, g_u, g_r = hsic.hsic_loss((mu_p - mu_p.mean()) * inv_u, (res - res.mean()) * inv_r,
-                                   workspace=workspace)
+    dep, g_u, g_r = hsic.hsic_loss((mu_p - mu_p.mean()) * inv_u, (res - res.mean()) * inv_r)
     value += np.mean(fit * fit) / var_t + dep
 
     def backward_fn(g):

@@ -2,20 +2,24 @@
 
 The test statistic is n times the biased HSIC estimator,
 trace(K H L H) / n with H = I - (1/n) 11^T, computed exactly from the
-upper-triangle Gram blocks, swept by one thread per CPU of the process's
-affinity mask and summed in a fixed block order, and compared with a
-level-alpha critical value from a gamma distribution moment-matched to the
-statistic's null mean and variance. Each block is built and reduced in row
-strips small enough for a core's L2 cache; adding up strip sums instead of
-whole-block sums changes only the addition order, within 1e-14 relative of
-the whole-block result. The same statistic, built with
-the same kernel code (_gram), serves as a training loss with an analytic
-gradient, computed on up to two threads; a training loop keeps one
-LossWorkspace (that pool, the two Gram buffers and the threads' strip
-buffers) for all its steps. Bandwidths are set by the median heuristic, an
-exact selection of the median pairwise distance, and treated as constants.
-Statistic, loss and bandwidths are the same bits for any number of CPUs, and
-the loss the same bits with or without a workspace.
+upper-triangle Gram blocks and compared with a level-alpha critical value
+from a gamma distribution moment-matched to the statistic's null mean and
+variance. The statistic and the transform fit's loss share one block sweep
+(_sweep): one thread per CPU of the process's affinity mask builds each
+512 x 512 block in 128-row strips, small enough for a core's L2 cache. Its
+first pass takes the row sums that centre the Grams; its second hands the
+centred strips to a reducer, one for the statistic and its null moments and
+one for the loss and its analytic gradient. The per-block results are added
+up in a fixed block order, so the statistic, the loss and its gradients are
+the same bits for any number of CPUs. Adding strip sums instead of
+whole-block sums changes only the addition order: the statistic is within
+1e-14 relative of whole-block sums. The loss value is within 1e-12 relative
+of a dense n x n computation and its gradients within 3e-12 of their
+largest entry, since they also move with the rounding of the centring
+offsets. No n x n buffer is held: a loss call at n = 1000, a transform
+fit's minibatch, peaks at 4.4 MB on two CPUs. Bandwidths are set by the
+median heuristic, an exact selection of the median pairwise distance, and
+treated as constants.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ class HsicResult:
 
 
 _CHUNK = 512  # Gram blocks are _CHUNK x _CHUNK
-_STRIP = 128  # rows per strip: a worker's two strip buffers (0.5 MB each) stay in its L2
+_STRIP = 128  # rows per strip: a worker's four strip buffers (0.5 MB each) stay in its L2
 
 
 def _kernel_scales(bandwidths: tuple[float, float]) -> list[float]:
@@ -126,14 +130,19 @@ def _kernel_scales(bandwidths: tuple[float, float]) -> list[float]:
     return [np.sqrt(0.5) / bw for bw in bandwidths]
 
 
+def _differences(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with u_i - v_j: a broadcast copy of u less one contiguous
+    subtraction of v, the same bits as np.subtract(u[:, None], v[None, :]),
+    faster."""
+    out[...] = u[:, None]
+    return np.subtract(out, v, out=out)
+
+
 def _gram(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fill out with the Gaussian kernel exp(-(u_i - v_j)^2), in place, from
-    inputs already scaled by sqrt(0.5) / bandwidth. The difference is a
-    broadcast copy of u less one contiguous subtraction of v: the same bits
-    as np.subtract(u[:, None], v[None, :]), faster."""
-    out[...] = u[:, None]
-    np.subtract(out, v, out=out)
-    return np.exp(np.negative(np.square(out, out=out), out=out), out=out)
+    inputs already scaled by sqrt(0.5) / bandwidth."""
+    d = _differences(u, v, out)
+    return np.exp(np.negative(np.square(d, out=d), out=d), out=d)
 
 
 def _worker_count(tasks: int) -> int:
@@ -142,45 +151,55 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(cpus or 1, tasks))
 
 
-def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, float, float, float]:
-    """(statistic, variance, mu_x, mu_y) of scaled inputs in two exact passes
-    over the Gram blocks with j >= i. Worker w of a thread pool made for this
-    call takes blocks w, w + workers, ... and sweeps each in strips of _STRIP
-    rows, built in place in its own two strip-sized buffers, calling only
-    _gram and numpy. A block's strip sums are added in strip order by its
-    worker, and this thread adds the per-block sums up in block order, so any
-    worker count gives the same bits."""
-    uv = (u, v)
+def _add_up(parts: list, n: int) -> np.ndarray:
+    """Full-length rows from per-block (row part, column part, ...) results
+    in block order: a block's row part goes to its own rows and its column
+    part, None on the diagonal, to those of its mirror block."""
+    total = np.zeros(parts[0][1][0].shape[:-1] + (n,))
+    for (i, j), (row, col, *_) in parts:
+        total[..., i:i + _CHUNK] += row
+        if col is not None:
+            total[..., j:j + _CHUNK] += col
+    return total
+
+
+def _sweep(u: np.ndarray, v: np.ndarray, reduce_block) -> tuple[np.ndarray, list]:
+    """The row sums' totals per side, and [((i, j), reduce_block(strips, i,
+    j, offsets))] in block order, from two exact passes over the Gram blocks
+    with j >= i of scaled inputs u and v.
+
+    Pass 1 takes each block's row sums and, off the diagonal, its column
+    sums, which are the row sums of its mirror block, and from them the
+    centring offsets: Kc = K - offset_i - offset_j. In pass 2, strips yields
+    (first row, K strip, L strip, two spare strips) down block (i, j).
+    Worker w of a thread pool made for this call takes blocks w,
+    w + workers, ... and builds each in strips of _STRIP rows in its own
+    four strip-sized buffers, calling only _gram and numpy. This thread adds
+    the per-block results up in block order, so any worker count gives the
+    same bits."""
+    n = u.size
     blocks = [(i, j) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)]
     workers = _worker_count(len(blocks))
     size = min(_STRIP, n) * min(_CHUNK, n)
-    bufs = [(np.empty(size), np.empty(size)) for _ in range(workers)]
+    bufs = [[np.empty(size) for _ in range(4)] for _ in range(workers)]
 
     def strips(w, i, j):
-        """(first row, K strip, L strip) down block (i, j), in worker w's buffers."""
         cols = slice(j, min(j + _CHUNK, n))
         for r in range(i, min(i + _CHUNK, n), _STRIP):
             rows = slice(r, min(r + _STRIP, n))
             shape = (rows.stop - r, cols.stop - j)
-            yield r, *(_gram(s[rows], s[cols], b[:shape[0] * shape[1]].reshape(shape))
-                       for s, b in zip(uv, bufs[w]))
+            k, l, *spares = (b[:shape[0] * shape[1]].reshape(shape) for b in bufs[w])
+            yield r, _gram(u[rows], u[cols], k), _gram(v[rows], v[cols], l), *spares
 
-    def sweep(pool, reduce_block):
-        """(block, reduce_block(w, i, j)) in block order."""
-        parts = list(pool.map(lambda w: [reduce_block(w, i, j) for i, j in blocks[w::workers]],
-                              range(workers)))
-        return zip(blocks, (parts[k % workers][k // workers] for k in range(len(blocks))))
-
-    def block_sums(w, i, j):
+    def block_sums(strips, i, j):
         """Row sums of the K and L blocks and, off the diagonal, their column
-        sums, which are the row sums of the mirror block. The column sums
-        run on from strip to strip: the sum so far is added into a strip's
-        first row before its rows are added down, one after another, so they
-        are the bits of the whole block's column sums, and so are the
-        centring offsets built from them."""
+        sums. The column sums run on from strip to strip: the sum so far is
+        added into a strip's first row before its rows are added down, one
+        after another, so they are the bits of the whole block's column
+        sums, and so are the centring offsets built from them."""
         row_sums = np.empty((2, min(_CHUNK, n - i)))
         col_sums = np.zeros((2, min(_CHUNK, n - j))) if j > i else None
-        for r, *sides in strips(w, i, j):
+        for r, *sides, _, _ in strips:
             for side, b in enumerate(sides):
                 np.sum(b, axis=1, out=row_sums[side, r - i:r - i + b.shape[0]])
                 if col_sums is not None:
@@ -188,42 +207,91 @@ def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, flo
                     np.sum(b, axis=0, out=col_sums[side])
         return row_sums, col_sums
 
-    def centred_moments(w, i, j):
-        total = sq_total = sq_trace = 0.0
-        for r, kc, lc in strips(w, i, j):
-            for side, b in ((0, kc), (1, lc)):
-                b -= offsets[side, r:r + b.shape[0], None]
-                b -= offsets[side, None, j:j + b.shape[1]]
-            prod = np.multiply(kc, lc, out=kc)
-            total += float(prod.sum())
-            np.square(prod, out=prod)
-            sq_total += float(prod.sum())
-            if j == i:  # the strip's part of the block diagonal starts at column r - i
-                sq_trace += float(np.trace(prod[:, r - i:]))
-        return total, sq_total, sq_trace
-
     with ThreadPoolExecutor(workers) as pool:
-        # pass 1: row sums; block (i, j) gives those of its mirror as column sums
-        rows = np.zeros((2, n))
-        for (i, j), (row, col) in sweep(pool, block_sums):
-            rows[:, i:i + _CHUNK] += row
-            if col is not None:
-                rows[:, j:j + _CHUNK] += col
-        sums = rows.sum(axis=1)
-        offsets = rows / n - sums[:, None] / (2 * n * n)  # Kc = K - offset_i - offset_j
+        def sweep(reduce_block, *args):
+            parts = list(pool.map(lambda w: [reduce_block(strips(w, i, j), i, j, *args)
+                                             for i, j in blocks[w::workers]], range(workers)))
+            return [(b, parts[k % workers][k // workers]) for k, b in enumerate(blocks)]
 
-        # pass 2: sum(Kc o Lc) equals trace(K H L H) because H is idempotent;
-        # the variance needs the off-diagonal sum of (Kc o Lc)^2
-        stat = var_sum = var_diag = 0.0
-        for (i, j), (total, sq_total, sq_trace) in sweep(pool, centred_moments):
-            weight = 1.0 if j == i else 2.0  # the mirror block counts too
-            stat += weight * total
-            var_sum += weight * sq_total
-            var_diag += sq_trace  # 0.0 off the diagonal
+        rows = _add_up(sweep(block_sums), n)
+        sums = rows.sum(axis=1)
+        offsets = rows / n - sums[:, None] / (2 * n * n)
+        return sums, sweep(reduce_block, offsets)
+
+
+def _centre(gram: np.ndarray, offsets: np.ndarray, r: int, j: int, out: np.ndarray) -> np.ndarray:
+    """out = the strip gram, from row r and column j, less its rows' and its
+    columns' centring offsets."""
+    np.subtract(gram, offsets[r:r + gram.shape[0], None], out=out)
+    out -= offsets[None, j:j + gram.shape[1]]
+    return out
+
+
+def _centred_moments(strips, i: int, j: int, offsets: np.ndarray) -> tuple[float, float, float]:
+    """The sums of Kc o Lc and of its square over block (i, j), and of its
+    square's diagonal, 0.0 off the diagonal."""
+    total = sq_total = sq_trace = 0.0
+    for r, kc, lc, _, _ in strips:
+        for side, b in ((0, kc), (1, lc)):
+            _centre(b, offsets[side], r, j, b)
+        prod = np.multiply(kc, lc, out=kc)
+        total += float(prod.sum())
+        np.square(prod, out=prod)
+        sq_total += float(prod.sum())
+        if j == i:  # the strip's part of the block diagonal starts at column r - i
+            sq_trace += float(np.trace(prod[:, r - i:]))
+    return total, sq_total, sq_trace
+
+
+def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, float, float, float]:
+    """(statistic, variance, mu_x, mu_y) of scaled inputs from one _sweep:
+    sum(Kc o Lc) equals trace(K H L H) because H is idempotent, and the
+    variance needs the off-diagonal sum of (Kc o Lc)^2."""
+    sums, parts = _sweep(u, v, _centred_moments)
+    stat = var_sum = var_diag = 0.0
+    for (i, j), (total, sq_total, sq_trace) in parts:
+        weight = 1.0 if j == i else 2.0  # the mirror block counts too
+        stat += weight * total
+        var_sum += weight * sq_total
+        var_diag += sq_trace
     mu_x, mu_y = (sums - n) / (n * (n - 1))  # unit diagonal of the Gaussian kernel
     var = (var_sum - var_diag) / (36.0 * n * (n - 1))
     var *= 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
     return stat / n, var, mu_x, mu_y
+
+
+def _loss_sums(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """sum(Kc o Lc) and, per side, sum_j m_ij (w_i - w_j) for every row i,
+    from one _sweep of scaled inputs, where m = K o Lc for w = u and
+    m = L o Kc for w = v. The products are symmetric and the differences
+    antisymmetric, so a block off the diagonal gives its mirror block's rows
+    as minus its column sums. Kc o Lc, unlike K o Lc or L o Kc, does not
+    move with a rounding of the offsets, whose rows sum to 0; and the
+    differences, unlike w_i sum_j m_ij - (m @ w)_i, do not cancel for inputs
+    far from 0."""
+    n = u.size
+
+    def loss_block(strips, i, j, offsets):
+        row = np.empty((2, min(_CHUNK, n - i)))
+        col = np.zeros((2, min(_CHUNK, n - j))) if j > i else None
+        total = 0.0
+        for r, k, l, kc, lc in strips:
+            rows, cols = slice(r, r + k.shape[0]), slice(j, j + k.shape[1])
+            _centre(k, offsets[0], r, j, kc)
+            _centre(l, offsets[1], r, j, lc)
+            total += float(np.vdot(kc, lc))
+            # K o Lc over Lc and L o Kc over Kc, then the differences over K and L
+            products = np.multiply(k, lc, out=lc), np.multiply(l, kc, out=kc)
+            for side, (m, w, d) in enumerate(zip(products, (u, v), (k, l))):
+                m *= _differences(w[rows], w[cols], d)
+                np.sum(m, axis=1, out=row[side, r - i:rows.stop - i])
+                if col is not None:
+                    col[side] -= m.sum(axis=0)
+        return row, col, total
+
+    parts = _sweep(u, v, loss_block)[1]
+    value = sum((1.0 if j == i else 2.0) * total for (i, j), (*_, total) in parts)
+    return value, _add_up(parts, n)
 
 
 def gamma_quantile(q: float, shape: float, scale: float) -> float:
@@ -246,9 +314,10 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
 
     Exact over all n points: two passes over the symmetric Gram blocks with
     j >= i, split over a thread pool with one worker per CPU of the affinity
-    mask (taskset limits it), each with two _CHUNK x _CHUNK buffers. The
-    per-block sums are added in block order, so the result is bit-identical
-    for any worker count. Non-finite samples, bandwidths that are not
+    mask (taskset limits it). A worker builds each block in strips of
+    _STRIP x _CHUNK, in strip buffers of 0.5 MB, of which the statistic
+    writes two. The per-block sums are added in block order, so the result
+    is bit-identical for any worker count. Non-finite samples, bandwidths that are not
     finite and > 0, and an alpha outside (0, 1) raise DataError.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -276,96 +345,19 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                       bandwidths=bandwidths, n=n, alpha=alpha)
 
 
-_LOSS_STRIP = 64  # rows per loss strip: a worker's two strip buffers are 0.5 MB each at n = 1000
-
-
-class LossWorkspace:
-    """What hsic_loss reuses from step to step of one fit: a thread pool of
-    up to two workers, no more than the affinity mask's CPUs; two n x n
-    buffers, K and L, for minibatches of up to n points; and two strip
-    buffers of _LOSS_STRIP rows per worker, where centred rows live. All
-    buffers are allocated on the thread that makes the workspace, so they
-    go back to the heap its later allocations draw from (freed in a worker,
-    they raised the process's peak memory). Leaving its with block shuts the
-    pool down."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.workers = _worker_count(2)
-        self._grams = [np.empty(n * n) for _ in range(2)]
-        strip = min(_LOSS_STRIP, n) * n
-        self._strips = [(np.empty(strip), np.empty(strip)) for _ in range(self.workers)]
-        self.pool = ThreadPoolExecutor(self.workers)
-
-    def __enter__(self) -> "LossWorkspace":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.pool.shutdown()
-
-    def loss(self, u: np.ndarray, v: np.ndarray, scales: list[float]
-             ) -> tuple[float, np.ndarray, np.ndarray]:
-        """hsic_loss of inputs already scaled by scales, in contiguous m x m
-        views of the Gram buffers' first m * m entries. Each side's worker
-        builds its Gram in strips and takes its row sums; then the workers
-        split the row strips, each writing only its own rows of K and L and
-        its own strip buffers; then each side's worker takes its gradient
-        from the whole product in its buffer, whose matrix-vector product
-        would differ in the last bits if taken strip by strip."""
-        n = u.size
-        if n > self.n:
-            raise ValueError(f"a minibatch of {n} does not fit a workspace for {self.n}")
-        k, l = (b[:n * n].reshape(n, n) for b in self._grams)
-        strip = min(_LOSS_STRIP, n)
-        row_sums = np.empty((2, n))
-
-        def offsets(w, gram, sums):
-            for r in range(0, n, strip):
-                np.sum(_gram(w[r:r + strip], w, gram[r:r + strip]), axis=1, out=sums[r:r + strip])
-            return sums / n - gram.mean() / 2  # Kc = K - offset_i - offset_j
-
-        off_k, off_l = self.pool.map(offsets, (u, v), (k, l), row_sums)
-
-        def products(worker):
-            # K o Lc goes into K's rows and L o Kc into L's, once a strip holds
-            # both sides' centred rows
-            kc_buf, lc_buf = self._strips[worker]
-            for r in range(worker * strip, n, self.workers * strip):
-                s = slice(r, min(r + strip, n))
-                kc, lc = (b[:(s.stop - r) * n].reshape(-1, n) for b in (kc_buf, lc_buf))
-                for gram, off, c in ((k, off_k, kc), (l, off_l, lc)):
-                    np.subtract(gram[s], off[s, None], out=c)
-                    c -= off[None, :]
-                np.multiply(k[s], lc, out=k[s])
-                np.multiply(l[s], kc, out=l[s])
-
-        def gradient(w, m, scale):
-            # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
-            # for x and m = L o Kc for y, then the chain through the scale
-            return (-4.0 * scale / n) * (w * m.sum(axis=1) - m @ w)[:, None]
-
-        list(self.pool.map(products, range(self.workers)))
-        grad_x, grad_y = self.pool.map(gradient, (u, v), (k, l), scales)
-        return float(l.sum() / n), grad_x, grad_y
-
-
 def hsic_loss(x: np.ndarray, y: np.ndarray,
-              bandwidths: tuple[float, float] | None = None,
-              workspace: LossWorkspace | None = None
+              bandwidths: tuple[float, float] | None = None
               ) -> tuple[float, np.ndarray, np.ndarray]:
     """n*HSIC_b of column vectors (n x 1) and its analytic gradients with
-    respect to x and y, the Grams built and centred as in hsic_statistic.
+    respect to x and y, from the block sweep of hsic_statistic.
 
     Bandwidths default to the median heuristic on the current values and are
     excluded from differentiation; a degenerate (constant) input falls back
     to bandwidth 1, where the centered statistic is 0 anyway. They are
-    computed on the calling thread. The Grams, their centring and the
-    gradients run on the thread pool of a LossWorkspace: the one given,
-    which a training loop keeps for all its steps, or one made for this
-    call. Elementwise steps and row sums give an entry the same bits in any
-    strip, and means, sums and matrix-vector products are taken over whole
-    buffers, so the value and gradients are the same bits for any worker
-    count, with or without a workspace.
+    computed on the calling thread. The sweep's second pass forms Kc o Lc,
+    K o Lc and L o Kc strip by strip (_loss_sums), so the value and
+    gradients are the same bits for any worker count and no n x n buffer is
+    held.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -385,8 +377,8 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     if bandwidths is None:
         bandwidths = (safe_bw(x), safe_bw(y))
     scales = _kernel_scales(bandwidths)
-    u, v = x[:, 0] * scales[0], y[:, 0] * scales[1]
-    if workspace is not None:
-        return workspace.loss(u, v, scales)
-    with LossWorkspace(n) as own:
-        return own.loss(u, v, scales)
+    value, sums = _loss_sums(x[:, 0] * scales[0], y[:, 0] * scales[1])
+    # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
+    # for x and m = L o Kc for y, then the chain through the scale
+    grad_x, grad_y = ((-4.0 * scale / n) * s[:, None] for s, scale in zip(sums, scales))
+    return value / n, grad_x, grad_y

@@ -108,9 +108,7 @@ class TestTransformLoss:
 
     def test_value_matches_recomputation(self):
         net, bp, bt = self.setup_net()
-        with hsic.LossWorkspace(len(bp)) as workspace:
-            loss = anm._transform_loss(net, bp, bt, self.CONFIG, np.random.default_rng(40),
-                                       workspace)
+        loss = anm._transform_loss(net, bp, bt, self.CONFIG, np.random.default_rng(40))
         value, _ = frozen_objective(net, bp, bt, self.CONFIG)
         assert abs(loss.item() - value) < 1e-10 * abs(value)
 
@@ -119,9 +117,7 @@ class TestTransformLoss:
     def test_matches_finite_differences(self, name):
         net, bp, bt = self.setup_net()
         net.store.zero_grad()
-        with hsic.LossWorkspace(len(bp)) as workspace:
-            ad.backward(anm._transform_loss(net, bp, bt, self.CONFIG,
-                                            np.random.default_rng(40), workspace))
+        ad.backward(anm._transform_loss(net, bp, bt, self.CONFIG, np.random.default_rng(40)))
         _, frozen = frozen_objective(net, bp, bt, self.CONFIG)
         p = net.store[name]
         fd = np.zeros_like(p.data)
@@ -207,37 +203,21 @@ class TestResiduals:
             anm.fit_transform(x, y, "x_to_y", anm.AnmConfig(hidden=4, epochs=1))
 
     def test_one_loss_workspace_per_fit(self, monkeypatch):
-        # every step calls hsic.hsic_loss through the module, on this thread,
-        # with the fit's one workspace, whose pool closes when the fit ends;
-        # the fit is the same bits as with a workspace made per call
+        # every step calls hsic.hsic_loss through the module, on this
+        # thread, and no thread outlives the fit
         x, y = np.random.default_rng(6).normal(size=(2, 100))
         cfg = anm.AnmConfig(hidden=4, epochs=3, batch_size=40)  # minibatches 40, 40, 20
-        loss, pools, calls = hsic.hsic_loss, [], []
+        loss, calls = hsic.hsic_loss, []
 
-        class RecordingPool(hsic.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
+        def recording_loss(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return loss(*args, **kwargs)
 
-        def recording_loss(*args, workspace=None, **kwargs):
-            calls.append((threading.get_ident(), workspace))
-            return loss(*args, workspace=workspace, **kwargs)
-
-        def params(net):
-            return [net.store[name].data.tobytes() for name in net.store.names()]
-
-        monkeypatch.setattr(hsic, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(hsic, "hsic_loss", recording_loss)
         threads = threading.active_count()
-        net = anm.fit_transform(x, y, "x_to_y", cfg, seed=1)
+        anm.fit_transform(x, y, "x_to_y", cfg, seed=1)
         assert threading.active_count() == threads
-        assert len(pools) == 1 and len(calls) == 9
-        assert {ident for ident, _ in calls} == {threading.get_ident()}
-        assert len({id(ws) for _, ws in calls}) == 1 and calls[0][1].n == 40
-
-        monkeypatch.setattr(hsic, "hsic_loss", lambda *a, workspace=None, **k: loss(*a, **k))
-        assert params(anm.fit_transform(x, y, "x_to_y", cfg, seed=1)) == params(net)
-        assert len(pools) == 1 + 1 + 9  # each fit's, and one per step that drops it
+        assert calls == [threading.get_ident()] * 9
 
 
 class TestOlsResiduals:
