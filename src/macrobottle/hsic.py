@@ -4,22 +4,28 @@ The test statistic is n times the biased HSIC estimator,
 trace(K H L H) / n with H = I - (1/n) 11^T, computed exactly from the
 upper-triangle Gram blocks and compared with a level-alpha critical value
 from a gamma distribution moment-matched to the statistic's null mean and
-variance. The statistic and the transform fit's loss share one block sweep
-(_sweep): one thread per CPU of the process's affinity mask builds each
-512 x 512 block in 128-row strips, small enough for a core's L2 cache. Its
-first pass takes the row sums that centre the Grams; its second hands the
-centred strips to a reducer, one for the statistic and its null moments and
-one for the loss and its analytic gradient. The per-block results are added
-up in a fixed block order, so the statistic, the loss and its gradients are
-the same bits for any number of CPUs. Adding strip sums instead of
-whole-block sums changes only the addition order: the statistic is within
-1e-14 relative of whole-block sums. The loss value is within 1e-12 relative
-of a dense n x n computation and its gradients within 3e-12 of their
-largest entry, since they also move with the rounding of the centring
-offsets. No n x n buffer is held: a loss call at n = 1000, a transform
-fit's minibatch, peaks at 4.4 MB on two CPUs. Bandwidths are set by the
-median heuristic, an exact selection of the median pairwise distance, and
-treated as constants.
+variance. The statistic and the transform fit's loss share one sweep
+(_sweep) over strip tasks, 128 rows of a 512 x 512 Gram block each: one
+thread per CPU of the process's affinity mask takes every workers-th task
+and builds its K and L strips stacked in one buffer, so each numpy call
+covers both kernels. The differences u_i - u_j are a k = 2 matmul of
+(u_i, 1) with (1, -u_j): both products are exact and the one addition
+rounds as the subtraction does, so they are np.subtract's bits (a zero is
+always +0) without a broadcast fill. Row and column sums are matmuls with a
+ones vector. The first pass takes the row sums that centre the Grams; the
+second hands the centred strips to a reducer, one for the statistic and its
+null moments and one for the loss and its analytic gradient. Workers write
+per-strip results into arrays the calling thread made, and it adds them up
+in task order, so the statistic, the loss and its gradients are the same
+bits for any number of CPUs. The statistic is within 1e-15 of its sum's
+conditioning, sum|Kc o Lc| / n, of a dense long-double computation, the
+loss value within about 1e-12 relative of a dense n x n one and its
+gradients within 1e-12 of their largest entry. No n x n buffer is held: on
+two CPUs of a Xeon with one BLAS thread, a statistic at n = 8000 takes
+about 0.28 s and peaks at 11.5 MB (tracemalloc), and a loss call at
+n = 1000, a transform fit's minibatch, about 14 ms and 4.6 MB. Bandwidths
+are set by the median heuristic, an exact selection of the median pairwise
+distance, and treated as constants.
 """
 
 from __future__ import annotations
@@ -119,30 +125,15 @@ class HsicResult:
 
 
 _CHUNK = 512  # Gram blocks are _CHUNK x _CHUNK
-_STRIP = 128  # rows per strip: a worker's four strip buffers (0.5 MB each) stay in its L2
+_STRIP = 128  # rows per strip task: a worker's two (2, _STRIP, _CHUNK) buffers, 1 MB each
 
 
 def _kernel_scales(bandwidths: tuple[float, float]) -> list[float]:
-    """sqrt(0.5) / bandwidth per side, the factor _gram's inputs carry;
+    """sqrt(0.5) / bandwidth per side, the factor the swept inputs carry;
     bandwidths that are not finite and > 0 raise DataError."""
     if not all(np.isfinite(bw) and bw > 0 for bw in bandwidths):
         raise DataError(f"bandwidths must be finite and positive, got {bandwidths}")
     return [np.sqrt(0.5) / bw for bw in bandwidths]
-
-
-def _differences(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out with u_i - v_j: a broadcast copy of u less one contiguous
-    subtraction of v, the same bits as np.subtract(u[:, None], v[None, :]),
-    faster."""
-    out[...] = u[:, None]
-    return np.subtract(out, v, out=out)
-
-
-def _gram(u: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill out with the Gaussian kernel exp(-(u_i - v_j)^2), in place, from
-    inputs already scaled by sqrt(0.5) / bandwidth."""
-    d = _differences(u, v, out)
-    return np.exp(np.negative(np.square(d, out=d), out=d), out=d)
 
 
 def _worker_count(tasks: int) -> int:
@@ -151,109 +142,113 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(cpus or 1, tasks))
 
 
-def _add_up(parts: list, n: int) -> np.ndarray:
-    """Full-length rows from per-block (row part, column part, ...) results
-    in block order: a block's row part goes to its own rows and its column
-    part, None on the diagonal, to those of its mirror block."""
-    total = np.zeros(parts[0][1][0].shape[:-1] + (n,))
-    for (i, j), (row, col, *_) in parts:
-        total[..., i:i + _CHUNK] += row
-        if col is not None:
-            total[..., j:j + _CHUNK] += col
-    return total
+def _outer_sum_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per side s of a and b, shaped (2, n), the stacked factors (a[s, i], 1)
+    and (1, b[s, j]) that _outer_sum multiplies."""
+    return np.stack((a, np.ones_like(a)), axis=-1), np.stack((np.ones_like(b), b), axis=1)
 
 
-def _sweep(u: np.ndarray, v: np.ndarray, reduce_block) -> tuple[np.ndarray, list]:
-    """The row sums' totals per side, and [((i, j), reduce_block(strips, i,
-    j, offsets))] in block order, from two exact passes over the Gram blocks
-    with j >= i of scaled inputs u and v.
+def _outer_sum(factors: tuple[np.ndarray, np.ndarray], rows: slice, cols: slice,
+               out: np.ndarray) -> np.ndarray:
+    """out[s] = a[s, rows, None] + b[s, None, cols] for the factors of a and b,
+    as one k = 2 np.matmul per side. Both products are exact and the matmul
+    adds them with one rounding, so out holds the bits of np.add, except that
+    a zero sum is always +0."""
+    return np.matmul(factors[0][:, rows], factors[1][:, :, cols], out=out)
 
-    Pass 1 takes each block's row sums and, off the diagonal, its column
-    sums, which are the row sums of its mirror block, and from them the
-    centring offsets: Kc = K - offset_i - offset_j. In pass 2, strips yields
-    (first row, K strip, L strip, two spare strips) down block (i, j).
-    Worker w of a thread pool made for this call takes blocks w,
-    w + workers, ... and builds each in strips of _STRIP rows in its own
-    four strip-sized buffers, calling only _gram and numpy. This thread adds
-    the per-block results up in block order, so any worker count gives the
-    same bits."""
+
+def _sweep(u: np.ndarray, v: np.ndarray, reduce_strip,
+           mirror=None) -> tuple[np.ndarray, list, np.ndarray | None]:
+    """(the row sums' totals per side, reduce_strip's values in task order,
+    the row totals of the strips it returns or None) from two exact passes
+    over the Gram blocks (i, j) with j >= i of scaled inputs u and v.
+
+    A task (i, j, r) is the _STRIP rows from row r of block (i, j). Worker w
+    of a thread pool made for this call takes tasks w, w + workers, ... and
+    builds a task's K and L strips stacked in one (2, rows, cols) buffer of
+    its own: the differences by _outer_sum, then square, negative and exp,
+    one call each for both sides. Pass 1 takes the strips' row sums and, off
+    the diagonal, their column sums, which are rows of the mirror block, as
+    matmuls with a ones vector; from them come the centring offsets,
+    Kc = K - (offset_i + offset_j). Pass 2 builds each strip again and the
+    centred strips in the worker's second buffer (_outer_sum and one
+    subtraction), then calls reduce_strip(diagonal, rows, cols, grams,
+    centred), where diagonal is the strip's column of its first diagonal
+    entry, or None off the diagonal, for (value, strip or None). With mirror
+    given, pass 2 sums the returned strips as pass 1 sums the Grams, and
+    mirror (np.add for a symmetric strip, np.subtract for an antisymmetric
+    one) adds the column sums into the mirror rows. Workers write the
+    per-strip sums into arrays made here, and this thread adds them up in
+    task order, so any worker count gives the same bits."""
     n = u.size
-    blocks = [(i, j) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)]
-    workers = _worker_count(len(blocks))
-    size = min(_STRIP, n) * min(_CHUNK, n)
-    bufs = [[np.empty(size) for _ in range(4)] for _ in range(workers)]
+    tasks = [(i, j, r) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)
+             for r in range(i, min(i + _CHUNK, n), _STRIP)]
+    workers = _worker_count(len(tasks))
+    size = 2 * min(_STRIP, n) * min(_CHUNK, n)
+    bufs = [(np.empty(size), np.empty(size)) for _ in range(workers)]
+    ones = np.ones(min(_CHUNK, n))
+    row_parts = np.empty((len(tasks), 2, min(_STRIP, n)))
+    col_parts = np.empty((len(tasks), 2, min(_CHUNK, n)))
+    w = np.stack((u, v))
+    differences, centring = _outer_sum_factors(w, -w), None
 
-    def strips(w, i, j):
-        cols = slice(j, min(j + _CHUNK, n))
-        for r in range(i, min(i + _CHUNK, n), _STRIP):
-            rows = slice(r, min(r + _STRIP, n))
-            shape = (rows.stop - r, cols.stop - j)
-            k, l, *spares = (b[:shape[0] * shape[1]].reshape(shape) for b in bufs[w])
-            yield r, _gram(u[rows], u[cols], k), _gram(v[rows], v[cols], l), *spares
+    def work(k, reduce, values):
+        for t in range(k, len(tasks), workers):
+            i, j, r = tasks[t]
+            rows, cols = slice(r, min(r + _STRIP, n)), slice(j, min(j + _CHUNK, n))
+            shape = (2, rows.stop - r, cols.stop - j)
+            grams, spare = (b[:2 * shape[1] * shape[2]].reshape(shape) for b in bufs[k])
+            _outer_sum(differences, rows, cols, grams)
+            np.exp(np.negative(np.square(grams, out=grams), out=grams), out=grams)
+            if centring is not None:
+                np.subtract(grams, _outer_sum(centring, rows, cols, spare), out=spare)
+            values[t], m = reduce(r - i if j == i else None, rows, cols, grams, spare)
+            if m is not None:
+                np.matmul(m, ones[:shape[2]], out=row_parts[t, :, :shape[1]])
+                if j > i:
+                    np.matmul(ones[:shape[1]], m, out=col_parts[t, :, :shape[2]])
 
-    def block_sums(strips, i, j):
-        """Row sums of the K and L blocks and, off the diagonal, their column
-        sums. The column sums run on from strip to strip: the sum so far is
-        added into a strip's first row before its rows are added down, one
-        after another, so they are the bits of the whole block's column
-        sums, and so are the centring offsets built from them."""
-        row_sums = np.empty((2, min(_CHUNK, n - i)))
-        col_sums = np.zeros((2, min(_CHUNK, n - j))) if j > i else None
-        for r, *sides, _, _ in strips:
-            for side, b in enumerate(sides):
-                np.sum(b, axis=1, out=row_sums[side, r - i:r - i + b.shape[0]])
-                if col_sums is not None:
-                    b[0] += col_sums[side]
-                    np.sum(b, axis=0, out=col_sums[side])
-        return row_sums, col_sums
+    def run(pool, reduce, mirror):
+        values = [None] * len(tasks)
+        list(pool.map(lambda k: work(k, reduce, values), range(workers)))
+        if mirror is None:
+            return values, None
+        total = np.zeros((2, n))
+        for t, (i, j, r) in enumerate(tasks):
+            part = total[:, r:r + _STRIP]
+            part += row_parts[t, :, :part.shape[1]]
+            if j > i:
+                part = total[:, j:j + _CHUNK]
+                mirror(part, col_parts[t, :, :part.shape[1]], out=part)
+        return values, total
 
     with ThreadPoolExecutor(workers) as pool:
-        def sweep(reduce_block, *args):
-            parts = list(pool.map(lambda w: [reduce_block(strips(w, i, j), i, j, *args)
-                                             for i, j in blocks[w::workers]], range(workers)))
-            return [(b, parts[k % workers][k // workers]) for k, b in enumerate(blocks)]
-
-        rows = _add_up(sweep(block_sums), n)
+        rows = run(pool, lambda diagonal, rows, cols, grams, spare: (None, grams), np.add)[1]
         sums = rows.sum(axis=1)
         offsets = rows / n - sums[:, None] / (2 * n * n)
-        return sums, sweep(reduce_block, offsets)
+        centring = _outer_sum_factors(offsets, offsets)
+        return (sums, *run(pool, reduce_strip, mirror))
 
 
-def _centre(gram: np.ndarray, offsets: np.ndarray, r: int, j: int, out: np.ndarray) -> np.ndarray:
-    """out = the strip gram, from row r and column j, less its rows' and its
-    columns' centring offsets."""
-    np.subtract(gram, offsets[r:r + gram.shape[0], None], out=out)
-    out -= offsets[None, j:j + gram.shape[1]]
-    return out
-
-
-def _centred_moments(strips, i: int, j: int, offsets: np.ndarray) -> tuple[float, float, float]:
-    """The sums of Kc o Lc and of its square over block (i, j), and of its
-    square's diagonal, 0.0 off the diagonal."""
-    total = sq_total = sq_trace = 0.0
-    for r, kc, lc, _, _ in strips:
-        for side, b in ((0, kc), (1, lc)):
-            _centre(b, offsets[side], r, j, b)
-        prod = np.multiply(kc, lc, out=kc)
-        total += float(prod.sum())
-        np.square(prod, out=prod)
-        sq_total += float(prod.sum())
-        if j == i:  # the strip's part of the block diagonal starts at column r - i
-            sq_trace += float(np.trace(prod[:, r - i:]))
-    return total, sq_total, sq_trace
+def _centred_moments(diagonal, rows, cols, grams, centred) -> tuple[tuple, None]:
+    """The sums of Kc o Lc and of its square over a strip, doubled off the
+    diagonal for the mirror block, and of its square's diagonal (0.0 off
+    the diagonal)."""
+    prod = np.multiply(centred[0], centred[1], out=centred[0])
+    weight = 1.0 if diagonal is not None else 2.0
+    total = weight * float(prod.sum())
+    np.square(prod, out=prod)
+    sq_trace = float(np.trace(prod[:, diagonal:])) if diagonal is not None else 0.0
+    return (total, weight * float(prod.sum()), sq_trace), None
 
 
 def _blockwise_moments(u: np.ndarray, v: np.ndarray, n: int) -> tuple[float, float, float, float]:
     """(statistic, variance, mu_x, mu_y) of scaled inputs from one _sweep:
     sum(Kc o Lc) equals trace(K H L H) because H is idempotent, and the
-    variance needs the off-diagonal sum of (Kc o Lc)^2."""
-    sums, parts = _sweep(u, v, _centred_moments)
-    stat = var_sum = var_diag = 0.0
-    for (i, j), (total, sq_total, sq_trace) in parts:
-        weight = 1.0 if j == i else 2.0  # the mirror block counts too
-        stat += weight * total
-        var_sum += weight * sq_total
-        var_diag += sq_trace
+    variance needs the off-diagonal sum of (Kc o Lc)^2. The strips' sums are
+    added exactly (math.fsum), in any order the same bits."""
+    sums, values, _ = _sweep(u, v, _centred_moments)
+    stat, var_sum, var_diag = (math.fsum(part) for part in zip(*values))
     mu_x, mu_y = (sums - n) / (n * (n - 1))  # unit diagonal of the Gaussian kernel
     var = (var_sum - var_diag) / (36.0 * n * (n - 1))
     var *= 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
@@ -269,29 +264,16 @@ def _loss_sums(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
     move with a rounding of the offsets, whose rows sum to 0; and the
     differences, unlike w_i sum_j m_ij - (m @ w)_i, do not cancel for inputs
     far from 0."""
-    n = u.size
+    w = np.stack((u, v))
+    differences = _outer_sum_factors(w, -w)
 
-    def loss_block(strips, i, j, offsets):
-        row = np.empty((2, min(_CHUNK, n - i)))
-        col = np.zeros((2, min(_CHUNK, n - j))) if j > i else None
-        total = 0.0
-        for r, k, l, kc, lc in strips:
-            rows, cols = slice(r, r + k.shape[0]), slice(j, j + k.shape[1])
-            _centre(k, offsets[0], r, j, kc)
-            _centre(l, offsets[1], r, j, lc)
-            total += float(np.vdot(kc, lc))
-            # K o Lc over Lc and L o Kc over Kc, then the differences over K and L
-            products = np.multiply(k, lc, out=lc), np.multiply(l, kc, out=kc)
-            for side, (m, w, d) in enumerate(zip(products, (u, v), (k, l))):
-                m *= _differences(w[rows], w[cols], d)
-                np.sum(m, axis=1, out=row[side, r - i:rows.stop - i])
-                if col is not None:
-                    col[side] -= m.sum(axis=0)
-        return row, col, total
+    def loss_strip(diagonal, rows, cols, grams, centred):
+        total = (1.0 if diagonal is not None else 2.0) * float(np.vdot(centred[0], centred[1]))
+        m = np.multiply(grams, centred[::-1], out=grams)  # K o Lc and L o Kc
+        return total, np.multiply(m, _outer_sum(differences, rows, cols, centred), out=m)
 
-    parts = _sweep(u, v, loss_block)[1]
-    value = sum((1.0 if j == i else 2.0) * total for (i, j), (*_, total) in parts)
-    return value, _add_up(parts, n)
+    _, values, rows = _sweep(u, v, loss_strip, np.subtract)
+    return math.fsum(values), rows
 
 
 def gamma_quantile(q: float, shape: float, scale: float) -> float:
@@ -313,12 +295,12 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
     """Biased-estimator test statistic n*HSIC_b with its gamma threshold.
 
     Exact over all n points: two passes over the symmetric Gram blocks with
-    j >= i, split over a thread pool with one worker per CPU of the affinity
-    mask (taskset limits it). A worker builds each block in strips of
-    _STRIP x _CHUNK, in strip buffers of 0.5 MB, of which the statistic
-    writes two. The per-block sums are added in block order, so the result
-    is bit-identical for any worker count. Non-finite samples, bandwidths that are not
-    finite and > 0, and an alpha outside (0, 1) raise DataError.
+    j >= i, dealt out as _STRIP x _CHUNK strip tasks to a thread pool with
+    one worker per CPU of the affinity mask (taskset limits it). A worker
+    builds the K and L strips of a task together in its own two 1 MB
+    buffers. The per-strip sums are added exactly, so the result is
+    bit-identical for any worker count. Non-finite samples, bandwidths that
+    are not finite and > 0, and an alpha outside (0, 1) raise DataError.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -355,7 +337,8 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     excluded from differentiation; a degenerate (constant) input falls back
     to bandwidth 1, where the centered statistic is 0 anyway. They are
     computed on the calling thread. The sweep's second pass forms Kc o Lc,
-    K o Lc and L o Kc strip by strip (_loss_sums), so the value and
+    K o Lc and L o Kc strip task by strip task (_loss_sums), and the
+    per-strip results are added up in task order, so the value and
     gradients are the same bits for any worker count and no n x n buffer is
     held.
     """

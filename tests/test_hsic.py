@@ -97,13 +97,15 @@ def serial_loss_reference(x, y, bw):
     return float((kc * lc).sum() / n), grads[0], grads[1]
 
 
-# The block sweep adds in another order than the dense reference, and takes
-# its centring offsets from column sums added row after row (the statistic's
-# bits), about 2e-15 off. The value does not move with the offsets; the
-# gradients do: up to 1.4e-12 of their largest entry on three-valued or
-# e^(20z)-spread samples at n > 1200, in 1400 draws.
+# The strip sweep adds in another order than the dense reference. The value
+# does not move with the rounding of the centring offsets; the gradients do.
+# Over 1000 draws of three-valued or e^(20z)-spread samples at n = 1200-1600
+# the gradients read at most 5.5e-13 of their largest entry (p99 3.1e-13),
+# and the value at most 1.35e-12 relative, on one three-valued draw whose
+# value is 2.3e4 times smaller than sum|Kc o Lc|: there the Gram entries' own
+# rounding sets the error, and LOSS_RTOL does not bound it.
 LOSS_RTOL = 1e-12
-LOSS_GRAD_RTOL = 3e-12
+LOSS_GRAD_RTOL = 1e-12
 
 
 def assert_loss_near_reference(got, x, y, bw):
@@ -116,46 +118,39 @@ def assert_loss_near_reference(got, x, y, bw):
         assert np.abs(g - ref).max() <= LOSS_GRAD_RTOL * np.abs(ref).max()
 
 
-def whole_block_moments(u, v, n, chunk=512):
-    """_blockwise_moments' two passes with whole-block sums, run serially:
-    each chunk x chunk Gram block built whole in a view of one block-sized
-    buffer per side, its sums taken over the whole block and added up in
-    block order. The strip sweep differs from it only in the order of its
-    additions."""
-    bufs = (np.empty((chunk, chunk)), np.empty((chunk, chunk)))
-    blocks = [(i, j) for i in range(0, n, chunk) for j in range(i, n, chunk)]
+def long_double_moments(u, v, block=256):
+    """(statistic, variance, mu_x, mu_y) of scaled inputs and the
+    conditioning of the first two, from the dense formulas in np.longdouble,
+    block rows at a time: Kc and Lc from the Grams' row means,
+    sum(Kc o Lc) / n with its conditioning sum|Kc o Lc| / n, and the
+    variance from the sum of (Kc o Lc)^2 less its diagonal, whose
+    conditioning is the same formula with the two added."""
+    n = u.size
+    sides = (u.astype(np.longdouble), v.astype(np.longdouble))
 
-    def grams(i, j):
-        for w, buf in zip((u, v), bufs):
-            a, b = w[i:i + chunk], w[j:j + chunk]
-            out = buf[:a.size, :b.size]
-            np.subtract(a[:, None], b[None, :], out=out)
-            yield np.exp(np.negative(np.square(out, out=out), out=out), out=out)
+    def grams(lo):
+        return [np.exp(-np.square(w[lo:lo + block, None] - w[None, :])) for w in sides]
 
-    rows = np.zeros((2, n))
-    for i, j in blocks:
-        for side, b in enumerate(grams(i, j)):
-            rows[side, i:i + chunk] += b.sum(axis=1)
-            if j > i:
-                rows[side, j:j + chunk] += b.sum(axis=0)
+    rows = np.zeros((2, n), dtype=np.longdouble)
+    for lo in range(0, n, block):
+        for side, g in enumerate(grams(lo)):
+            rows[side, lo:lo + block] = g.sum(axis=1)
     sums = rows.sum(axis=1)
     offsets = rows / n - sums[:, None] / (2 * n * n)
-    stat = var_sum = var_diag = 0.0
-    for i, j in blocks:
-        kc, lc = grams(i, j)
-        for side, b in ((0, kc), (1, lc)):
-            b -= offsets[side, i:i + chunk, None]
-            b -= offsets[side, None, j:j + chunk]
-        prod = np.multiply(kc, lc, out=kc)
-        weight = 1.0 if j == i else 2.0
-        stat += weight * float(prod.sum())
+    stat = cond = var_sum = var_diag = np.longdouble(0)
+    for lo in range(0, n, block):
+        kc, lc = (g - offsets[s, lo:lo + block, None] - offsets[s, None, :]
+                  for s, g in enumerate(grams(lo)))
+        prod = kc * lc
+        stat += prod.sum()
+        cond += np.abs(prod).sum()
         np.square(prod, out=prod)
-        var_sum += weight * float(prod.sum())
-        var_diag += float(np.trace(prod)) if j == i else 0.0
+        var_sum += prod.sum()
+        var_diag += np.trace(prod[:, lo:])  # row lo + k meets the diagonal at column lo + k
     mu_x, mu_y = (sums - n) / (n * (n - 1))
-    var = (var_sum - var_diag) / (36.0 * n * (n - 1))
-    var *= 72.0 * (n - 4) * (n - 5) / (n * (n - 1) * (n - 2) * (n - 3))
-    return stat / n, var, mu_x, mu_y
+    m = np.longdouble(n)
+    scale = 72 * (m - 4) * (m - 5) / (36 * m * (m - 1) * m * (m - 1) * (m - 2) * (m - 3))
+    return (stat / n, (var_sum - var_diag) * scale, mu_x, mu_y), (cond / n, (var_sum + var_diag) * scale)
 
 
 def safe_bandwidth(w):
@@ -171,6 +166,31 @@ def scaled_inputs(x, y):
     them to _blockwise_moments."""
     sx, sy = hsic._kernel_scales((safe_bandwidth(x), safe_bandwidth(y)))
     return x * sx, y * sy
+
+
+def assert_outer_differences_are_subtract(a, b, rows, cols):
+    """_outer_sum of the factors of a and -b over rows and cols gives the bits
+    of np.subtract(a[:, rows, None], b[:, None, cols]), except that a zero
+    difference is +0: (-0) - (+0) is -0 and the matmul's is +0, which
+    squaring and the sums it feeds cannot tell apart."""
+    out = np.empty((2, len(range(a.shape[1])[rows]), len(range(b.shape[1])[cols])))
+    with np.errstate(over="ignore"):  # differences beyond the largest float are inf in both
+        hsic._outer_sum(hsic._outer_sum_factors(a, -b), rows, cols, out)
+        want = np.subtract(a[:, rows, None], b[:, None, cols]) + 0.0
+    assert out.tobytes() == want.tobytes()
+
+
+def traced_peak(call, *args):
+    """The tracemalloc peak, in bytes, of call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 class TestMedianBandwidth:
@@ -278,8 +298,9 @@ class TestStatistic:
         assert abs(res.threshold - threshold) <= 1e-9 * abs(threshold)
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
-        # 4 chunks, the last ragged, give 10 blocks: 64 CPUs still make 10
-        # workers; the last chunk's rows are one full strip and a ragged one
+        # 4 chunks, the last ragged, give 10 blocks: nine of 4 strips and
+        # the last of one full strip and a ragged one, 38 strip tasks, so 64
+        # CPUs make 38 workers
         n = 3 * hsic._CHUNK + hsic._STRIP + 37
         rng = np.random.default_rng(21)
         x = rng.normal(size=n)
@@ -305,7 +326,7 @@ class TestStatistic:
                 results[cpus] = (res.statistic.hex(), res.threshold.hex())
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [1, 2, 3, 10]
+        assert pools == [1, 2, 3, 38]
         assert len(set(results.values())) == 1, results
 
     @settings(max_examples=40, deadline=None)
@@ -318,14 +339,53 @@ class TestStatistic:
     @example(2 * hsic._CHUNK + hsic._STRIP + 37, "ties", "near_constant", 4)
     @example(1600, "wide_range", "normal", 5)
     @example(701, "three_values", "three_values", 0)  # centring offsets once differed by an ulp
-    def test_strips_match_whole_blocks(self, n, kind_x, kind_y, seed):
-        # strips change only the order in which block sums are added
+    @example(217, "three_values", "three_values", 217)  # 1.55e-14 off whole-block sums
+    def test_moments_match_long_double_reference(self, n, kind_x, kind_y, seed):
+        # the strip sums, matmul differences and centring change only the
+        # rounding: the statistic within 1e-15 and the variance within 2e-15
+        # of their conditioning, and each mu within 2e-15 of the mean kernel
+        # entry, the conditioning of sums - n
         rng = np.random.default_rng(seed)
         x, y = SAMPLES[kind_x](rng, n), SAMPLES[kind_y](rng, n)
         u, v = scaled_inputs(x, y)
-        got = hsic._blockwise_moments(u, v, n)
-        for value, expected in zip(got, whole_block_moments(u, v, n)):
-            assert abs(value - expected) <= 1e-14 * abs(expected)
+        stat, var, *mus = hsic._blockwise_moments(u, v, n)
+        (want_stat, want_var, *want_mus), (stat_cond, var_cond) = long_double_moments(u, v)
+        assert abs(stat - want_stat) <= 1e-15 * stat_cond
+        assert abs(var - want_var) <= 2e-15 * var_cond
+        for mu, want in zip(mus, want_mus):
+            assert abs(mu - want) <= 2e-15 * (abs(want) + 1.0 / (n - 1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(SAMPLES)), st.integers(1, 2 * hsic._CHUNK), st.integers(0, 2**32 - 1),
+           st.integers(0, 2 * hsic._CHUNK), st.integers(0, 2 * hsic._CHUNK))
+    @example("three_values", hsic._CHUNK + 1, 0, hsic._STRIP, hsic._CHUNK)
+    @example("wide_range", 2 * hsic._CHUNK, 1, hsic._CHUNK, 0)
+    def test_matmul_differences_of_samples(self, kind, n, seed, r, j):
+        # a strip's rows against a block's columns, as the sweep slices them
+        rng = np.random.default_rng(seed)
+        w = np.stack([SAMPLES[kind](rng, n), SAMPLES[kind](rng, n)])
+        rows, cols = slice(min(r, n - 1), r + hsic._STRIP), slice(min(j, n - 1), j + hsic._CHUNK)
+        assert_outer_differences_are_subtract(w, w, rows, cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.just(2), st.integers(1, 40)), elements=FINITE),
+           arrays(np.float64, st.tuples(st.just(2), st.integers(1, 40)), elements=FINITE))
+    @example(np.array([[0.0, -0.0, 5e-324, -5e-324], [2.2e-308, -1e-310, 1.0, -0.0]]),
+             np.array([[-0.0, 0.0, -5e-324, 5e-324], [2.2e-308, 1e-310, -0.0, 0.0]]))
+    @example(np.array([[1e300, -1e300, 1.7976931348623157e308], [1e-300, 3.0, -1e300]]),
+             np.array([[-1e300, 1e300, -1.7976931348623157e308], [1e-300, 3.0, 1e300]]))
+    def test_matmul_differences_of_any_floats(self, a, b):
+        # subnormals, signed zeros, extreme magnitudes and overflow to inf
+        assert_outer_differences_are_subtract(a, b, slice(None), slice(None))
+
+    def test_peak_memory(self, monkeypatch):
+        # a quarter of one n x n buffer: room for two workers' strip buffers
+        # and the per-strip sums, none for an n x n Gram
+        n = 2000
+        monkeypatch.setattr(hsic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rng = np.random.default_rng(25)
+        x = rng.normal(size=n)
+        assert traced_peak(hsic.hsic_statistic, x, np.tanh(x) + 0.3 * rng.normal(size=n)) < 0.25 * 8 * n * n
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -474,8 +534,9 @@ class TestLoss:
         assert_loss_near_reference(hsic.hsic_loss(x, y), x, y, bw)
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
-        # 4 chunks, the last ragged, give 10 blocks: 64 CPUs still make 10
-        # workers; the last chunk's rows are one full strip and a ragged one
+        # 4 chunks, the last ragged, give 10 blocks: nine of 4 strips and
+        # the last of one full strip and a ragged one, 38 strip tasks, so 64
+        # CPUs make 38 workers
         n = 3 * hsic._CHUNK + hsic._STRIP + 37
         rng = np.random.default_rng(22)
         x = rng.normal(size=(n, 1))
@@ -502,7 +563,7 @@ class TestLoss:
                 results[cpus] = (value.hex(), grad_x.tobytes(), grad_y.tobytes())
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [1, 2, 3, 10]
+        assert pools == [1, 2, 3, 38]
         assert len(set(results.values())) == 1
         assert_loss_near_reference((value, grad_x, grad_y), x, y, bw)
 
@@ -521,19 +582,31 @@ class TestLoss:
 
     def test_workspace_peak_memory(self, monkeypatch):
         # a quarter of one n x n buffer: room for two workers' strip buffers
-        # and the per-block sums, none for an n x n Gram
+        # and the per-strip sums, none for an n x n Gram
         n = 2000
         monkeypatch.setattr(hsic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         rng = np.random.default_rng(24)
         x = rng.normal(size=(n, 1))
         y = np.tanh(x) + 0.3 * rng.normal(size=(n, 1))
-        tracemalloc.start()
-        try:
-            hsic.hsic_loss(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * 8 * n * n
+        assert traced_peak(hsic.hsic_loss, x, y) < 0.25 * 8 * n * n
+
+    def test_two_workers_build_equal_numbers_of_strips(self, monkeypatch):
+        # n = 1000 has 3 blocks but 12 strip tasks, 6 per worker; a worker
+        # builds each of its strips in its own two buffers, so the strips
+        # written into each buffer are that worker's
+        monkeypatch.setattr(hsic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        outer_sum, built = hsic._outer_sum, {}
+
+        def recording(factors, rows, cols, out):
+            built.setdefault(out.__array_interface__["data"][0], set()).add((rows.start, cols.start))
+            return outer_sum(factors, rows, cols, out)
+
+        monkeypatch.setattr(hsic, "_outer_sum", recording)
+        rng = np.random.default_rng(26)
+        x = rng.normal(size=(1000, 1))
+        hsic.hsic_loss(x, np.tanh(x) + 0.3 * rng.normal(size=(1000, 1)))
+        assert sorted(len(strips) for strips in built.values()) == [6, 6, 6, 6]
+        assert len(set.union(*built.values())) == 12
 
     def test_minibatch_size_guard(self):
         with pytest.raises(DataError):
