@@ -105,8 +105,12 @@ class TransformNetPair:
         return ad.mlp_forward(self.layers[f"{side}.mono."], v)
 
     def residual(self, p_prime: np.ndarray, t_prime: np.ndarray) -> np.ndarray:
-        """The column t' - (a * p' + b) of the cross-map's errors."""
-        return t_prime - (p_prime @ self.store["cross.a"].data + self.store["cross.b"].data)
+        """The column t' - (a * p' + b) of the cross-map's errors; a non-finite
+        one (a diverged fit) raises NumericalError before HSIC reads it."""
+        res = t_prime - (p_prime @ self.store["cross.a"].data + self.store["cross.b"].data)
+        if not np.isfinite(res).all():
+            raise NumericalError(f"non-finite transforms or residual (direction {self.direction})")
+        return res
 
 
 def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
@@ -291,8 +295,9 @@ def direction_verdict(x: np.ndarray, y: np.ndarray,
     scores, failures = [], []
     for name, direction, seed in (("fwd", "x_to_y", seeds[0]), ("rev", "y_to_x", seeds[1])):
         try:
-            net = fit_transform(xf, yf, direction, config, seed)
-            p_prime, t_prime, res = residuals(net, xe, ye)
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging fit raises
+                net = fit_transform(xf, yf, direction, config, seed)
+                p_prime, t_prime, res = residuals(net, xe, ye)
             scores.append(test(f"{name}_transformed", p_prime, t_prime, res))
         except (NumericalError, DegenerateDataError) as err:
             scores.append(DirectionScores(float("nan"), float("nan")))

@@ -104,29 +104,12 @@ def cmd_gen(args) -> int:
 # train
 
 
-def _load_checkpoint_and_data(args) -> tuple[cae.CaeModel, datagen.DatasetPair]:
-    """The --checkpoint model and the pair in the --data directory, split as
-    the model's training split it, standardized in place into the model's
-    units."""
-    model = cae.CaeModel.load(args.checkpoint)
-    data_dir = Path(args.data)
-    pair = dataio.load_pair(data_dir)
-    widths = (pair.x.shape[1], pair.y.shape[1])
-    if widths != (model.net_x.input_dim, model.net_y.input_dim):
-        raise DataError(f"{data_dir} has {widths[0]} X and {widths[1]} Y columns; the model "
-                        f"expects {model.net_x.input_dim} and {model.net_y.input_dim}")
-    pair.split = datagen.assign_splits(pair.n, model.config.seed)
-    return model, model.stats.apply(pair)
-
-
-def _test_report(model: cae.CaeModel, pair: datagen.DatasetPair):
-    """Report metrics and pair-table rows on the TEST rows of a pair in the
-    model's units, plus the encoding behind them; too few TEST rows is a
-    DataError (cae.eval_rows). This is where `train`, `inspect` and
-    `direction` choose the informative pairs. Training runs every configured
-    epoch, so epochs_run is the model's config.epochs."""
-    te = cae.eval_rows(pair, datagen.TEST)
-    final, rows, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
+def _test_report(model: cae.CaeModel, x: np.ndarray, y: np.ndarray):
+    """Report metrics and pair-table rows on the TEST rows x, y of a pair in
+    the model's units, plus the encoding behind them. This is where `train`,
+    `inspect` and `direction` choose the informative pairs. Training runs
+    every configured epoch, so epochs_run is the model's config.epochs."""
+    final, rows, enc = cae.evaluate_model(model, x, y)
     final.pop("val_loss")
     final["epochs_run"] = model.config.epochs
     return final, rows, enc
@@ -147,8 +130,8 @@ def _run_cell(x: np.ndarray, y: np.ndarray, config: cae.CaeConfig, cell_dir: str
     # the TEST rows alone, gathered before they are standardized in place,
     # as a serial sweep hands every cell the same x and y
     te = pair.rows(datagen.TEST)
-    test = model.stats.apply(datagen.DatasetPair(x[te], y[te], pair.split[te]))
-    final, table_rows, _ = _test_report(model, test)
+    test = model.stats.apply(datagen.DatasetPair(x[te], y[te]))
+    final, table_rows, _ = _test_report(model, test.x, test.y)
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
@@ -243,20 +226,33 @@ def cmd_train(args) -> int:
 # direction
 
 
-def _report_and_means(args):
-    """The test report of the --checkpoint model on the --data pair and the
-    bottleneck means of every row of the pair. Only these outlive the call,
-    so the pair is freed before a verdict allocates its Gram matrices."""
-    model, pair = _load_checkpoint_and_data(args)
-    final, rows, enc = _test_report(model, pair)
-    return final, rows, enc, model.net_x.encode(pair.x)[1], model.net_y.encode(pair.y)[1]
+def _evaluate_checkpoint(args):
+    """The --checkpoint model; the --data pair, split as the model's training
+    split it and standardized in place into the model's units; the test
+    report on its TEST rows (too few is a DataError); and the bottleneck
+    means of every row. `inspect` and `direction` both start here, so
+    `direction` tests exactly the pairs `inspect` lists."""
+    model = cae.CaeModel.load(args.checkpoint)
+    data_dir = Path(args.data)
+    pair = dataio.load_pair(data_dir)
+    widths = (pair.x.shape[1], pair.y.shape[1])
+    if widths != (model.net_x.input_dim, model.net_y.input_dim):
+        raise DataError(f"{data_dir} has {widths[0]} X and {widths[1]} Y columns; the model "
+                        f"expects {model.net_x.input_dim} and {model.net_y.input_dim}")
+    pair.split = datagen.assign_splits(pair.n, model.config.seed)
+    model.stats.apply(pair)
+    te = cae.eval_rows(pair, datagen.TEST)
+    report = _test_report(model, pair.x[te], pair.y[te])
+    means = (model.net_x.encode(pair.x)[1], model.net_y.encode(pair.y)[1])
+    return model, pair, report, means
 
 
 def cmd_direction(args) -> int:
     t0 = time.monotonic()
     fields = dataio.load_json_object(args.anm_config) if args.anm_config else {}
     anm_config = anm.AnmConfig.from_dict(config_fields({"seed": args.seed}, fields))
-    final, rows, enc, mu_x, mu_y = _report_and_means(args)
+    model, pair, (final, rows, enc), (mu_x, mu_y) = _evaluate_checkpoint(args)
+    del model, pair  # freed before a verdict allocates its Gram strips
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paired = enc.paired
@@ -299,19 +295,16 @@ def cmd_direction(args) -> int:
 
 def cmd_inspect(args) -> int:
     t0 = time.monotonic()
-    model, pair = _load_checkpoint_and_data(args)
     if args.layout:
         layout = dataio.GridLayout.load(args.layout)
     else:
         layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
+    model, pair, (final, rows, enc), means = _evaluate_checkpoint(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    final, rows, enc = _test_report(model, pair)
     k = args.k or max(1, pair.n // 50)
-    for side, data, half, mask in (("x", pair.x, model.net_x, enc.mask_x),
-                                   ("y", pair.y, model.net_y, enc.mask_y)):
-        mu = half.encode(data)[1]
+    for side, data, mu, mask in zip("xy", (pair.x, pair.y), means, (enc.mask_x, enc.mask_y)):
         for neuron in mask.indices:
             grids = dataio.anomaly_grids(data, mu[:, neuron], layout, k)
             for end, grid in zip(("high", "low"), grids):

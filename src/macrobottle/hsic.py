@@ -19,8 +19,8 @@ per-strip results into arrays the calling thread made, and it adds them up
 in task order, so the statistic, the loss and its gradients are the same
 bits for any number of CPUs. The statistic is within 1e-15 of its sum's
 conditioning, sum|Kc o Lc| / n, of a dense long-double computation, the
-loss value within about 1e-12 relative of a dense n x n one and its
-gradients within 1e-12 of their largest entry. No n x n buffer is held: on
+loss value within 1e-15 of the same conditioning of a dense n x n one and
+its gradients within 1e-12 of their largest entry. No n x n buffer is held: on
 two CPUs of a Xeon with one BLAS thread, a statistic at n = 8000 takes
 about 0.28 s and peaks at 11.5 MB (tracemalloc), and a loss call at
 n = 1000, a transform fit's minibatch, about 14 ms and 4.6 MB. Bandwidths

@@ -179,6 +179,10 @@ class TestResiduals:
             else:
                 anm.residuals(anm.TransformNetPair(cfg, anm.X_CAUSES_Y, seed=0), x, y)
 
+    def test_length_mismatch_is_data_error(self):
+        with pytest.raises(DataError, match="length mismatch: 50 vs 49"):
+            anm.fit_transform(np.arange(50.0), np.arange(49.0), "x_to_y", anm.AnmConfig(epochs=1))
+
     def test_trained_residual_mean_near_zero(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 600)

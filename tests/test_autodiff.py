@@ -173,6 +173,10 @@ class TestBackward:
         with pytest.raises(TapeError):
             ad.backward(ad.Tensor(3.0))
 
+    def test_backward_on_a_non_scalar_raises(self):
+        with pytest.raises(TapeError, match="scalar loss"):
+            ad.backward(ad.Tensor(np.ones(2), _backward_fn=lambda g: None))
+
     def test_shared_subexpression_gradient(self):
         # the bottleneck mean reaches the loss through the sample and the
         # divergence; both contributions must add up in the encoder
@@ -266,6 +270,13 @@ class TestOps:
 
 
 class TestAdam:
+    def test_duplicate_parameter_name_is_rejected(self):
+        store = ad.ParamStore()
+        store.add("p", np.zeros(2))
+        with pytest.raises(ValueError, match="duplicate parameter name: p"):
+            store.add("p", np.zeros(3))
+        assert store.names() == ["p"] and store["p"].data.shape == (2,)
+
     def test_zero_gradient_leaves_parameters(self):
         store = ad.ParamStore()
         store.add("p", np.array([1.0, -2.0]))

@@ -430,7 +430,7 @@ def test_train_cae_leaves_the_pair_unchanged():
 
 
 @pytest.mark.parametrize("counts,split_name", [((15, 1, 3), "val"), ((15, 2, 1), "test"),
-                                               ((15, 0, 2), "val")])
+                                               ((15, 0, 2), "val"), ((0, 2, 2), "train")])
 def test_split_too_small_to_evaluate_is_data_error_before_any_epoch(counts, split_name,
                                                                     monkeypatch):
     from macrobottle import datagen
@@ -438,5 +438,8 @@ def test_split_too_small_to_evaluate_is_data_error_before_any_epoch(counts, spli
     pair = datagen.gen_main_synthetic(len(split), seed=0)
     pair.split = split
     monkeypatch.setattr(cae, "build_cae", lambda *a: pytest.fail("a model was built"))
-    with pytest.raises(DataError, match=f"the {split_name} split holds"):
+    # only a custom split reaches an empty train split: assign_splits keeps
+    # at least 16 train rows wherever val and test hold two each
+    message = "non-empty train split" if split_name == "train" else f"the {split_name} split holds"
+    with pytest.raises(DataError, match=message):
         cae.train_cae(pair, cae.CaeConfig(epochs=2))

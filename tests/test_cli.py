@@ -34,6 +34,18 @@ def test_cli_import_leaves_out_scipy(module):
     assert done.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("n, code", [("20", cli.EXIT_OK),
+                                     ("100000000000000000", cli.EXIT_DATA)])
+def test_module_run_exits_with_the_command_code(n, code, tmp_path):
+    # python -m macrobottle.cli, as the console script's stand-in
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "macrobottle.cli", "gen", "--n", n,
+                           "--out", str(tmp_path / "g")], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 class TestGen:
     def test_writes_four_files(self, tmp_path):
         out = tmp_path / "data"
@@ -392,7 +404,7 @@ def test_loaded_pair_is_standardized_in_place(tiny_run, tmp_path):
     args = argparse.Namespace(checkpoint=str(_checkpoint(tiny_run)), data=str(data))
     tracemalloc.start()
     try:
-        model, pair = cli._load_checkpoint_and_data(args)
+        model, pair, (final, _, _), means = cli._evaluate_checkpoint(args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -401,6 +413,12 @@ def test_loaded_pair_is_standardized_in_place(tiny_run, tmp_path):
     stats = model.stats
     assert np.array_equal(pair.x, (raw.x - stats.x_mean) / stats.x_std)
     assert np.array_equal(pair.y, (raw.y - stats.y_mean) / stats.y_std)
+    # the report reads the model's TEST rows, the means every row
+    te = pair.rows(datagen.TEST)
+    assert np.array_equal(pair.split, datagen.assign_splits(pair.n, model.config.seed))
+    assert final == cli._test_report(model, pair.x[te], pair.y[te])[0]
+    assert all(np.array_equal(mu, half.encode(v)[1])
+               for mu, half, v in zip(means, (model.net_x, model.net_y), (pair.x, pair.y)))
 
 
 def test_serial_sweep_cells_leave_the_shared_matrices_unchanged(tmp_path):
@@ -416,6 +434,33 @@ def test_serial_sweep_cells_leave_the_shared_matrices_unchanged(tmp_path):
         result = cli._run_cell(pair.x, pair.y, config, str(tmp_path / f"cell{i}"))
         assert "failed" not in result
     assert pair.x.tobytes() == x.tobytes() and pair.y.tobytes() == y.tobytes()
+
+
+def test_direction_frees_the_pair_before_its_verdicts(tiny_run, tmp_path, monkeypatch):
+    # only the test report and the bottleneck means outlive the evaluation,
+    # so a verdict's Gram strips never sit on top of the pair
+    data = tmp_path / "data"
+    run(["gen", "--n", "10000", "--seed", "3", "--out", str(data)])
+    pair_bytes = 2 * 10_000 * datagen.IMAGE_SIDE ** 2 * 8
+    held, verdict = [], anm.direction_verdict
+
+    def recording_verdict(*args, **kwargs):
+        if not held:
+            held.append(tracemalloc.get_traced_memory()[0])
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(anm, "direction_verdict", recording_verdict)
+    anm_config = _write(tmp_path / "anm.json", {"epochs": 1, "batch_size": 100,
+                                                "fit_points": 100, "eval_points": 100})
+    argv = ["direction", "--checkpoint", _informative_checkpoint(tiny_run, tmp_path),
+            "--data", str(data), "--anm-config", anm_config, "--pairs", "0",
+            "--out", str(tmp_path / "dir")]
+    tracemalloc.start()
+    try:
+        assert run(argv) == cli.EXIT_OK
+    finally:
+        tracemalloc.stop()
+    assert held and held[0] <= 0.25 * pair_bytes, held
 
 
 class TestDirection:
@@ -494,6 +539,25 @@ class TestDirection:
             assert v["diagnostics"] is None and v["fwd"]["statistic"] is not None
             _, header = dataio.load_matrix_csv(out / f"scatter_pair{v['pair_index']}.csv")
             assert len(header) == 16
+
+    @pytest.mark.parametrize("learning_rate, cause", [
+        (1e300, "non-finite transforms or residual"),  # NaN transforms, once a data error
+        (1e100, "transform training diverged")],  # finite transforms, a non-finite loss
+        ids=["nan-transforms", "non-finite-loss"])
+    def test_diverging_transform_fit_is_an_inconclusive_verdict(self, learning_rate, cause,
+                                                                tiny_run, tmp_path):
+        anm_config = _write(tmp_path / "anm.json", {"learning_rate": learning_rate, "epochs": 2,
+                                                    "batch_size": 100, "fit_points": 100,
+                                                    "eval_points": 100})
+        out = tmp_path / "dir"
+        assert run(["direction", "--checkpoint", _informative_checkpoint(tiny_run, tmp_path),
+                    "--data", str(tiny_run["data"]), "--anm-config", anm_config,
+                    "--out", str(out)]) == cli.EXIT_OK
+        verdicts = dataio.load_report(out / "direction_report.json")["verdicts"]
+        assert len(verdicts) == 2
+        for v in verdicts:
+            assert v["decision"] == "inconclusive" and v["fwd"]["statistic"] is None
+            assert v["diagnostics"].count(cause) == 2, v["diagnostics"]  # both directions
 
     def test_one_pair_index(self, tiny_run, tmp_path, capsys):
         common = ["--checkpoint", _informative_checkpoint(tiny_run, tmp_path),

@@ -145,6 +145,15 @@ class TestSplits:
         c = datagen.assign_splits(1000, 12)
         assert not np.array_equal(a, c)
 
+    def test_empty_dataset_has_no_split(self):
+        with pytest.raises(DataError, match="cannot split an empty dataset"):
+            datagen.assign_splits(0, 11)
+
+    def test_rows_without_a_split_is_data_error(self):
+        pair = datagen.DatasetPair(np.zeros((3, 4)), np.zeros((3, 4)))
+        with pytest.raises(DataError, match="no train/val/test split"):
+            pair.rows(datagen.TRAIN)
+
     def test_misaligned_pair_rejected(self):
         with pytest.raises(DataError):
             datagen.DatasetPair(np.zeros((3, 4)), np.zeros((2, 4)))

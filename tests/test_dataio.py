@@ -132,6 +132,16 @@ class TestMatrixCsv:
             dataio.load_matrix_csv(path)
         assert exc.value.line == 4
 
+    def test_block_of_blank_lines_is_skipped_by_the_block_loader(self, tmp_path, monkeypatch):
+        # one whole load block holds only blank lines; the C-parser path skips
+        # it, with no fall-back to the line parser
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n1.0,2.0\n" + "\n" * (2 * dataio._LOAD_BLOCK_CHARS) + "3.0,4.0\n")
+        monkeypatch.setattr(dataio, "_parse_lines",
+                            lambda *args: pytest.fail("the line parser ran"))
+        loaded, header = dataio.load_matrix_csv(path)
+        assert header == ["a", "b"] and np.array_equal(loaded, [[1.0, 2.0], [3.0, 4.0]])
+
     @pytest.mark.parametrize("text", ["", "a,b\n"], ids=["empty", "header-only"])
     def test_no_data_rows_is_parse_error_on_line_one(self, tmp_path, text):
         path = tmp_path / "m.csv"
@@ -169,6 +179,16 @@ class TestMatrixCsv:
         with pytest.raises(DataError) as exc:
             dataio.save_matrix_csv(tmp_path / "m.csv", m, header)
         assert repr(bad) in str(exc.value)
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("matrix, header, message", [
+        (np.ones(3), None, "expects a 2-D matrix"),
+        (np.ones((3, 2)), ["a"], "header length does not match column count")],
+        ids=["one-dimensional", "header-too-short"])
+    def test_matrix_or_header_of_another_shape_is_data_error(self, tmp_path, matrix, header,
+                                                             message):
+        with pytest.raises(DataError, match=message):
+            dataio.save_matrix_csv(tmp_path / "m.csv", matrix, header)
         assert not (tmp_path / "m.csv").exists()
 
     @pytest.mark.parametrize("rows", [0, 3])

@@ -79,8 +79,9 @@ SAMPLES = {
 
 def serial_loss_reference(x, y, bw):
     """(value, grad_x, grad_y) of n * HSIC_b and its gradients from dense
-    n x n matrices: sum(Kc o Lc) / n and -(4/n) sum_j m_ij (w_i - w_j)
-    times the scale, with m = K o Lc for x and m = L o Kc for y."""
+    n x n matrices, and the value's conditioning: sum(Kc o Lc) / n,
+    -(4/n) sum_j m_ij (w_i - w_j) times the scale, with m = K o Lc for x and
+    m = L o Kc for y, and sum|Kc o Lc| / n."""
     n = x.shape[0]
     scales = [np.sqrt(0.5) / b for b in bw]
     u, v = x[:, 0] * scales[0], y[:, 0] * scales[1]
@@ -94,25 +95,30 @@ def serial_loss_reference(x, y, bw):
     (d_x, k, kc), (d_y, l, lc) = centred(u), centred(v)
     grads = [(-4.0 * scale / n) * (m * d).sum(axis=1)[:, None]
              for m, d, scale in ((k * lc, d_x, scales[0]), (l * kc, d_y, scales[1]))]
-    return float((kc * lc).sum() / n), grads[0], grads[1]
+    prod = kc * lc
+    return (float(prod.sum() / n), grads[0], grads[1]), float(np.abs(prod).sum() / n)
 
 
 # The strip sweep adds in another order than the dense reference. The value
 # does not move with the rounding of the centring offsets; the gradients do.
 # Over 1000 draws of three-valued or e^(20z)-spread samples at n = 1200-1600
-# the gradients read at most 5.5e-13 of their largest entry (p99 3.1e-13),
-# and the value at most 1.35e-12 relative, on one three-valued draw whose
-# value is 2.3e4 times smaller than sum|Kc o Lc|: there the Gram entries' own
-# rounding sets the error, and LOSS_RTOL does not bound it.
-LOSS_RTOL = 1e-12
+# the gradients read at most 5.5e-13 of their largest entry (p99 3.1e-13).
+# The value's error follows its conditioning sum|Kc o Lc| / n, as the
+# statistic's does, not the value: a three-valued draw whose value is 2.3e4
+# times smaller than its conditioning reads 1.35e-12 of its value off, but
+# 5.9e-17 of its conditioning. Over 3000 such draws the value read at most
+# 3.1e-16 of its conditioning (p99 1.6e-16), and 3 of them more than 1e-12
+# of the value (up to 4.2e-12).
+LOSS_COND_RTOL = 1e-15
 LOSS_GRAD_RTOL = 1e-12
 
 
 def assert_loss_near_reference(got, x, y, bw):
-    """The value within LOSS_RTOL relative of serial_loss_reference's, and
-    each gradient within LOSS_GRAD_RTOL of the reference's largest entry."""
-    want = serial_loss_reference(x, y, bw)
-    assert abs(got[0] - want[0]) <= LOSS_RTOL * abs(want[0])
+    """The value within LOSS_COND_RTOL of its conditioning off
+    serial_loss_reference's, and each gradient within LOSS_GRAD_RTOL of the
+    reference's largest entry."""
+    want, cond = serial_loss_reference(x, y, bw)
+    assert abs(got[0] - want[0]) <= LOSS_COND_RTOL * cond
     for g, ref in zip(got[1:], want[1:]):
         assert g.shape == ref.shape
         assert np.abs(g - ref).max() <= LOSS_GRAD_RTOL * np.abs(ref).max()
@@ -526,6 +532,7 @@ class TestLoss:
            st.integers(0, 2**32 - 1))
     @example(hsic._CHUNK + 1, "normal", "cubed_uniform", 3)
     @example(2 * hsic._CHUNK + hsic._STRIP + 37, "ties", "near_constant", 4)
+    @example(1557, "three_values", "three_values", 1910605212)  # 1.35e-12 of its value off
     def test_matches_serial_reference(self, n, kind_x, kind_y, seed):
         # the examples end in a ragged last block and a ragged last strip
         rng = np.random.default_rng(seed)
