@@ -116,7 +116,8 @@ class TransformNetPair:
 def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
                   config: AnmConfig | None = None, seed: int = 0) -> TransformNetPair:
     """Train the transform pair for one direction; for 'y_to_x' the roles
-    are swapped so y becomes the predictor."""
+    are swapped so y becomes the predictor. A diverging fit raises
+    NumericalError without numpy's overflow warnings."""
     config = config or AnmConfig()
     p, t = (v[:, None] for v in _roles(x, y, direction))
     if p.shape != t.shape:
@@ -134,14 +135,15 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
             if len(sel) < 8:  # hsic_loss needs a real minibatch
                 continue
             bp, bt = p[sel], t[sel]
-            loss = _transform_loss(net, bp, bt, config, rng)
-            if not np.isfinite(loss.item()):
-                raise NumericalError(
-                    f"transform training diverged at epoch {epoch} "
-                    f"(direction {direction}, seed {seed})")
-            net.store.zero_grad()
-            ad.backward(loss)
-            net.store.adam_step(config.learning_rate)
+            with np.errstate(over="ignore", invalid="ignore"):  # a diverging fit raises
+                loss = _transform_loss(net, bp, bt, config, rng)
+                if not np.isfinite(loss.item()):
+                    raise NumericalError(
+                        f"transform training diverged at epoch {epoch} "
+                        f"(direction {direction}, seed {seed})")
+                net.store.zero_grad()
+                ad.backward(loss)
+                net.store.adam_step(config.learning_rate)
     return net
 
 
@@ -194,10 +196,13 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
 def residuals(net: TransformNetPair, x: np.ndarray,
               y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noiseless transforms (predictor', target') and the residual
-    target' - (a * predictor' + b), in the roles of the net's direction."""
+    target' - (a * predictor' + b), in the roles of the net's direction;
+    non-finite ones raise NumericalError without numpy's overflow warnings."""
     p, t = _roles(x, y, net.direction)
-    p_prime, t_prime = (net.transform(v[:, None], side)[-1] for v, side in ((p, "p"), (t, "t")))
-    return p_prime[:, 0], t_prime[:, 0], net.residual(p_prime, t_prime)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_prime, t_prime = (net.transform(v[:, None], side)[-1]
+                            for v, side in ((p, "p"), (t, "t")))
+        return p_prime[:, 0], t_prime[:, 0], net.residual(p_prime, t_prime)[:, 0]
 
 
 def _ols_coeffs(p: np.ndarray, t: np.ndarray) -> tuple[float, float]:
@@ -295,9 +300,8 @@ def direction_verdict(x: np.ndarray, y: np.ndarray,
     scores, failures = [], []
     for name, direction, seed in (("fwd", "x_to_y", seeds[0]), ("rev", "y_to_x", seeds[1])):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # a diverging fit raises
-                net = fit_transform(xf, yf, direction, config, seed)
-                p_prime, t_prime, res = residuals(net, xe, ye)
+            net = fit_transform(xf, yf, direction, config, seed)
+            p_prime, t_prime, res = residuals(net, xe, ye)
             scores.append(test(f"{name}_transformed", p_prime, t_prime, res))
         except (NumericalError, DegenerateDataError) as err:
             scores.append(DirectionScores(float("nan"), float("nan")))

@@ -12,20 +12,26 @@ covers both kernels. The differences u_i - u_j are a k = 2 matmul of
 (u_i, 1) with (1, -u_j): both products are exact and the one addition
 rounds as the subtraction does, so they are np.subtract's bits (a zero is
 always +0) without a broadcast fill. Row and column sums are matmuls with a
-ones vector. The first pass takes the row sums that centre the Grams; the
-second hands the centred strips to a reducer, one for the statistic and its
-null moments and one for the loss and its analytic gradient. Workers write
-per-strip results into arrays the calling thread made, and it adds them up
-in task order, so the statistic, the loss and its gradients are the same
-bits for any number of CPUs. The statistic is within 1e-15 of its sum's
-conditioning, sum|Kc o Lc| / n, of a dense long-double computation, the
-loss value within 1e-15 of the same conditioning of a dense n x n one and
-its gradients within 1e-12 of their largest entry. No n x n buffer is held: on
-two CPUs of a Xeon with one BLAS thread, a statistic at n = 8000 takes
-about 0.28 s and peaks at 11.5 MB (tracemalloc), and a loss call at
-n = 1000, a transform fit's minibatch, about 14 ms and 4.6 MB. Bandwidths
-are set by the median heuristic, an exact selection of the median pairwise
-distance, and treated as constants.
+ones vector. The row sums that centre the Grams are a Gauss transform, which
+a Taylor series about the centres of cells of width 1/8 gives in
+O(n * cells) on the calling thread (_gram_row_sums; Greengard & Strain
+1991, "The fast Gauss transform"): its cut is below 2^-58 of a row sum, and
+it reads within 6e-16 relative of a dense long-double row sum. Where it
+would cost more than the strips (more than n / 20 occupied cells) or its
+cells do not hold, a first strip pass takes the row sums instead. The one
+remaining pass over all the strips hands the centred strips to a reducer,
+one for the statistic and its null moments and one for the loss and its
+analytic gradient. Workers write per-strip results into arrays the calling
+thread made, and it adds them up in task order, so the statistic, the loss
+and its gradients are the same bits for any number of CPUs. The statistic
+is within 1e-15 of its sum's conditioning, sum|Kc o Lc| / n, of a dense
+long-double computation, the loss value within 1e-15 of the same
+conditioning of a dense n x n one and its gradients within 1e-12 of their
+largest entry. No n x n buffer is held: on two CPUs of a Xeon with one BLAS
+thread, a statistic at n = 8000 takes about 0.18 s and peaks at 5.9 MB
+(tracemalloc), and a loss call at n = 1000, a transform fit's minibatch,
+about 10 ms and 4.6 MB. Bandwidths are set by the median heuristic, an
+exact selection of the median pairwise distance, and treated as constants.
 """
 
 from __future__ import annotations
@@ -157,42 +163,106 @@ def _outer_sum(factors: tuple[np.ndarray, np.ndarray], rows: slice, cols: slice,
     return np.matmul(factors[0][:, rows], factors[1][:, :, cols], out=out)
 
 
+# The row sums r_i = sum_j exp(-(w_i - w_j)^2) of a Gram are a Gauss
+# transform. With t = w_i - a for the centre a of the target's cell and
+# d = a - w_j, exp(-(t + d)^2) = exp(-t^2) exp(-d^2) sum_k (-2td)^k / k!.
+# Cells of width rho / R hold |t| <= rho / (2R), so a source with |d| <= R has
+# |2td| <= rho, and cutting the series after k = K leaves at most
+# e^(2 rho) rho^(K+1) / (K+1)! of its own term: with rho = 1 and K = 19, the
+# least K with rho^(K+1) / (K+1)! < 2^-60, less than 2^-58. A farther source,
+# with R = 8, adds less than exp(-(R - 1/16)^2) < 2^-90 and its cut series
+# less than exp(-(R - 1/16)^2) / (K+1)!, while a row sum is at least 1, its
+# own term. So the cut is below the rounding of a float64 row sum.
+_CELLS_PER_UNIT = 8  # R / rho
+_TERMS = 20  # K + 1
+_INVERSE_FACTORIALS = np.array([1.0 / math.factorial(k) for k in range(_TERMS)])
+
+
+def _gram_row_sums(w: np.ndarray) -> np.ndarray | None:
+    """sum_j exp(-(w_i - w_j)^2) for every i, by the series above about the
+    centres of the occupied cells, or None where building the Gram strips
+    costs less or the cells do not hold: the moments take _TERMS passes over
+    all n sources per cell, so more than n / _TERMS occupied cells, cell
+    indices that are not finite, or a centre that rounds more than half a
+    cell off its targets leave the row sums to the strips. Per cell g and
+    k, the moment M_k(g) = sum_j exp(-d_j^2) d_j^k is a pairwise np.sum over
+    the sorted sources; a target's row sum is exp(-t^2) times the Horner sum
+    of M_k(g) (-2t)^k / k!. Cells are taken a chunk at a time, so no array
+    holds more than a strip buffer's 2 * _STRIP * _CHUNK entries (one cell
+    per chunk beyond n = that many)."""
+    order = np.argsort(w, kind="stable")
+    s = w[order]
+    n = s.size
+    with np.errstate(over="ignore"):  # beyond the largest float / _CELLS_PER_UNIT
+        cells = np.floor(s * _CELLS_PER_UNIT)
+    if not np.isfinite(cells[[0, -1]]).all():
+        return None
+    bounds = np.flatnonzero(np.diff(cells, prepend=-np.inf, append=np.inf))
+    groups = bounds.size - 1
+    if groups * _TERMS > n:
+        return None
+    centres = (cells[bounds[:-1]] + 0.5) / _CELLS_PER_UNIT
+    cell = np.repeat(np.arange(groups), np.diff(bounds))
+    t = s - centres[cell]
+    if np.abs(t).max() > 0.5 / _CELLS_PER_UNIT:  # cells + 0.5 rounds past 2^52 cells
+        return None
+    z, rows = -2.0 * t, np.empty(n)
+    chunk = max(1, 2 * _STRIP * _CHUNK // n)
+    for g in range(0, groups, chunk):
+        d = np.subtract.outer(centres[g:g + chunk], s)
+        power = np.exp(-np.square(d))
+        moments = np.empty((_TERMS, d.shape[0]))
+        moments[0] = power.sum(axis=1)
+        for k in range(1, _TERMS):
+            moments[k] = np.multiply(power, d, out=power).sum(axis=1)
+        moments *= _INVERSE_FACTORIALS[:, None]
+        targets = slice(bounds[g], bounds[g + d.shape[0]])
+        index = cell[targets] - g
+        total = moments[-1, index]
+        for k in range(_TERMS - 2, -1, -1):
+            total = total * z[targets] + moments[k, index]
+        rows[order[targets]] = np.exp(-np.square(t[targets])) * total
+    return rows
+
+
 def _sweep(u: np.ndarray, v: np.ndarray, reduce_strip,
            mirror=None) -> tuple[np.ndarray, list, np.ndarray | None]:
     """(the row sums' totals per side, reduce_strip's values in task order,
-    the row totals of the strips it returns or None) from two exact passes
-    over the Gram blocks (i, j) with j >= i of scaled inputs u and v.
+    the row totals of the strips it returns or None) from the Grams' row
+    sums and one exact pass over the Gram blocks (i, j) with j >= i of
+    scaled inputs u and v.
 
-    A task (i, j, r) is the _STRIP rows from row r of block (i, j). Worker w
-    of a thread pool made for this call takes tasks w, w + workers, ... and
-    builds a task's K and L strips stacked in one (2, rows, cols) buffer of
-    its own: the differences by _outer_sum, then square, negative and exp,
-    one call each for both sides. Pass 1 takes the strips' row sums and, off
-    the diagonal, their column sums, which are rows of the mirror block, as
-    matmuls with a ones vector; from them come the centring offsets,
-    Kc = K - (offset_i + offset_j). Pass 2 builds each strip again and the
-    centred strips in the worker's second buffer (_outer_sum and one
+    The row sums, from which come the centring offsets
+    Kc = K - (offset_i + offset_j), are _gram_row_sums' series on the calling
+    thread; where it declines for either side, a first strip pass takes them
+    for both. A task (i, j, r) is the _STRIP rows from row r of block (i, j).
+    Worker w of a thread pool made for this call takes tasks w, w + workers,
+    ... and builds a task's K and L strips stacked in one (2, rows, cols)
+    buffer of its own: the differences by _outer_sum, then square, negative
+    and exp, one call each for both sides. The strip pass takes the strips'
+    row sums and, off the diagonal, their column sums, which are rows of the
+    mirror block, as matmuls with a ones vector. The reducing pass builds
+    the centred strips in the worker's second buffer (_outer_sum and one
     subtraction), then calls reduce_strip(diagonal, rows, cols, grams,
     centred), where diagonal is the strip's column of its first diagonal
     entry, or None off the diagonal, for (value, strip or None). With mirror
-    given, pass 2 sums the returned strips as pass 1 sums the Grams, and
+    given, it sums the returned strips as the strip pass sums the Grams, and
     mirror (np.add for a symmetric strip, np.subtract for an antisymmetric
     one) adds the column sums into the mirror rows. Workers write the
     per-strip sums into arrays made here, and this thread adds them up in
     task order, so any worker count gives the same bits."""
     n = u.size
+    w = np.stack((u, v))
+    row_sums = [_gram_row_sums(side) for side in w]
     tasks = [(i, j, r) for i in range(0, n, _CHUNK) for j in range(i, n, _CHUNK)
              for r in range(i, min(i + _CHUNK, n), _STRIP)]
     workers = _worker_count(len(tasks))
     size = 2 * min(_STRIP, n) * min(_CHUNK, n)
     bufs = [(np.empty(size), np.empty(size)) for _ in range(workers)]
     ones = np.ones(min(_CHUNK, n))
-    row_parts = np.empty((len(tasks), 2, min(_STRIP, n)))
-    col_parts = np.empty((len(tasks), 2, min(_CHUNK, n)))
-    w = np.stack((u, v))
     differences, centring = _outer_sum_factors(w, -w), None
 
-    def work(k, reduce, values):
+    def work(k, reduce, values, row_parts, col_parts):
         for t in range(k, len(tasks), workers):
             i, j, r = tasks[t]
             rows, cols = slice(r, min(r + _STRIP, n)), slice(j, min(j + _CHUNK, n))
@@ -210,9 +280,12 @@ def _sweep(u: np.ndarray, v: np.ndarray, reduce_strip,
 
     def run(pool, reduce, mirror):
         values = [None] * len(tasks)
-        list(pool.map(lambda k: work(k, reduce, values), range(workers)))
+        parts = (None, None) if mirror is None else (np.empty((len(tasks), 2, min(_STRIP, n))),
+                                                     np.empty((len(tasks), 2, min(_CHUNK, n))))
+        list(pool.map(lambda k: work(k, reduce, values, *parts), range(workers)))
         if mirror is None:
             return values, None
+        row_parts, col_parts = parts
         total = np.zeros((2, n))
         for t, (i, j, r) in enumerate(tasks):
             part = total[:, r:r + _STRIP]
@@ -223,9 +296,11 @@ def _sweep(u: np.ndarray, v: np.ndarray, reduce_strip,
         return values, total
 
     with ThreadPoolExecutor(workers) as pool:
-        rows = run(pool, lambda diagonal, rows, cols, grams, spare: (None, grams), np.add)[1]
-        sums = rows.sum(axis=1)
-        offsets = rows / n - sums[:, None] / (2 * n * n)
+        if any(side is None for side in row_sums):
+            row_sums = run(pool, lambda diagonal, rows, cols, grams, spare: (None, grams), np.add)[1]
+        row_sums = np.stack(row_sums)
+        sums = row_sums.sum(axis=1)
+        offsets = row_sums / n - sums[:, None] / (2 * n * n)
         centring = _outer_sum_factors(offsets, offsets)
         return (sums, *run(pool, reduce_strip, mirror))
 
@@ -294,13 +369,18 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
                    bandwidths: tuple[float, float] | None = None) -> HsicResult:
     """Biased-estimator test statistic n*HSIC_b with its gamma threshold.
 
-    Exact over all n points: two passes over the symmetric Gram blocks with
-    j >= i, dealt out as _STRIP x _CHUNK strip tasks to a thread pool with
-    one worker per CPU of the affinity mask (taskset limits it). A worker
-    builds the K and L strips of a task together in its own two 1 MB
-    buffers. The per-strip sums are added exactly, so the result is
-    bit-identical for any worker count. Non-finite samples, bandwidths that
-    are not finite and > 0, and an alpha outside (0, 1) raise DataError.
+    Exact over all n points: the Grams' row sums by _gram_row_sums' series
+    (cut below 2^-58 of a row sum, measured within 6e-16 relative of a
+    dense long-double row sum), or by a strip pass where more than
+    n / 20 cells are occupied, then one pass over the symmetric Gram blocks
+    with j >= i, dealt out as _STRIP x _CHUNK strip tasks to a thread pool
+    with one worker per CPU of the affinity mask (taskset limits it). A
+    worker builds the K and L strips of a task together in its own two
+    1 MB buffers. The per-strip sums are added exactly, so the result is
+    bit-identical for any worker count. At n = 8000 on two CPUs it takes
+    about 0.18 s and peaks at 5.9 MB (tracemalloc). Non-finite samples,
+    bandwidths that are not finite and > 0, and an alpha outside (0, 1)
+    raise DataError.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -336,11 +416,13 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     Bandwidths default to the median heuristic on the current values and are
     excluded from differentiation; a degenerate (constant) input falls back
     to bandwidth 1, where the centered statistic is 0 anyway. They are
-    computed on the calling thread. The sweep's second pass forms Kc o Lc,
-    K o Lc and L o Kc strip task by strip task (_loss_sums), and the
-    per-strip results are added up in task order, so the value and
-    gradients are the same bits for any worker count and no n x n buffer is
-    held.
+    computed on the calling thread, and so are the centring row sums, by
+    _gram_row_sums' series (cut below 2^-58 of a row sum) or, where more
+    than n / 20 cells are occupied, by a strip pass. The sweep's reducing
+    pass forms Kc o Lc, K o Lc and L o Kc strip task by strip task
+    (_loss_sums), and the per-strip results are added up in task order, so
+    the value and gradients are the same bits for any worker count and no
+    n x n buffer is held.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -7,6 +7,7 @@ null) has no automated check yet; everything here is fast.
 from __future__ import annotations
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,19 @@ class TestResiduals:
         y[7] = np.nan
         with pytest.raises(DataError, match="transform inputs must be finite"):
             anm.fit_transform(x, y, "x_to_y", anm.AnmConfig(hidden=4, epochs=1))
+
+    def test_diverging_fit_raises_without_warnings(self):
+        # after the first Adam step at this rate the transforms overflow; a
+        # library caller gets the NumericalError that direction_verdict
+        # reads as a failed fit, and no numpy overflow warning
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=300)
+        y = np.tanh(x) + 0.3 * rng.normal(size=300)
+        cfg = anm.AnmConfig(learning_rate=1e300, epochs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite transforms or residual"):
+                anm.fit_transform(x, y, "x_to_y", cfg, seed=1)
 
     def test_one_loss_workspace_per_fit(self, monkeypatch):
         # every step calls hsic.hsic_loss through the module, on this

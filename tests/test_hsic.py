@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
 from scipy.stats import gamma as gamma_dist
 
-from macrobottle import hsic
+from macrobottle import anm, datagen, hsic
 from macrobottle.errors import DataError, DegenerateDataError
 
 
@@ -124,6 +124,14 @@ def assert_loss_near_reference(got, x, y, bw):
         assert np.abs(g - ref).max() <= LOSS_GRAD_RTOL * np.abs(ref).max()
 
 
+def long_double_row_sums(w, block=256):
+    """sum_j exp(-(w_i - w_j)^2) for every i, densely in np.longdouble,
+    block rows at a time."""
+    w = w.astype(np.longdouble)
+    return np.concatenate([np.exp(-np.square(w[lo:lo + block, None] - w[None, :])).sum(axis=1)
+                           for lo in range(0, w.size, block)])
+
+
 def long_double_moments(u, v, block=256):
     """(statistic, variance, mu_x, mu_y) of scaled inputs and the
     conditioning of the first two, from the dense formulas in np.longdouble,
@@ -137,10 +145,7 @@ def long_double_moments(u, v, block=256):
     def grams(lo):
         return [np.exp(-np.square(w[lo:lo + block, None] - w[None, :])) for w in sides]
 
-    rows = np.zeros((2, n), dtype=np.longdouble)
-    for lo in range(0, n, block):
-        for side, g in enumerate(grams(lo)):
-            rows[side, lo:lo + block] = g.sum(axis=1)
+    rows = np.stack([long_double_row_sums(w, block) for w in (u, v)])
     sums = rows.sum(axis=1)
     offsets = rows / n - sums[:, None] / (2 * n * n)
     stat = cond = var_sum = var_diag = np.longdouble(0)
@@ -346,6 +351,7 @@ class TestStatistic:
     @example(1600, "wide_range", "normal", 5)
     @example(701, "three_values", "three_values", 0)  # centring offsets once differed by an ulp
     @example(217, "three_values", "three_values", 217)  # 1.55e-14 off whole-block sums
+    @example(1000, "normal", "normal", 6)  # the row sums by the series
     def test_moments_match_long_double_reference(self, n, kind_x, kind_y, seed):
         # the strip sums, matmul differences and centring change only the
         # rounding: the statistic within 1e-15 and the variance within 2e-15
@@ -385,13 +391,16 @@ class TestStatistic:
         assert_outer_differences_are_subtract(a, b, slice(None), slice(None))
 
     def test_peak_memory(self, monkeypatch):
-        # a quarter of one n x n buffer: room for two workers' strip buffers
-        # and the per-strip sums, none for an n x n Gram
-        n = 2000
+        # at n = 2000 a quarter of one n x n buffer: room for two workers'
+        # strip buffers and the per-strip sums, none for an n x n Gram; at
+        # n = 8000 the README's 5.9 MB: the series' chunks are freed before
+        # the strip buffers are made, and the statistic makes no per-strip
+        # sums
         monkeypatch.setattr(hsic.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        rng = np.random.default_rng(25)
-        x = rng.normal(size=n)
-        assert traced_peak(hsic.hsic_statistic, x, np.tanh(x) + 0.3 * rng.normal(size=n)) < 0.25 * 8 * n * n
+        for n, bound in ((2000, 0.25 * 8 * 2000 * 2000), (8000, 5.95e6)):
+            rng = np.random.default_rng(25)
+            x = rng.normal(size=n)
+            assert traced_peak(hsic.hsic_statistic, x, np.tanh(x) + 0.3 * rng.normal(size=n)) < bound
 
     def test_length_mismatch(self):
         with pytest.raises(DataError):
@@ -474,6 +483,81 @@ class TestStatistic:
         assert rejections / trials <= 0.10
 
 
+def generator_latents(n, seed):
+    """The generator's standardized true x2 and y2 and the residual of y2's
+    affine least-squares fit on x2, as direction_verdict's baseline takes
+    it."""
+    latents = datagen.gen_main_synthetic(n, seed).ground_truth.latents
+    x, y = anm.standardize_vector(latents["x2"]), anm.standardize_vector(latents["y2"])
+    slope, intercept = anm._ols_coeffs(x, y)
+    return {"x2": x, "y2": y, "ols_residual": y - (slope * x + intercept)}
+
+
+def scaled(x):
+    """x times sqrt(0.5) / its safe_bandwidth, as _sweep receives it."""
+    return scaled_inputs(x, x)[0]
+
+
+ROW_SUM_INPUTS = {
+    **{name: lambda name=name: scaled(generator_latents(8000, 1)[name])
+       for name in ("x2", "y2", "ols_residual")},
+    "normal_1000": lambda: scaled(SAMPLES["normal"](np.random.default_rng(8), 1000)),
+    "wide_range_1000": lambda: scaled(SAMPLES["wide_range"](np.random.default_rng(9), 1000)),
+    "normal_19": lambda: scaled(SAMPLES["normal"](np.random.default_rng(10), 19)),
+    # 8 w is 2^52 + j, and the centre (2^52 + j + 0.5) / 8 rounds a whole
+    # cell off for odd j
+    "cells_past_2^52": lambda: 2.0**49 + np.arange(100) % 3 / 8,
+}
+
+
+class TestRowSums:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(8, 3000), st.sampled_from(sorted(SAMPLES)), st.integers(0, 2**32 - 1))
+    @example(3000, "normal", 0)
+    @example(3000, "cubed_uniform", 1)
+    @example(3000, "near_constant", 2)
+    @example(1000, "three_values", 3)
+    @example(1000, "ties", 4)
+    @example(3000, "wide_range", 5)
+    @example(19, "normal", 6)
+    def test_series_matches_long_double_row_sums(self, n, kind, seed):
+        # the series' cut is below 2^-58 of a row sum, so what is left is the
+        # float64 rounding of the moments and the Horner sum; where it
+        # declines, more than n / _TERMS cells are occupied
+        w = scaled(SAMPLES[kind](np.random.default_rng(seed), n))
+        rows = hsic._gram_row_sums(w)
+        if rows is None:
+            assert np.unique(np.floor(w * hsic._CELLS_PER_UNIT)).size * hsic._TERMS > n
+            return
+        want = long_double_row_sums(w)
+        assert np.all(np.abs(rows - want) <= 2e-15 * want)
+
+    @pytest.mark.parametrize("case, series", [
+        ("x2", True), ("y2", True), ("ols_residual", True), ("normal_1000", True),
+        ("wide_range_1000", False), ("normal_19", False), ("cells_past_2^52", False)])
+    def test_series_or_strips(self, case, series):
+        # the verdict's n = 8000 statistics, on the generator's latents and
+        # the baseline's residual, and a transform fit's n = 1000 minibatch
+        # take the series; the strips take a spread input, fewer than _TERMS
+        # points and cells whose centres do not round to within half a cell
+        assert (hsic._gram_row_sums(ROW_SUM_INPUTS[case]()) is not None) == series
+
+    @pytest.mark.parametrize("kind, builds", [("normal", 1), ("wide_range", 2)])
+    def test_sweep_builds_each_strip_once_with_the_series(self, monkeypatch, kind, builds):
+        # n = 1000 has 12 strip tasks; a statistic's strip task makes its
+        # differences once per build and its centring once
+        outer_sum, calls = hsic._outer_sum, []
+
+        def counting(*args):
+            calls.append(args[1].start)
+            return outer_sum(*args)
+
+        monkeypatch.setattr(hsic, "_outer_sum", counting)
+        x = SAMPLES[kind](np.random.default_rng(11), 1000)
+        hsic.hsic_statistic(x, np.tanh(x))
+        assert len(calls) == 12 * (builds + 1)
+
+
 class TestLoss:
     @pytest.mark.parametrize("n", [64, 2 * hsic._CHUNK + 37])
     def test_equals_statistic_on_same_bandwidths(self, n):
@@ -533,6 +617,7 @@ class TestLoss:
     @example(hsic._CHUNK + 1, "normal", "cubed_uniform", 3)
     @example(2 * hsic._CHUNK + hsic._STRIP + 37, "ties", "near_constant", 4)
     @example(1557, "three_values", "three_values", 1910605212)  # 1.35e-12 of its value off
+    @example(1000, "normal", "normal", 7)  # the row sums by the series
     def test_matches_serial_reference(self, n, kind_x, kind_y, seed):
         # the examples end in a ragged last block and a ragged last strip
         rng = np.random.default_rng(seed)
