@@ -2,12 +2,13 @@
 
 Detected macrovariables are only identified up to monotone transformations,
 and residual independence is not invariant under such transformations. So
-before the additive-noise-model test, each direction gets a transform search:
-two tiny 1-D variational autoencoders (their encoder mean paths monotone
-non-decreasing by construction) plus a scalar affine cross-map, trained to
-minimize
+before the additive-noise-model test, each direction gets a transform search
+in the post-nonlinear form (Zhang & Hyvarinen 2009) by dependence
+minimization (Mooij et al. 2009): two tiny monotone non-decreasing 1-D maps,
+p' of the predictor and t' of the target, plus a scalar affine cross-map,
+trained to minimize
 
-    vae_p + vae_t + MSE(t', a*p' + b) / Var(t') + HSIC(p', t' - (a*p' + b))
+    MSE(t', a*p' + b) / Var(t') + HSIC(p', t' - (a*p' + b))
 
 After training, the kernel independence statistic of (predictor', residual)
 is compared against its gamma threshold in both directions; a direction is
@@ -35,7 +36,6 @@ INCONCLUSIVE = "inconclusive"
 @dataclass
 class AnmConfig(JsonConfig):
     hidden: int = 16
-    beta_t: float = 0.01
     epochs: int = 450
     batch_size: int = 1000  # >= fit_points means full-batch steps
     learning_rate: float = 5e-3
@@ -52,8 +52,8 @@ class AnmConfig(JsonConfig):
                             "eval_points": 6, "seed": 0})
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (self.learning_rate > 0 and self.beta_t >= 0 and self.disparity_min > 0):
-            raise ValueError("learning_rate and disparity_min must be > 0, beta_t >= 0")
+        if not (self.learning_rate > 0 and self.disparity_min > 0):
+            raise ValueError("learning_rate and disparity_min must be > 0")
 
 
 def standardize_vector(v: np.ndarray) -> np.ndarray:
@@ -75,12 +75,12 @@ def _roles(x: np.ndarray, y: np.ndarray, direction: str) -> tuple[np.ndarray, np
 
 
 class TransformNetPair:
-    """Monotone transform VAEs for one direction (predictor -> target):
+    """Monotone transforms for one direction (predictor -> target):
     "x_to_y" or "y_to_x", which `residuals` reads back.
 
-    Each side has a monotone mean path, a free log-variance path and a free
-    decoder, all scalar maps through one hidden layer; the cross-map is the
-    scalar affine prediction of the target's transform from the predictor's.
+    Each side is a monotone non-decreasing scalar map through one hidden
+    layer; the cross-map is the scalar affine prediction of the target's
+    transform from the predictor's.
     """
 
     def __init__(self, config: AnmConfig, direction: str, seed: int):
@@ -88,21 +88,17 @@ class TransformNetPair:
         self.store = ad.ParamStore()
         widths = (1, config.hidden, 1) if config.hidden > 0 else (1, 1)
         rng = np.random.default_rng(seed)
-        self.layers = {}  # "<side>.<path>." -> the path's layers
-        for side in ("p", "t"):
-            # small output scale starts each transform near-affine, so
-            # gradient flow reaches the mildest warp compatible with the
-            # objective before any exotic one
-            for path, wmap, scale in (("mono", ad.SOFTPLUS, 0.3), ("lv", None, 0.1),
-                                      ("dec", None, 1.0)):
-                prefix = f"{side}.{path}."
-                self.layers[prefix] = ad.init_mlp(self.store, rng, prefix, widths, wmap, scale)
+        # small output scale starts each transform near-affine, so gradient
+        # flow reaches the mildest warp compatible with the objective before
+        # any exotic one
+        self.layers = {side: ad.init_mlp(self.store, rng, f"{side}.mono.", widths,
+                                         ad.SOFTPLUS, 0.3) for side in ("p", "t")}
         self.store.add("cross.a", np.array([[1.0]]))
         self.store.add("cross.b", np.array([0.0]))
 
     def transform(self, v: np.ndarray, side: str) -> list[np.ndarray]:
-        """Layer values of side "p" or "t"'s monotone mean path at the column v."""
-        return ad.mlp_forward(self.layers[f"{side}.mono."], v)
+        """Layer values of side "p" or "t"'s monotone map at the column v."""
+        return ad.mlp_forward(self.layers[side], v)
 
     def residual(self, p_prime: np.ndarray, t_prime: np.ndarray) -> np.ndarray:
         """The column t' - (a * p' + b) of the cross-map's errors; a non-finite
@@ -136,7 +132,7 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
                 continue
             bp, bt = p[sel], t[sel]
             with np.errstate(over="ignore", invalid="ignore"):  # a diverging fit raises
-                loss = _transform_loss(net, bp, bt, config, rng)
+                loss = _transform_loss(net, bp, bt)
                 if not np.isfinite(loss.item()):
                     raise NumericalError(
                         f"transform training diverged at epoch {epoch} "
@@ -147,55 +143,39 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
     return net
 
 
-def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray,
-                    config: AnmConfig, rng: np.random.Generator) -> ad.Tensor:
+def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray) -> ad.Tensor:
     """The objective in the module docstring as one node with a hand-written
-    backward."""
+    backward; its fit term and its dependence term read the same residual."""
     n = bp.shape[0]
     a, b = net.store["cross.a"], net.store["cross.b"]
-    inputs = {"p": bp, "t": bt}
-    mono = {s: net.transform(v, s) for s, v in inputs.items()}
-    lv = {s: ad.mlp_forward(net.layers[f"{s}.lv."], v) for s, v in inputs.items()}
-    noisy = {s: ad.gaussian_bottleneck(mono[s][-1], lv[s][-1], rng) for s in inputs}
-    dec = {s: ad.mlp_forward(net.layers[f"{s}.dec."], noisy[s][0]) for s in inputs}
-    # reconstruction normalized by (standardized) input variance, ~1
-    recon = {s: dec[s][-1] - v for s, v in inputs.items()}
-    value = sum(np.mean(recon[s] * recon[s]) + config.beta_t * noisy[s][1].sum() / n
-                for s in inputs)
-
-    mu_p, mu_t, z_p = mono["p"][-1], mono["t"][-1], noisy["p"][0]
-    var_t = max(float(mu_t.var()), 1e-3)  # constant per batch
-    fit = net.residual(z_p, mu_t)
+    mono = {"p": net.transform(bp, "p"), "t": net.transform(bt, "t")}
+    p_prime, t_prime = mono["p"][-1], mono["t"][-1]
+    var_t = max(float(t_prime.var()), 1e-3)  # constant per batch
+    res = net.residual(p_prime, t_prime)
 
     # detached per-batch standardization keeps the independence term's
     # kernel geometry stationary: shrinking or rescaling a transform can
     # not lower the statistic, only reshaping the dependence can
-    res = net.residual(mu_p, mu_t)
-    inv_u = 1.0 / max(float(mu_p.std()), 1e-6)
+    inv_u = 1.0 / max(float(p_prime.std()), 1e-6)
     inv_r = 1.0 / max(float(res.std()), 1e-6)
-    dep, g_u, g_r = hsic.hsic_loss((mu_p - mu_p.mean()) * inv_u, (res - res.mean()) * inv_r)
-    value += np.mean(fit * fit) / var_t + dep
+    dep, g_u, g_r = hsic.hsic_loss((p_prime - p_prime.mean()) * inv_u, (res - res.mean()) * inv_r)
+    value = np.mean(res * res) / var_t + dep
 
     def backward_fn(g):
-        g_fit = (2.0 * g / (n * var_t)) * fit
-        g_res = (g * inv_r) * g_r
+        g_res = (2.0 * g / (n * var_t)) * res + (g * inv_r) * g_r
         # a residual's gradient is minus that of its cross-map prediction
-        a.grad -= z_p.T @ g_fit + mu_p.T @ g_res
-        b.grad -= (g_fit + g_res).sum(axis=0)
-        g_mu = {"p": (g * inv_u) * g_u - g_res @ a.data.T, "t": g_res + g_fit}
-        g_z = {"p": -(g_fit @ a.data.T), "t": 0.0}
-        for s in inputs:
-            g_z[s] += ad.mlp_backward(net.layers[f"{s}.dec."], dec[s], (2.0 * g / n) * recon[s])
-            g_mu_s, g_lv = ad.gaussian_bottleneck_grad(noisy[s][2], g_z[s], g * config.beta_t / n)
-            ad.mlp_backward(net.layers[f"{s}.mono."], mono[s], g_mu[s] + g_mu_s, input_grad=False)
-            ad.mlp_backward(net.layers[f"{s}.lv."], lv[s], g_lv, input_grad=False)
+        a.grad -= p_prime.T @ g_res
+        b.grad -= g_res.sum(axis=0)
+        g_prime = {"p": (g * inv_u) * g_u - g_res @ a.data.T, "t": g_res}
+        for s in mono:
+            ad.mlp_backward(net.layers[s], mono[s], g_prime[s], input_grad=False)
 
     return ad.Tensor(value, _backward_fn=backward_fn)
 
 
 def residuals(net: TransformNetPair, x: np.ndarray,
               y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Noiseless transforms (predictor', target') and the residual
+    """The transforms (predictor', target') and the residual
     target' - (a * predictor' + b), in the roles of the net's direction;
     non-finite ones raise NumericalError without numpy's overflow warnings."""
     p, t = _roles(x, y, net.direction)

@@ -1,11 +1,11 @@
 """Hand-derived gradients over one flat parameter store.
 
 Everything trained in this package (bottleneck encoders, additive decoders,
-monotone 1-D transforms) is a tanh MLP feeding a Gaussian bottleneck.
-init_mlp creates an MLP's parameters and returns its layers; each trained
-loss is one Tensor node whose backward function is written out by hand from
-two shared pairs, mlp_forward/mlp_backward and
-gaussian_bottleneck/gaussian_bottleneck_grad, and backward is one call of
+monotone 1-D transforms) is a tanh MLP; only the CAE's encoders feed a
+Gaussian bottleneck. init_mlp creates an MLP's parameters and returns its
+layers; each trained loss is one Tensor node whose backward function is
+written out by hand from mlp_forward/mlp_backward (and, for the CAE,
+gaussian_bottleneck/gaussian_bottleneck_grad), and backward is one call of
 that function. Gradients accumulate into named parameters held by a
 ParamStore, whose flat buffers also hold the Adam state. All computations
 are float64 and deterministic for a fixed seed on a fixed platform.

@@ -422,13 +422,16 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     pass forms Kc o Lc, K o Lc and L o Kc strip task by strip task
     (_loss_sums), and the per-strip results are added up in task order, so
     the value and gradients are the same bits for any worker count and no
-    n x n buffer is held.
+    n x n buffer is held. Non-finite samples raise DataError, with
+    bandwidths given or not.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != 1 or x.shape != y.shape:
         raise DataError(f"hsic_loss expects matching (n, 1) batches, got "
                         f"{x.shape} and {y.shape}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("hsic_loss needs finite samples")
     n = x.shape[0]
     if n < 8:
         raise DataError("hsic_loss needs a minibatch of at least 8")

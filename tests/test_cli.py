@@ -762,6 +762,9 @@ EXIT_CASES = {
     "cae-removed-fields-at-old-defaults": (lambda t, tmp: _train(t, tmp, config={
         "training_mode": "combined", "cross_map": "diagonal", "cross_hidden": [16],
         "early_stop_patience": 0, "early_stop_min_delta": 1e-5, "epochs": 1}), cli.EXIT_DATA),
+    "anm-removed-beta-t": (lambda t, tmp: _direction(
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"beta_t": 0.01}), "--pairs", "7"),
+        cli.EXIT_DATA),
     "pairs-not-an-index": (lambda t, tmp: _direction(t, tmp, "--pairs", "abc"),
                            cli.EXIT_USAGE),
     "inspect-k-zero": (lambda t, tmp: ["inspect", "--checkpoint", str(_checkpoint(t)),
@@ -853,7 +856,7 @@ EXIT_CASES = {
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"learning_rate": -1})),
         cli.EXIT_DATA),
     "anm-beta-t-negative": (lambda t, tmp: _direction(
-        t, tmp, "--anm-config", _write(tmp / "anm.json", {"beta_t": -1})), cli.EXIT_DATA),
+        t, tmp, "--anm-config", _write(tmp / "anm.json", {"disparity_min": -1})), cli.EXIT_DATA),
     "gen-seed-negative": (lambda t, tmp: ["gen", "--n", "40", "--seed", "-1",
                                           "--out", str(tmp / "g")], cli.EXIT_USAGE),
     "train-seed-negative": (lambda t, tmp: ["train", "--data", str(t["data"]), "--seed", "-1",
@@ -873,7 +876,7 @@ EXIT_CASES = {
         t, tmp, "--anm-config", _write(tmp / "anm.json", {"learning_rate": True}),
         "--pairs", "7"), cli.EXIT_DATA),
     "anm-beta-t-infinite": (lambda t, tmp: _direction(
-        t, tmp, "--anm-config", _write(tmp / "anm.json", '{"beta_t": Infinity}'),
+        t, tmp, "--anm-config", _write(tmp / "anm.json", '{"disparity_min": Infinity}'),
         "--pairs", "7"), cli.EXIT_DATA),
     # integer flags are checked by argparse, before any file is read
     "gen-n-zero": (lambda t, tmp: ["gen", "--n", "0", "--out", str(tmp / "g")],

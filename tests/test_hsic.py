@@ -704,6 +704,13 @@ class TestLoss:
         with pytest.raises(DataError):
             hsic.hsic_loss(np.zeros((4, 1)), np.zeros((4, 1)))
 
+    def test_nan_with_bandwidths_is_data_error(self):
+        # given bandwidths skip the median heuristic, which would refuse it
+        x = np.random.default_rng(25).normal(size=(50, 1))
+        x[17] = np.nan
+        with pytest.raises(DataError, match="finite samples"):
+            hsic.hsic_loss(x, x, bandwidths=(1.0, 1.0))
+
     @pytest.mark.parametrize("shapes", [((10, 1), (9, 1)), ((10,), (10,)), ((10, 2), (10, 2))])
     def test_mismatched_shapes_are_data_errors(self, shapes):
         x, y = (np.zeros(shape) for shape in shapes)
