@@ -29,12 +29,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .datagen import TEST, TRAIN, VAL, DatasetPair
+from .datagen import DatasetPair
 from .dataio import ColumnStats, JsonConfig
 from .errors import DataError, DimensionError, NumericalError
 
 TERM_NAMES = ("recon_x", "kl_x", "cross_x", "recon_y", "kl_y", "cross_y")
 MIN_EVAL_ROWS = 2  # an explained variance needs rows that can vary
+SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, val, test
+_SPLIT_SALT = 0x53504C49
 
 
 @dataclass
@@ -374,44 +376,66 @@ class TrainHistory:
     val: list[dict] = field(default_factory=list)
 
 
-def eval_rows(pair: DatasetPair, label: int) -> np.ndarray:
-    """The rows of split `label` that an evaluation reads; fewer than
+def split_rows(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The train, val and test rows of n rows in SPLIT_FRACTIONS, each
+    ascending; a pure function of (n, seed). A model's seed picks the rows
+    it trains, validates and reports on."""
+    perm = np.random.default_rng([_SPLIT_SALT, seed]).permutation(n)
+    n_train = int(np.floor(SPLIT_FRACTIONS[0] * n))
+    n_val = int(np.floor(SPLIT_FRACTIONS[1] * n))
+    return tuple(np.sort(rows) for rows in np.split(perm, [n_train, n_train + n_val]))
+
+
+def _eval_rows(rows: np.ndarray, name: str, n: int) -> np.ndarray:
+    """The rows of split `name` that an evaluation reads; fewer than
     MIN_EVAL_ROWS is a DataError, as an explained variance over them is
     undefined."""
-    rows = pair.rows(label)
     if len(rows) < MIN_EVAL_ROWS:
-        name = {VAL: "val", TEST: "test"}[label]
-        raise DataError(f"the {name} split holds {len(rows)} row(s) of {pair.n}; "
+        raise DataError(f"the {name} split holds {len(rows)} row(s) of {n}; "
                         f"evaluating needs at least {MIN_EVAL_ROWS}")
     return rows
 
 
+def test_report(model: CaeModel, x: np.ndarray,
+                y: np.ndarray) -> tuple[dict, list[dict], Encoding]:
+    """Report metrics and pair-table rows on the test rows of raw rows x, y
+    (split by the model's seed, gathered and standardized with model.stats;
+    x and y are left unchanged), plus the encoding behind them. Fewer than
+    MIN_EVAL_ROWS test rows is a DataError. This is where `train`,
+    `inspect` and `direction` choose the informative pairs. Training runs
+    every configured epoch, so epochs_run is the model's config.epochs."""
+    test = _eval_rows(split_rows(len(x), model.config.seed)[2], "test", len(x))
+    gathered = (np.asarray(v[test], dtype=np.float64) for v in (x, y))
+    final, rows, enc = evaluate_model(model, *model.stats.apply(*gathered))
+    final.pop("val_loss")
+    final["epochs_run"] = model.config.epochs
+    return final, rows, enc
+
+
 def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHistory]:
-    """Minibatch Adam on the combined loss.
+    """Minibatch Adam on the combined loss, on the rows split_rows gives the
+    pair at config.seed.
 
     The train and val rows are gathered as float64 and standardized in
     place per column with train-split statistics (stored in the model; all
     downstream consumers see the standardized units); the pair itself is
-    neither copied whole nor changed. A split with no train rows, or too
-    few val or test rows to evaluate (eval_rows), is a DataError before any
-    epoch. Per-epoch validation metrics are recorded with noiseless
-    bottlenecks. Raises NumericalError with the offending term values if the
-    loss goes non-finite, and from the Adam step if a gradient's square
-    overflows.
+    neither copied whole nor changed. Too few val rows to evaluate is a
+    DataError before any epoch; the split fractions then leave at least 16
+    train and 2 test rows. Per-epoch validation metrics are recorded with
+    noiseless bottlenecks. Raises NumericalError with the offending term
+    values if the loss goes non-finite, and from the Adam step if a
+    gradient's square overflows.
     """
-    train_idx = pair.rows(TRAIN)
-    if len(train_idx) == 0:
-        raise DataError("training requires a non-empty train split")
-    val_idx = eval_rows(pair, VAL)
-    eval_rows(pair, TEST)  # what train reports on, checked before any epoch
+    train_idx, val_idx, _ = split_rows(pair.n, config.seed)
+    _eval_rows(val_idx, "val", pair.n)
 
     x_train, y_train, x_val, y_val = (np.asarray(v[idx], dtype=np.float64)
                                       for idx in (train_idx, val_idx) for v in (pair.x, pair.y))
     # fitted before the model is built, so the std's temporary and the
     # model's buffers are never held together
     stats = ColumnStats.fit(x_train, y_train)
-    stats.apply(DatasetPair(x_train, y_train))
-    stats.apply(DatasetPair(x_val, y_val))
+    stats.apply(x_train, y_train)
+    stats.apply(x_val, y_val)
     model = build_cae(pair.x.shape[1], pair.y.shape[1], config)
     model.stats = stats
     rng = np.random.default_rng([config.seed, 0x7E41])

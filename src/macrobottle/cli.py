@@ -77,7 +77,9 @@ def cmd_gen(args) -> int:
     else:
         pair = datagen.gen_asymmetric(args.n, args.seed)
     dataio.save_pair(out, pair)  # makes the directory
-    truth = np.column_stack([pair.ground_truth.as_matrix(), pair.split])  # latents, noises, split
+    # latents, noises, and the split `train --seed <gen seed>` trains on
+    truth = np.column_stack([pair.ground_truth.as_matrix(),
+                             datagen.assign_splits(pair.n, args.seed)])
     dataio.save_matrix_csv(out / "ground_truth.csv", truth,
                            pair.ground_truth.column_names() + ["split"])
     layout = dataio.GridLayout(datagen.IMAGE_SIDE, datagen.IMAGE_SIDE)
@@ -104,34 +106,18 @@ def cmd_gen(args) -> int:
 # train
 
 
-def _test_report(model: cae.CaeModel, x: np.ndarray, y: np.ndarray):
-    """Report metrics and pair-table rows on the TEST rows x, y of a pair in
-    the model's units, plus the encoding behind them. This is where `train`,
-    `inspect` and `direction` choose the informative pairs. Training runs
-    every configured epoch, so epochs_run is the model's config.epochs."""
-    final, rows, enc = cae.evaluate_model(model, x, y)
-    final.pop("val_loss")
-    final["epochs_run"] = model.config.epochs
-    return final, rows, enc
-
-
 def _run_cell(x: np.ndarray, y: np.ndarray, config: cae.CaeConfig, cell_dir: str) -> dict:
     """Worker for one sweep cell; returns the report metrics for the summary."""
     cell = Path(cell_dir)
     cell.mkdir(parents=True, exist_ok=True)
-    pair = datagen.DatasetPair(x, y, datagen.assign_splits(len(x), config.seed))
     t0 = time.monotonic()
     try:
-        model, history = cae.train_cae(pair, config)
+        model, history = cae.train_cae(datagen.DatasetPair(x, y), config)
     except NumericalError as err:
         with open(cell / "error.txt", "w", encoding="utf-8") as fh:
             fh.write(str(err))
         return {"beta": config.beta, "gamma": config.gamma, "failed": str(err)}
-    # the TEST rows alone, gathered before they are standardized in place,
-    # as a serial sweep hands every cell the same x and y
-    te = pair.rows(datagen.TEST)
-    test = model.stats.apply(datagen.DatasetPair(x[te], y[te]))
-    final, table_rows, _ = _test_report(model, test.x, test.y)
+    final, table_rows, _ = cae.test_report(model, x, y)
     model.save(cell / "checkpoint")
     report = dataio.RunReport(
         seed=config.seed, config=config.to_dict(), metrics=final,
@@ -194,7 +180,7 @@ def cmd_train(args) -> int:
     # compared once validated, so a value JSON cannot hash is already a data error
     if len({(c.beta, c.gamma) for c, _ in configs}) != len(configs):
         raise DataError("sweep cells must be unique")
-    # loaded once for all cells; each cell builds its own split from its seed
+    # loaded once for all cells; each cell's seed splits the rows
     data = dataio.load_pair(args.data)
     out.mkdir(parents=True, exist_ok=True)  # only once every input has loaded
     jobs = [(data.x, data.y, config, cell_dir) for config, cell_dir in configs]
@@ -227,11 +213,11 @@ def cmd_train(args) -> int:
 
 
 def _evaluate_checkpoint(args):
-    """The --checkpoint model; the --data pair, split as the model's training
-    split it and standardized in place into the model's units; the test
-    report on its TEST rows (too few is a DataError); and the bottleneck
-    means of every row. `inspect` and `direction` both start here, so
-    `direction` tests exactly the pairs `inspect` lists."""
+    """The --checkpoint model; the test report on the --data pair's test rows
+    (too few is a DataError); the pair, standardized in place into the
+    model's units; and the bottleneck means of every row. `inspect` and
+    `direction` both start here, so `direction` tests exactly the pairs
+    `inspect` lists."""
     model = cae.CaeModel.load(args.checkpoint)
     data_dir = Path(args.data)
     pair = dataio.load_pair(data_dir)
@@ -239,10 +225,8 @@ def _evaluate_checkpoint(args):
     if widths != (model.net_x.input_dim, model.net_y.input_dim):
         raise DataError(f"{data_dir} has {widths[0]} X and {widths[1]} Y columns; the model "
                         f"expects {model.net_x.input_dim} and {model.net_y.input_dim}")
-    pair.split = datagen.assign_splits(pair.n, model.config.seed)
-    model.stats.apply(pair)
-    te = cae.eval_rows(pair, datagen.TEST)
-    report = _test_report(model, pair.x[te], pair.y[te])
+    report = cae.test_report(model, pair.x, pair.y)
+    model.stats.apply(pair.x, pair.y)
     means = (model.net_x.encode(pair.x)[1], model.net_y.encode(pair.y)[1])
     return model, pair, report, means
 

@@ -29,13 +29,8 @@ IMAGE_DIM = IMAGE_SIDE * IMAGE_SIDE
 # the most samples whose n x IMAGE_DIM float64 matrix numpy can hold
 MAX_SAMPLES = np.iinfo(np.intp).max // (8 * IMAGE_DIM)
 
-TRAIN, VAL, TEST = 0, 1, 2
-SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train, val, test
-
 EQUATION_NOISE = 0.2  # half-width of the uniform noises n_x1, n_y1, n_y2
 IMAGE_NOISE = 0.2  # half-width of the uniform noise added to every pixel
-
-_SPLIT_SALT = 0x53504C49
 
 
 @dataclass
@@ -60,7 +55,6 @@ class DatasetPair:
 
     x: np.ndarray
     y: np.ndarray
-    split: np.ndarray | None = None
     ground_truth: GroundTruth | None = None
 
     def __post_init__(self):
@@ -72,24 +66,18 @@ class DatasetPair:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def rows(self, label: int) -> np.ndarray:
-        if self.split is None:
-            raise DataError("dataset has no train/val/test split assigned")
-        return np.flatnonzero(self.split == label)
+
+TRAIN = 0  # the label of the train rows in assign_splits
 
 
 def assign_splits(n: int, seed: int) -> np.ndarray:
-    """Per-sample train/val/test labels in SPLIT_FRACTIONS; a pure function
-    of (n, seed)."""
-    if n < 1:
-        raise DataError("cannot split an empty dataset")
-    rng = np.random.default_rng([_SPLIT_SALT, seed])
-    perm = rng.permutation(n)
-    n_train = int(np.floor(SPLIT_FRACTIONS[0] * n))
-    n_val = int(np.floor(SPLIT_FRACTIONS[1] * n))
-    labels = np.full(n, TEST, dtype=np.int64)
-    labels[perm[:n_train]] = TRAIN
-    labels[perm[n_train:n_train + n_val]] = VAL
+    """Per-sample labels of cae.split_rows(n, seed), 0, 1 and 2 for its
+    train, val and test rows: gen's split column, and the benchmark
+    harness's count of train rows."""
+    from .cae import split_rows  # deferred, as cae imports this module
+    labels = np.empty(n, dtype=np.int64)
+    for label, rows in enumerate(split_rows(n, seed)):
+        labels[rows] = label
     return labels
 
 
@@ -151,7 +139,7 @@ def gen_main_synthetic(n: int, seed: int) -> DatasetPair:
 
     latents = {name: v[name] for name in ("c1", "x1", "x2", "y1", "y2")}
     truth = GroundTruth(latents, noises)
-    return DatasetPair(x, y, assign_splits(n, seed), truth)
+    return DatasetPair(x, y, truth)
 
 
 def gen_asymmetric(n: int, seed: int) -> DatasetPair:
@@ -168,4 +156,4 @@ def gen_asymmetric(n: int, seed: int) -> DatasetPair:
     y = y + rng.uniform(-IMAGE_NOISE, IMAGE_NOISE, y.shape)
 
     truth = GroundTruth(latents)
-    return DatasetPair(x, y, assign_splits(n, seed), truth)
+    return DatasetPair(x, y, truth)

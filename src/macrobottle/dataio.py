@@ -293,7 +293,7 @@ def _parse_lines(path: Path, lines: list[str], ncols: int) -> np.ndarray:
 
 
 def load_pair_csv(path_x: str | Path, path_y: str | Path) -> DatasetPair:
-    """Row-aligned pair from two matrix files; split is left unassigned."""
+    """Row-aligned pair from two matrix files."""
     x, _ = load_matrix_csv(path_x)
     y, _ = load_matrix_csv(path_y)
     if x.shape[0] != y.shape[0]:
@@ -334,10 +334,9 @@ def save_pair(dirpath: str | Path, pair: DatasetPair) -> None:
 
 
 def load_pair(dirpath: str | Path) -> DatasetPair:
-    """The pair in a dataset directory; split is left unassigned. The
-    matrices come from the twin that save_pair wrote when it loads and
-    matches both CSVs; otherwise X.csv and Y.csv are parsed, with their own
-    errors."""
+    """The pair in a dataset directory. The matrices come from the twin that
+    save_pair wrote when it loads and matches both CSVs; otherwise X.csv and
+    Y.csv are parsed, with their own errors."""
     dirpath = Path(dirpath)
     pair = _load_twin(dirpath)
     return pair if pair is not None else load_pair_csv(*(dirpath / n for n in _PAIR_CSV))
@@ -437,14 +436,13 @@ class ColumnStats:
             stats += [means, stds]
         return cls(*stats)
 
-    def apply(self, pair: DatasetPair) -> DatasetPair:
-        """Center and scale the pair's float64 columns in place, with the bits
-        of (v - mean) / std, and return the pair."""
-        for v, mean, std in ((pair.x, self.x_mean, self.x_std),
-                             (pair.y, self.y_mean, self.y_std)):
+    def apply(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Center and scale the float64 columns of x and y in place, with the
+        bits of (v - mean) / std, and return them."""
+        for v, mean, std in ((x, self.x_mean, self.x_std), (y, self.y_mean, self.y_std)):
             v -= mean
             v /= std
-        return pair
+        return x, y
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ Two slices, each on seeds 1-3 at n = 10 000:
   (x1, y1) as `no-direction`. Summary (decision, statistics, thresholds,
   disparity, seconds) in `.acceptance/anm_true_latents_seed<seed>.json`.
 - The CAE pairing: `train_cae` at the default `CaeConfig`, seeded with the
-  data seed so the split is the one `train --seed <seed>` uses, must find
-  exactly two pairs on the TEST rows, each correlated at |corr| >= 0.9 on
+  data seed as `train --seed <seed>` is, must find exactly two pairs on the
+  model's test rows (`cae.test_report`), each correlated at |corr| >= 0.9 on
   both sides with one true pair (x1/y1 or x2/y2), the two covering both
   true pairs, and a Hungarian assignment on |corr(mu_x, mu_y)| must agree
   with the index pairing. Record in `.acceptance/cae_pairs_seed<seed>.json`.
@@ -83,16 +83,14 @@ def _abs_corr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _pairing_record(pair: datagen.DatasetPair, seed: int,
                     true_pairs: tuple[tuple[str, str], ...]) -> dict:
     """Train the default CAE on a generated pair, seeded with the data seed
-    (the split `train --seed <seed>` draws), and record its pairs on the
-    TEST rows, each with the true pairs it matches; the checks are left
-    empty."""
+    as `train --seed <seed>` is, and record its pairs on the model's test
+    rows, each with the true pairs it matches; the checks are left empty."""
     config = cae.CaeConfig(seed=seed)
     t0 = time.monotonic()
     model, history = cae.train_cae(pair, config)
     train_s = time.monotonic() - t0
-    model.stats.apply(pair)  # in place, into the model's units
-    te = pair.rows(datagen.TEST)
-    metrics, rows, enc = cae.evaluate_model(model, pair.x[te], pair.y[te])
+    metrics, rows, enc = cae.test_report(model, pair.x, pair.y)
+    te = cae.split_rows(pair.n, config.seed)[2]
     latents = {name: v[te] for name, v in pair.ground_truth.latents.items()}
     names = list(latents)
     truth = np.column_stack([latents[name] for name in names])

@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from macrobottle import autodiff as ad
 from macrobottle import cae, dataio
@@ -369,7 +371,7 @@ def test_training_smoke_and_history():
     assert all(len(v) == 3 for v in history.terms.values())
     assert len(history.val) == 3
     # validation metrics are deterministic (no noise at evaluation)
-    val_idx = pair.rows(datagen.VAL)
+    val_idx = cae.split_rows(pair.n, config.seed)[1]
     m1, rows1, enc = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
     m2, rows2, _ = cae.evaluate_model(model, pair.x[val_idx], pair.y[val_idx])
     assert m1 == m2 and rows1 == rows2
@@ -395,9 +397,9 @@ def test_huge_loss_weight_is_numerical_error(weight):
 def test_nan_input_is_numerical_error_naming_the_terms():
     from macrobottle import datagen
     pair = datagen.gen_main_synthetic(300, seed=30)
-    pair.x[pair.rows(datagen.TRAIN)[0], 5] = np.nan
     config = cae.CaeConfig(bottleneck_dim=2, encoder_hidden=(16,),
                            decoder_hidden_per_variable=(8,), epochs=1, batch_size=64)
+    pair.x[cae.split_rows(pair.n, config.seed)[0][0], 5] = np.nan
     with pytest.raises(NumericalError, match="non-finite loss at epoch 0: ") as raised:
         cae.train_cae(pair, config)
     assert all(f"{name}=" in str(raised.value) for name in cae.TERM_NAMES)
@@ -429,17 +431,102 @@ def test_train_cae_leaves_the_pair_unchanged():
     assert pair.x.tobytes() == x.tobytes() and pair.y.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("counts,split_name", [((15, 1, 3), "val"), ((15, 2, 1), "test"),
-                                               ((15, 0, 2), "val"), ((0, 2, 2), "train")])
+@pytest.mark.parametrize("counts,split_name", [((15, 1, 3), "val"), ((1, 0, 1), "val"),
+                                               ((7, 0, 2), "val")])
 def test_split_too_small_to_evaluate_is_data_error_before_any_epoch(counts, split_name,
                                                                     monkeypatch):
     from macrobottle import datagen
-    split = np.repeat([datagen.TRAIN, datagen.VAL, datagen.TEST], counts)
-    pair = datagen.gen_main_synthetic(len(split), seed=0)
-    pair.split = split
+    n = sum(counts)
+    assert tuple(len(rows) for rows in cae.split_rows(n, 0)) == counts
+    pair = datagen.gen_main_synthetic(n, seed=0)
     monkeypatch.setattr(cae, "build_cae", lambda *a: pytest.fail("a model was built"))
-    # only a custom split reaches an empty train split: assign_splits keeps
-    # at least 16 train rows wherever val and test hold two each
-    message = "non-empty train split" if split_name == "train" else f"the {split_name} split holds"
-    with pytest.raises(DataError, match=message):
+    with pytest.raises(DataError, match=f"the {split_name} split holds {counts[1]} row"):
         cae.train_cae(pair, cae.CaeConfig(epochs=2))
+
+
+def _train_val_sizes(n):
+    return np.floor(0.8 * n).astype(np.int64), np.floor(0.1 * n).astype(np.int64)
+
+
+def _labels_at_parent(n: int, seed: int) -> np.ndarray:
+    """The per-row labels (0 train, 1 val, 2 test) the split rule gave when
+    each pair carried its own split, as a frozen reference."""
+    perm = np.random.default_rng([0x53504C49, seed]).permutation(n)
+    n_train, n_val = _train_val_sizes(n)
+    labels = np.full(n, 2)
+    labels[perm[:n_train]] = 0
+    labels[perm[n_train:n_train + n_val]] = 1
+    return labels
+
+
+class TestSplits:
+    @given(n=st.integers(0, 100_000), seed=st.integers(0, 2**32 - 1))
+    @example(n=20, seed=0)  # the fewest rows with two val rows: 16/2/2
+    @example(n=19, seed=0)
+    def test_partitions_the_rows_with_the_old_labels(self, n, seed):
+        parts = cae.split_rows(n, seed)
+        labels = _labels_at_parent(n, seed)
+        for label, rows in enumerate(parts):
+            assert rows.dtype == np.int64
+            assert np.array_equal(rows, np.flatnonzero(labels == label))
+        train, val, test = (len(rows) for rows in parts)
+        assert train + val + test == n
+        if val >= cae.MIN_EVAL_ROWS:  # train_cae's one guard covers the others
+            assert train >= 16 and test >= cae.MIN_EVAL_ROWS
+
+    def test_two_val_rows_leave_enough_train_and_test_rows(self):
+        # every n up to 2e6, by the reference's float formulas
+        n = np.arange(2_000_001)
+        train, val = _train_val_sizes(n)
+        test = n - train - val
+        enough = val >= cae.MIN_EVAL_ROWS
+        assert np.all(train[enough] >= 16) and np.all(test[enough] >= cae.MIN_EVAL_ROWS)
+
+    def test_pure_function_of_inputs(self):
+        a = cae.split_rows(1000, 11)
+        b = cae.split_rows(1000, 11)
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        c = cae.split_rows(1000, 12)
+        assert not np.array_equal(a[0], c[0])
+
+    def test_empty_dataset_has_no_split(self):
+        assert all(len(rows) == 0 for rows in cae.split_rows(0, 11))
+        from macrobottle import datagen
+        pair = datagen.DatasetPair(np.zeros((0, 4)), np.zeros((0, 4)))
+        with pytest.raises(DataError, match="the val split holds 0 row"):
+            cae.train_cae(pair, cae.CaeConfig(epochs=2))
+
+
+def test_train_cae_splits_by_the_config_seed():
+    # a pair of data seed 5 trained at seed 7 trains and validates on
+    # split_rows(400, 7)'s rows, as `train --seed 7` does
+    from macrobottle import datagen
+    pair = datagen.gen_main_synthetic(400, seed=5)
+    config = cae.CaeConfig(bottleneck_dim=2, encoder_hidden=(8,),
+                           decoder_hidden_per_variable=(4,), epochs=1, seed=7)
+    model, history = cae.train_cae(pair, config)
+    train, val, _ = cae.split_rows(400, 7)
+    fitted = dataio.ColumnStats.fit(pair.x[train], pair.y[train])
+    assert all(np.array_equal(v, getattr(fitted, k)) for k, v in vars(model.stats).items())
+    x_val, y_val = model.stats.apply(pair.x[val], pair.y[val])
+    assert history.val[-1] == cae.evaluate_model(model, x_val, y_val)[0]
+
+
+def test_test_report_reads_the_model_seeds_test_rows():
+    from macrobottle import datagen
+    pair = datagen.gen_main_synthetic(300, seed=30)
+    x, y = pair.x.copy(), pair.y.copy()
+    model, _ = cae.train_cae(pair, cae.CaeConfig(bottleneck_dim=2, encoder_hidden=(8,),
+                                                 decoder_hidden_per_variable=(4,), epochs=1,
+                                                 seed=4))
+    final, rows, enc = cae.test_report(model, pair.x, pair.y)
+    assert pair.x.tobytes() == x.tobytes() and pair.y.tobytes() == y.tobytes()
+    test = cae.split_rows(300, 4)[2]
+    x_test, y_test = model.stats.apply(x[test], y[test])
+    want, want_rows, _ = cae.evaluate_model(model, x_test, y_test)
+    assert final.pop("epochs_run") == 1 and "val_loss" not in final
+    want.pop("val_loss")
+    assert final == want and rows == want_rows
+    assert np.array_equal(enc.mu_x, model.net_x.encode(x_test)[1])
+    with pytest.raises(DataError, match="the test split holds 1 row"):
+        cae.test_report(model, pair.x[:10], pair.y[:10])  # split 8/1/1

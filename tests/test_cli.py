@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from macrobottle import autodiff as ad
-from macrobottle import anm, cli, datagen, dataio
+from macrobottle import anm, cae, cli, datagen, dataio
 from macrobottle.errors import NumericalError
 
 
@@ -413,10 +413,8 @@ def test_loaded_pair_is_standardized_in_place(tiny_run, tmp_path):
     stats = model.stats
     assert np.array_equal(pair.x, (raw.x - stats.x_mean) / stats.x_std)
     assert np.array_equal(pair.y, (raw.y - stats.y_mean) / stats.y_std)
-    # the report reads the model's TEST rows, the means every row
-    te = pair.rows(datagen.TEST)
-    assert np.array_equal(pair.split, datagen.assign_splits(pair.n, model.config.seed))
-    assert final == cli._test_report(model, pair.x[te], pair.y[te])[0]
+    # the report reads the model's test rows of the raw pair, the means every row
+    assert final == cae.test_report(model, raw.x, raw.y)[0]
     assert all(np.array_equal(mu, half.encode(v)[1])
                for mu, half, v in zip(means, (model.net_x, model.net_y), (pair.x, pair.y)))
 

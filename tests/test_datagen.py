@@ -24,9 +24,10 @@ class TestMainSynthetic:
         pair = datagen.gen_main_synthetic(1000, seed=0)
         assert pair.x.shape == (1000, 64)
         assert pair.y.shape == (1000, 64)
-        assert len(pair.rows(datagen.TRAIN)) == 800
-        assert len(pair.rows(datagen.VAL)) == 100
-        assert len(pair.rows(datagen.TEST)) == 100
+        # gen's split column: 0 train, 1 val, 2 test
+        labels = datagen.assign_splits(1000, 0)
+        assert np.bincount(labels).tolist() == [800, 100, 100]
+        assert np.sum(labels == datagen.TRAIN) == 800
 
     def test_half_average_recovers_latents_within_pixel_noise(self):
         pair = datagen.gen_main_synthetic(2000, seed=1)
@@ -101,7 +102,7 @@ class TestMainSynthetic:
         b = datagen.gen_main_synthetic(50, seed=7)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.y, b.y)
-        assert np.array_equal(a.split, b.split)
+        assert np.array_equal(a.ground_truth.as_matrix(), b.ground_truth.as_matrix())
 
 
 class TestAsymmetric:
@@ -138,22 +139,6 @@ class TestAsymmetric:
 
 
 class TestSplits:
-    def test_pure_function_of_inputs(self):
-        a = datagen.assign_splits(1000, 11)
-        b = datagen.assign_splits(1000, 11)
-        assert np.array_equal(a, b)
-        c = datagen.assign_splits(1000, 12)
-        assert not np.array_equal(a, c)
-
-    def test_empty_dataset_has_no_split(self):
-        with pytest.raises(DataError, match="cannot split an empty dataset"):
-            datagen.assign_splits(0, 11)
-
-    def test_rows_without_a_split_is_data_error(self):
-        pair = datagen.DatasetPair(np.zeros((3, 4)), np.zeros((3, 4)))
-        with pytest.raises(DataError, match="no train/val/test split"):
-            pair.rows(datagen.TRAIN)
-
     def test_misaligned_pair_rejected(self):
         with pytest.raises(DataError):
             datagen.DatasetPair(np.zeros((3, 4)), np.zeros((2, 4)))

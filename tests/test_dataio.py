@@ -370,7 +370,6 @@ class TestPairTwin:
 
         monkeypatch.setattr(dataio, "load_matrix_csv", no_parse)
         loaded = dataio.load_pair(tmp_path)
-        assert loaded.split is None
         assert np.array_equal(loaded.x, pair.x) and np.array_equal(loaded.y, pair.y)
         assert loaded.x.flags.c_contiguous and loaded.x.dtype == np.float64
         with pytest.raises(AssertionError, match="parsed"):
@@ -457,12 +456,16 @@ class TestPairTwin:
         assert np.array_equal(regenerated.x, datagen.gen_main_synthetic(50, 4).x)
 
 
-def standardize(pair):
-    """A copy of the pair standardized in place with the statistics of its
-    TRAIN rows, and those statistics, as train_cae treats its gathers."""
-    tr = pair.rows(datagen.TRAIN)
-    stats = dataio.ColumnStats.fit(pair.x[tr], pair.y[tr])
-    return stats.apply(datagen.DatasetPair(pair.x.copy(), pair.y.copy(), pair.split)), stats
+def standardize(x, y, rows=slice(None)):
+    """Copies of x and y standardized in place with the statistics of the
+    given rows, and those statistics, as train_cae treats its gathers."""
+    stats = dataio.ColumnStats.fit(x[rows], y[rows])
+    return stats.apply(x.copy(), y.copy()), stats
+
+
+def train_rows(n: int) -> np.ndarray:
+    """The rows a model of CaeConfig's default seed trains on."""
+    return cae.split_rows(n, cae.CaeConfig().seed)[0]
 
 
 class TestStandardize:
@@ -472,25 +475,23 @@ class TestStandardize:
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         y = rng.normal(size=(500, 2))
         y = (y - y.mean(axis=0)) / y.std(axis=0)
-        pair = datagen.DatasetPair(x, y, np.full(500, datagen.TRAIN))
-        out, stats = standardize(pair)
-        assert np.abs(out.x - x).max() < 1e-12
-        assert np.abs(out.y - y).max() < 1e-12
+        (out_x, out_y), stats = standardize(x, y)
+        assert np.abs(out_x - x).max() < 1e-12
+        assert np.abs(out_y - y).max() < 1e-12
 
     def test_constant_column_untouched_and_flagged(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(100, 2))
         x[:, 1] = 7.0
-        pair = datagen.DatasetPair(x, rng.normal(size=(100, 2)), np.full(100, datagen.TRAIN))
-        out, stats = standardize(pair)
+        (out_x, _), stats = standardize(x, rng.normal(size=(100, 2)))
         assert stats.x_mean[1] == 0.0 and stats.x_std[1] == 1.0
-        assert np.array_equal(out.x[:, 1], x[:, 1])
+        assert np.array_equal(out_x[:, 1], x[:, 1])
 
     def test_inverse_recovers_originals(self):
         pair = datagen.gen_main_synthetic(200, seed=2)
-        out, stats = standardize(pair)
-        rx = out.x * stats.x_std + stats.x_mean
-        ry = out.y * stats.y_std + stats.y_mean
+        (out_x, out_y), stats = standardize(pair.x, pair.y, train_rows(200))
+        rx = out_x * stats.x_std + stats.x_mean
+        ry = out_y * stats.y_std + stats.y_mean
         assert np.abs(rx - pair.x).max() < 1e-12
         assert np.abs(ry - pair.y).max() < 1e-12
 
@@ -498,9 +499,10 @@ class TestStandardize:
     def test_sides_give_the_bits_of_the_joined_columns(self, seed):
         # statistics of X and Y apart equal those of the columns of [X | Y]
         pair = datagen.gen_main_synthetic(2000, seed=seed)
-        pair.y = pair.y[:, :10]  # sides of different widths
-        _, stats = standardize(pair)
-        joined = np.hstack([pair.x, pair.y])[pair.rows(datagen.TRAIN)]
+        y = pair.y[:, :10]  # sides of different widths
+        tr = train_rows(2000)
+        _, stats = standardize(pair.x, y, tr)
+        joined = np.hstack([pair.x, y])[tr]
         assert np.array_equal(np.concatenate([stats.x_mean, stats.y_mean]),
                               joined.mean(axis=0))
         assert np.array_equal(np.concatenate([stats.x_std, stats.y_std]),
@@ -510,13 +512,13 @@ class TestStandardize:
         # the statistics a trained model carries are those of the TRAIN rows
         pair = datagen.gen_main_synthetic(1000, seed=3)
         model, _ = cae.train_cae(pair, cae.CaeConfig(epochs=0))
-        out, stats = standardize(pair)
+        tr = train_rows(1000)
+        (out_x, _), stats = standardize(pair.x, pair.y, tr)
         for name, value in vars(model.stats).items():
             assert np.array_equal(value, getattr(stats, name)), name
-        tr = pair.rows(datagen.TRAIN)
-        assert abs(out.x[tr].mean()) < 1e-12
+        assert abs(out_x[tr].mean()) < 1e-12
         # non-train rows keep slight offsets
-        assert abs(out.x.mean()) > 0
+        assert abs(out_x.mean()) > 0
 
 
 def _half_means(data):

@@ -13,21 +13,22 @@ from macrobottle import anm, cae, datagen
 
 RTOL = 1e-10
 
+# train_cae splits the rows by the config's seed (7), not the data's (5)
 TERMS = {
-    "recon_x": [1.1306430571430095, 1.0987114528091306, 1.0847954290098298,
-                1.064204754596335, 1.0506134217618741],
-    "kl_x": [0.05551701180257017, 0.03075100697408965, 0.025781306075173406,
-             0.02396680537472644, 0.021009730035692547],
-    "cross_x": [0.1152844028046454, 0.06576944632679135, 0.04900831849346355,
-                0.04704335897981305, 0.04609923208709034],
-    "recon_y": [1.073759618499504, 1.0707400998899652, 1.0514153269958064,
-                1.036831667607272, 1.0336156860281025],
-    "kl_y": [0.07219238823798864, 0.049849586414150424, 0.0424129599123946,
-             0.041820920969730245, 0.04140657124032475],
-    "cross_y": [0.07011033320064808, 0.02527424362713441, 0.01649792537756493,
-                0.015787965051642292, 0.011657477241239209],
+    "recon_x": [1.1233462834475627, 1.1029856322705966, 1.0847017979214684,
+                1.0711069770116715, 1.0512078688466608],
+    "kl_x": [0.055985000825154244, 0.03150616713199844, 0.026178561728632577,
+             0.024767230761560125, 0.022108025780994914],
+    "cross_x": [0.11447292243002993, 0.06676324541591339, 0.050025063382238624,
+                0.04500750862342416, 0.04283409956881984],
+    "recon_y": [1.0870997545576093, 1.0636163242621615, 1.0520380533941391,
+                1.0417864847728324, 1.0352196822203221],
+    "kl_y": [0.07263428858712515, 0.05135872304372883, 0.043598440138774584,
+             0.041377879133922844, 0.04004802904815642],
+    "cross_y": [0.07019129649780972, 0.025336627562170932, 0.016717789132124218,
+                0.015643087667094914, 0.012265447038328003],
 }
-VAL_LOSS = 1.7338779990657676
+VAL_LOSS = 1.8880946209080451
 
 # the transform fit of two monotone maps and a cross-map
 RES_HEAD = [-0.33158194550053965, -0.2037401299939034, -0.1587190088472628,
