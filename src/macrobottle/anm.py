@@ -14,6 +14,11 @@ After training, the kernel independence statistic of (predictor', residual)
 is compared against its gamma threshold in both directions; a direction is
 accepted when its residual passes, the other fails, and the disparity between
 the two statistics is large enough.
+
+direction_verdict maps each variable once, by the fit points' mean and std,
+and hands each direction's predictor and target in that map to fit_transform
+and residuals, which read them as given: the transforms are fitted and tested
+in the same units.
 """
 
 from __future__ import annotations
@@ -56,35 +61,25 @@ class AnmConfig(JsonConfig):
             raise ValueError("learning_rate and disparity_min must be > 0")
 
 
-def standardize_vector(v: np.ndarray) -> np.ndarray:
+def standardize_vector(v: np.ndarray, rows: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """v centred and scaled by the mean and std of v[rows] (all of v by
+    default); a constant v[rows] raises DataError."""
     v = np.asarray(v, dtype=np.float64).reshape(-1)
-    std = v.std()
+    std = v[rows].std()
     if std == 0.0:
         raise DataError("cannot standardize a constant vector")
-    return (v - v.mean()) / std
-
-
-def _roles(x: np.ndarray, y: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """The standardized (predictor, target) of a direction: x predicts y for
-    'x_to_y', y predicts x for 'y_to_x'."""
-    if direction not in ("x_to_y", "y_to_x"):
-        raise ValueError(f"unknown direction: {direction}")
-    if direction == "y_to_x":
-        x, y = y, x
-    return standardize_vector(x), standardize_vector(y)
+    return (v - v[rows].mean()) / std
 
 
 class TransformNetPair:
-    """Monotone transforms for one direction (predictor -> target):
-    "x_to_y" or "y_to_x", which `residuals` reads back.
+    """Monotone transforms for one direction, predictor -> target.
 
     Each side is a monotone non-decreasing scalar map through one hidden
     layer; the cross-map is the scalar affine prediction of the target's
     transform from the predictor's.
     """
 
-    def __init__(self, config: AnmConfig, direction: str, seed: int):
-        self.direction = direction
+    def __init__(self, config: AnmConfig, seed: int):
         self.store = ad.ParamStore()
         widths = (1, config.hidden, 1) if config.hidden > 0 else (1, 1)
         rng = np.random.default_rng(seed)
@@ -105,23 +100,24 @@ class TransformNetPair:
         one (a diverged fit) raises NumericalError before HSIC reads it."""
         res = t_prime - (p_prime @ self.store["cross.a"].data + self.store["cross.b"].data)
         if not np.isfinite(res).all():
-            raise NumericalError(f"non-finite transforms or residual (direction {self.direction})")
+            raise NumericalError("non-finite transforms or residual")
         return res
 
 
-def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
-                  config: AnmConfig | None = None, seed: int = 0) -> TransformNetPair:
-    """Train the transform pair for one direction; for 'y_to_x' the roles
-    are swapped so y becomes the predictor. A diverging fit raises
-    NumericalError without numpy's overflow warnings."""
+def fit_transform(p: np.ndarray, t: np.ndarray, config: AnmConfig | None = None,
+                  seed: int = 0) -> TransformNetPair:
+    """Train the transform pair of predictor p and target t, read as given:
+    the pair learns its maps in the units it is handed, which `residuals`
+    must then be handed too. A diverging fit raises NumericalError without
+    numpy's overflow warnings."""
     config = config or AnmConfig()
-    p, t = (v[:, None] for v in _roles(x, y, direction))
+    p, t = (np.asarray(v, dtype=np.float64).reshape(-1, 1) for v in (p, t))
     if p.shape != t.shape:
         raise DataError(f"length mismatch: {p.shape[0]} vs {t.shape[0]}")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise DataError("transform inputs must be finite")
 
-    net = TransformNetPair(config, direction, seed)
+    net = TransformNetPair(config, seed)
     rng = np.random.default_rng([seed, 0xA7A])
     n = p.shape[0]
     for epoch in range(config.epochs):
@@ -135,8 +131,7 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
                 loss = _transform_loss(net, bp, bt)
                 if not np.isfinite(loss.item()):
                     raise NumericalError(
-                        f"transform training diverged at epoch {epoch} "
-                        f"(direction {direction}, seed {seed})")
+                        f"transform training diverged at epoch {epoch} (seed {seed})")
                 net.store.zero_grad()
                 ad.backward(loss)
                 net.store.adam_step(config.learning_rate)
@@ -145,42 +140,40 @@ def fit_transform(x: np.ndarray, y: np.ndarray, direction: str,
 
 def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray) -> ad.Tensor:
     """The objective in the module docstring as one node with a hand-written
-    backward; its fit term and its dependence term read the same residual."""
+    backward; its fit term and its dependence term read the same residual.
+    hsic_loss's median-heuristic bandwidths, held constant, make its value
+    and gradients invariant to a positive affine map of p' or the residual,
+    so shrinking or shifting a transform cannot lower the dependence term;
+    only reshaping the dependence can. The exception is the bandwidth-1
+    fallback, for an input where more than half the pairs tie."""
     n = bp.shape[0]
     a, b = net.store["cross.a"], net.store["cross.b"]
     mono = {"p": net.transform(bp, "p"), "t": net.transform(bt, "t")}
     p_prime, t_prime = mono["p"][-1], mono["t"][-1]
     var_t = max(float(t_prime.var()), 1e-3)  # constant per batch
     res = net.residual(p_prime, t_prime)
-
-    # detached per-batch standardization keeps the independence term's
-    # kernel geometry stationary: shrinking or rescaling a transform can
-    # not lower the statistic, only reshaping the dependence can
-    inv_u = 1.0 / max(float(p_prime.std()), 1e-6)
-    inv_r = 1.0 / max(float(res.std()), 1e-6)
-    dep, g_u, g_r = hsic.hsic_loss((p_prime - p_prime.mean()) * inv_u, (res - res.mean()) * inv_r)
+    dep, g_p, g_r = hsic.hsic_loss(p_prime, res)
     value = np.mean(res * res) / var_t + dep
 
     def backward_fn(g):
-        g_res = (2.0 * g / (n * var_t)) * res + (g * inv_r) * g_r
+        g_res = (2.0 * g / (n * var_t)) * res + g * g_r
         # a residual's gradient is minus that of its cross-map prediction
         a.grad -= p_prime.T @ g_res
         b.grad -= g_res.sum(axis=0)
-        g_prime = {"p": (g * inv_u) * g_u - g_res @ a.data.T, "t": g_res}
+        g_prime = {"p": g * g_p - g_res @ a.data.T, "t": g_res}
         for s in mono:
             ad.mlp_backward(net.layers[s], mono[s], g_prime[s], input_grad=False)
 
     return ad.Tensor(value, _backward_fn=backward_fn)
 
 
-def residuals(net: TransformNetPair, x: np.ndarray,
-              y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The transforms (predictor', target') and the residual
-    target' - (a * predictor' + b), in the roles of the net's direction;
+def residuals(net: TransformNetPair, p: np.ndarray,
+              t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The transforms (p', t') of predictor p and target t, read as given,
+    and the residual t' - (a * p' + b), each row from its own inputs alone;
     non-finite ones raise NumericalError without numpy's overflow warnings."""
-    p, t = _roles(x, y, net.direction)
     with np.errstate(over="ignore", invalid="ignore"):
-        p_prime, t_prime = (net.transform(v[:, None], side)[-1]
+        p_prime, t_prime = (net.transform(np.reshape(v, (-1, 1)), side)[-1]
                             for v, side in ((p, "p"), (t, "t")))
         return p_prime[:, 0], t_prime[:, 0], net.residual(p_prime, t_prime)[:, 0]
 
@@ -249,8 +242,7 @@ def direction_verdict(x: np.ndarray, y: np.ndarray,
     is inconclusive.
     """
     config = config or AnmConfig()
-    x = standardize_vector(x)
-    y = standardize_vector(y)
+    x, y = (np.asarray(v, dtype=np.float64).reshape(-1) for v in (x, y))
     if x.size != y.size:
         raise DataError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 24:
@@ -259,6 +251,8 @@ def direction_verdict(x: np.ndarray, y: np.ndarray,
     n_fit = min(config.fit_points, x.size // 2)
     fit_idx = perm[:n_fit]
     eval_idx = perm[n_fit:n_fit + config.eval_points]
+    # one map per variable, in the fit points' units, for the fit and the test
+    x, y = (standardize_vector(v, fit_idx) for v in (x, y))
     xf, yf = x[fit_idx], y[fit_idx]
     xe, ye = x[eval_idx], y[eval_idx]
     scatter: dict[str, np.ndarray] = {}
@@ -278,10 +272,11 @@ def direction_verdict(x: np.ndarray, y: np.ndarray,
 
     seeds = (config.seed * 2 + 1, config.seed * 2 + 2)
     scores, failures = [], []
-    for name, direction, seed in (("fwd", "x_to_y", seeds[0]), ("rev", "y_to_x", seeds[1])):
+    for name, direction, seed, (p, t) in (("fwd", "x_to_y", seeds[0], (x, y)),
+                                          ("rev", "y_to_x", seeds[1], (y, x))):
         try:
-            net = fit_transform(xf, yf, direction, config, seed)
-            p_prime, t_prime, res = residuals(net, xe, ye)
+            net = fit_transform(p[fit_idx], t[fit_idx], config, seed)
+            p_prime, t_prime, res = residuals(net, p[eval_idx], t[eval_idx])
             scores.append(test(f"{name}_transformed", p_prime, t_prime, res))
         except (NumericalError, DegenerateDataError) as err:
             scores.append(DirectionScores(float("nan"), float("nan")))

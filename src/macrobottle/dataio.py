@@ -15,11 +15,11 @@ directory that save_pair writes also holds a float64 twin of X.csv and
 Y.csv, the checkpoint twin/ (autodiff.save_checkpoint) with the sha256 of
 both CSVs, so that load_pair parses no text the program wrote itself. It
 parses the CSVs when the twin does not load or match them: a stale or
-damaged twin, a user's own CSVs, or a directory from an older gen, whose
-X.npy, Y.npy and twin.json it ignores. The JSON files a command takes as
-options (configs, sweeps, grid layouts) are read by load_json_object. Run
-reports are JSON documents validated against a published schema; every
-float in a report is finite or explicitly null.
+damaged twin, a user's own CSVs, or a directory from an older gen
+(save_pair removes its X.npy, Y.npy and twin.json). The JSON files a
+command takes as options (configs, sweeps, grid layouts) are read by
+load_json_object. Run reports are JSON documents validated against a
+published schema; every float in a report is finite or explicitly null.
 """
 
 from __future__ import annotations
@@ -324,9 +324,12 @@ def _file_sha256(path: Path) -> str:
 def save_pair(dirpath: str | Path, pair: DatasetPair) -> None:
     """Write X.csv and Y.csv, then their twin: the checkpoint twin/ holding
     the arrays X and Y, whose extra lists the sha256 of the bytes
-    save_matrix_csv wrote for each CSV."""
+    save_matrix_csv wrote for each CSV. An older gen's twin, X.npy, Y.npy
+    and twin.json, is removed."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
+    for name in ("X.npy", "Y.npy", "twin.json"):
+        (dirpath / name).unlink(missing_ok=True)
     csv_sha256 = {name: save_matrix_csv(dirpath / name, matrix)
                   for name, matrix in zip(_PAIR_CSV, (pair.x, pair.y))}
     ad.save_checkpoint(dirpath / _TWIN, {"X": pair.x, "Y": pair.y},

@@ -5,7 +5,7 @@ run them with
 
     PYTHONPATH=src python -m pytest -m acceptance tests/test_acceptance.py
 
-Two slices, each on seeds 1-3 at n = 10 000:
+Three slices, each on seeds 1-3 at n = 10 000:
 
 - The ANM direction test, at the default `AnmConfig`, on the generator's
   true latents, so a failure there belongs to the direction test and never
@@ -22,6 +22,13 @@ Two slices, each on seeds 1-3 at n = 10 000:
   training must find exactly one pair, correlated at |corr| >= 0.9 with x1
   on the X side and with y1 on the Y side. Record in
   `.acceptance/cae_pairs_asymmetric_seed<seed>.json`.
+- Oracle slices of the HSIC test at the verdict's protocol (split seed
+  [0, 0x5EED], 1000 fit points, 8000 test points), with no transform fit,
+  so a change to `hsic` that breaks the test cannot hide behind a failing
+  fit: it must accept y2 - tanh(x2) against x2 and the same residual of the
+  pixel means of the X right half and the Y bottom half, and reject the
+  x1/y1 residual of a cubic `np.polyfit` on the fit points both ways.
+  Record in `.acceptance/hsic_oracle_seed<seed>.json`. About 5 s in all.
 
 Each test writes its record under `.acceptance/` at the repository root
 before anything is asserted, so a failing seed still leaves its numbers.
@@ -38,7 +45,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from macrobottle import anm, cae, datagen
+from macrobottle import anm, cae, datagen, hsic
 
 pytestmark = pytest.mark.acceptance
 
@@ -157,3 +164,38 @@ def test_cae_pairs_asymmetric(seed):
         "one_pair": len(record["paired"]) == 1,
         "pair_matches_x1_y1": [p["matches"] for p in record["pairs"]] == [["x1/y1"]],
     }, f"cae_pairs_asymmetric_seed{seed}.json")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hsic_oracle_slices(seed):
+    pair = datagen.gen_main_synthetic(N_SAMPLES, seed)
+    v = dict(pair.ground_truth.latents)
+    side, half = datagen.IMAGE_SIDE, datagen.IMAGE_SIDE // 2
+    x_img, y_img = (m.reshape(-1, side, side) for m in (pair.x, pair.y))
+    v["x_pixels"] = x_img[:, :, half:].mean(axis=(1, 2))  # the right half holds x2
+    v["y_pixels"] = y_img[:, half:, :].mean(axis=(1, 2))  # the bottom half holds y2
+    # the rows direction_verdict fits and tests on at the default AnmConfig
+    config = anm.AnmConfig()
+    perm = np.random.default_rng([config.seed, 0x5EED]).permutation(N_SAMPLES)
+    fit = perm[:config.fit_points]
+    test = perm[config.fit_points:config.fit_points + config.eval_points]
+
+    def cubic_residual(cause, effect):
+        return v[effect] - np.polyval(np.polyfit(v[cause][fit], v[effect][fit], 3), v[cause])
+
+    slices = {  # name -> (cause, residual, accepted as independent)
+        "y2 - tanh(x2) against x2": ("x2", v["y2"] - np.tanh(v["x2"]), True),
+        "pixel means, y - tanh(x) against x":
+            ("x_pixels", v["y_pixels"] - np.tanh(v["x_pixels"]), True),
+        "x1/y1 cubic fit, forward": ("x1", cubic_residual("x1", "y1"), False),
+        "x1/y1 cubic fit, reverse": ("y1", cubic_residual("y1", "x1"), False),
+    }
+    record = {"seed": seed, "n": N_SAMPLES, "fit_points": fit.size, "test_points": test.size,
+              "checks": {}, "slices": {}}
+    checks = {}
+    for name, (cause, residual, expected) in slices.items():
+        r = hsic.hsic_statistic(v[cause][test], residual[test], alpha=config.alpha)
+        record["slices"][name] = {"statistic": r.statistic, "threshold": r.threshold,
+                                  "expected_accepted": expected}
+        checks[name] = (r.statistic < r.threshold) == expected
+    _check(record, checks, f"hsic_oracle_seed{seed}.json")

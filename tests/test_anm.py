@@ -44,7 +44,7 @@ class TestMonotonicity:
     def test_untrained_encoder_mean_nondecreasing_on_grid(self):
         cfg = anm.AnmConfig(hidden=16)
         for seed in range(5):
-            net = anm.TransformNetPair(cfg, "x_to_y", seed)
+            net = anm.TransformNetPair(cfg, seed)
             grid = np.linspace(-4.0, 4.0, 1000)
             for side in ("p", "t"):
                 out = net.transform(grid[:, None], side)[-1]
@@ -56,7 +56,7 @@ class TestMonotonicity:
         x = rng.uniform(-1, 1, 300)
         y = x + rng.uniform(-0.2, 0.2, 300)
         cfg = anm.AnmConfig(hidden=8, epochs=10, batch_size=300)
-        net = anm.fit_transform(x, y, "x_to_y", cfg, seed=1)
+        net = anm.fit_transform(x, y, cfg, seed=1)
         grid = np.linspace(-4.0, 4.0, 1000)
         for side in ("p", "t"):
             assert np.all(np.diff(net.transform(grid[:, None], side)[-1], axis=0) >= 0.0)
@@ -64,22 +64,18 @@ class TestMonotonicity:
 
 def frozen_objective(net, bp, bt, frozen=None):
     """The transform objective recomputed step by step, with its dependence
-    term from hsic_statistic. The quantities the loss treats as constants
-    (standardization, var_t, bandwidths) are taken from `frozen` when given;
-    returns (value, those quantities)."""
+    term from hsic_statistic on p' and the residual as they are. The
+    quantities the loss treats as constants (var_t, bandwidths) are taken
+    from `frozen` when given; returns (value, those quantities)."""
     p, t = (ad.mlp_forward(net.layers[s], v)[-1] for s, v in (("p", bp), ("t", bt)))
     a = net.store["cross.a"].data[0, 0]
     b = net.store["cross.b"].data[0]
     res = t - (a * p + b)
     if frozen is None:
-        u = (p - p.mean()) / p.std()
-        r = (res - res.mean()) / res.std()
-        frozen = (p.mean(), p.std(), res.mean(), res.std(), t.var(),
-                  (hsic.median_bandwidth(u), hsic.median_bandwidth(r)))
-    mean_p, std_p, mean_r, std_r, var_t, bws = frozen
+        frozen = (t.var(), (hsic.median_bandwidth(p), hsic.median_bandwidth(res)))
+    var_t, bws = frozen
     value = ((a * p + b - t) ** 2).mean() / var_t
-    value += hsic.hsic_statistic((p - mean_p) / std_p, (res - mean_r) / std_r,
-                                 bandwidths=bws).statistic
+    value += hsic.hsic_statistic(p, res, bandwidths=bws).statistic
     return value, frozen
 
 
@@ -88,7 +84,7 @@ class TestTransformLoss:
 
     @staticmethod
     def setup_net():
-        net = anm.TransformNetPair(TestTransformLoss.CONFIG, "x_to_y", seed=5)
+        net = anm.TransformNetPair(TestTransformLoss.CONFIG, seed=5)
         rng = np.random.default_rng(41)
         bp = rng.normal(size=(24, 1))
         bt = np.tanh(bp) + 0.3 * rng.normal(size=(24, 1))
@@ -101,7 +97,7 @@ class TestTransformLoss:
         assert abs(loss.item() - value) < 1e-10 * abs(value)
 
     @pytest.mark.parametrize("name",
-                             anm.TransformNetPair(CONFIG, "x_to_y", seed=5).store.names())
+                             anm.TransformNetPair(CONFIG, seed=5).store.names())
     def test_matches_finite_differences(self, name):
         net, bp, bt = self.setup_net()
         net.store.zero_grad()
@@ -126,7 +122,7 @@ class TestResiduals:
         # single linear layer with softplus-inverse weights set so the
         # composite map is the identity; cross-map a=1, b=0
         cfg = anm.AnmConfig(hidden=0)
-        net = anm.TransformNetPair(cfg, "x_to_y", seed=0)
+        net = anm.TransformNetPair(cfg, seed=0)
         for side in ("p", "t"):
             net.store[f"{side}.mono.w0"].data[...] = ad.softplus_inv(1.0)
             net.store[f"{side}.mono.b0"].data[...] = 0.0
@@ -137,14 +133,13 @@ class TestResiduals:
     def test_identity_nets_zero_residual(self):
         net = self.make_identity_net()
         v = np.random.default_rng(1).normal(size=200)
-        v = anm.standardize_vector(v)
         xp, yp, res = anm.residuals(net, v, v.copy())
         assert np.abs(xp - v).max() < 1e-12
         assert np.abs(res).max() < 1e-12
 
     def test_residuals_deterministic(self):
         cfg = anm.AnmConfig(hidden=8)
-        net = anm.TransformNetPair(cfg, "x_to_y", seed=3)
+        net = anm.TransformNetPair(cfg, seed=3)
         rng = np.random.default_rng(2)
         x = rng.normal(size=100)
         y = rng.normal(size=100)
@@ -153,28 +148,28 @@ class TestResiduals:
         for a, b in zip(r1, r2):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("call", ["fit_transform", "residuals"])
-    def test_unknown_direction_rejected(self, call):
-        # a verdict string is not a direction: both must refuse it, not
-        # silently fit or evaluate y_to_x
-        x, y = np.random.default_rng(5).normal(size=(2, 50))
-        cfg = anm.AnmConfig(hidden=4, epochs=1, batch_size=50)
-        with pytest.raises(ValueError, match="unknown direction"):
-            if call == "fit_transform":
-                anm.fit_transform(x, y, anm.X_CAUSES_Y, cfg)
-            else:
-                anm.residuals(anm.TransformNetPair(cfg, anm.X_CAUSES_Y, seed=0), x, y)
+    def test_rows_are_read_as_given(self):
+        # a row's transforms and residual come from its own inputs, whatever
+        # rows are passed with it: held-out points are read in the units
+        # they are given in, not rescaled by their own batch
+        net = anm.TransformNetPair(anm.AnmConfig(hidden=8), seed=3)
+        rng = np.random.default_rng(4)
+        p = 0.5 + 2.0 * rng.normal(size=300)
+        t = np.tanh(p) + 0.3 * rng.normal(size=300)
+        for k in (7, 150):
+            for part, whole in zip(anm.residuals(net, p[:k], t[:k]), anm.residuals(net, p, t)):
+                assert np.allclose(part, whole[:k], rtol=1e-14, atol=0.0)
 
     def test_length_mismatch_is_data_error(self):
         with pytest.raises(DataError, match="length mismatch: 50 vs 49"):
-            anm.fit_transform(np.arange(50.0), np.arange(49.0), "x_to_y", anm.AnmConfig(epochs=1))
+            anm.fit_transform(np.arange(50.0), np.arange(49.0), anm.AnmConfig(epochs=1))
 
     def test_trained_residual_mean_near_zero(self):
         rng = np.random.default_rng(3)
         x = rng.uniform(-1, 1, 600)
         y = x + rng.uniform(-0.2, 0.2, 600)
         cfg = anm.AnmConfig(hidden=8, epochs=60, batch_size=600, learning_rate=1e-2)
-        net = anm.fit_transform(x, y, "x_to_y", cfg, seed=4)
+        net = anm.fit_transform(x, y, cfg, seed=4)
         _, _, res = anm.residuals(net, x, y)
         assert abs(res.mean()) < 0.05
 
@@ -183,14 +178,14 @@ class TestResiduals:
         x, y = np.random.default_rng(6).normal(size=(2, 100))
         backward, steps = ad.backward, []
         monkeypatch.setattr(ad, "backward", lambda loss: steps.append(backward(loss)))
-        anm.fit_transform(x, y, "x_to_y", anm.AnmConfig(hidden=4, epochs=3, batch_size=96))
+        anm.fit_transform(x, y, anm.AnmConfig(hidden=4, epochs=3, batch_size=96))
         assert len(steps) == 3
 
     def test_non_finite_input_is_data_error(self):
         x, y = np.random.default_rng(6).normal(size=(2, 50))
         y[7] = np.nan
         with pytest.raises(DataError, match="transform inputs must be finite"):
-            anm.fit_transform(x, y, "x_to_y", anm.AnmConfig(hidden=4, epochs=1))
+            anm.fit_transform(x, y, anm.AnmConfig(hidden=4, epochs=1))
 
     def test_diverging_fit_raises_without_warnings(self):
         # after the first Adam step at this rate the transforms overflow; a
@@ -203,7 +198,7 @@ class TestResiduals:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite transforms or residual"):
-                anm.fit_transform(x, y, "x_to_y", cfg, seed=1)
+                anm.fit_transform(x, y, cfg, seed=1)
 
     def test_one_loss_workspace_per_fit(self, monkeypatch):
         # every step calls hsic.hsic_loss through the module, on this
@@ -218,7 +213,7 @@ class TestResiduals:
 
         monkeypatch.setattr(hsic, "hsic_loss", recording_loss)
         threads = threading.active_count()
-        anm.fit_transform(x, y, "x_to_y", cfg, seed=1)
+        anm.fit_transform(x, y, cfg, seed=1)
         assert threading.active_count() == threads
         assert calls == [threading.get_ident()] * 9
 
@@ -290,12 +285,13 @@ class TestVerdictPlumbing:
         y = x + rng.uniform(-0.2, 0.2, 400)
         cfg = anm.AnmConfig(hidden=4, epochs=2, batch_size=200,
                             fit_points=200, eval_points=200)
-        fit = anm.fit_transform
+        fit, calls = anm.fit_transform, []
 
-        def fail_reverse(x, y, direction, config, seed):
-            if direction == "y_to_x":
+        def fail_reverse(p, t, config, seed):
+            calls.append(seed)
+            if len(calls) == 2:  # the y_to_x fit
                 raise NumericalError("diverged")
-            return fit(x, y, direction, config, seed)
+            return fit(p, t, config, seed)
 
         monkeypatch.setattr(anm, "fit_transform", fail_reverse)
         v = anm.direction_verdict(x, y, cfg)

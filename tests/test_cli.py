@@ -502,17 +502,17 @@ class TestDirection:
         calls = []
         fit, residuals = anm.fit_transform, anm.residuals
 
-        def diverging_fit(x, y, direction, config, seed):
-            calls.append(direction)
+        def diverging_fit(p, t, config, seed):
+            calls.append(seed)
             if len(calls) <= 2:
-                raise NumericalError(f"transform training diverged ({direction})")
-            return fit(x, y, direction, config, seed)
+                raise NumericalError("transform training diverged")
+            return fit(p, t, config, seed)
 
-        def constant_transform(net, x, y):
-            calls.append(net.direction)
+        def constant_transform(net, p, t):
+            calls.append(net)
             if len(calls) <= 2:
-                return np.ones(x.size), np.ones(x.size), np.zeros(x.size)
-            return residuals(net, x, y)
+                return np.ones(p.size), np.ones(p.size), np.zeros(p.size)
+            return residuals(net, p, t)
 
         if failure == "fit-diverges":
             monkeypatch.setattr(anm, "fit_transform", diverging_fit)

@@ -450,6 +450,7 @@ class TestPairTwin:
         assert parsed == ["X.csv", "Y.csv"]
         assert loaded.x.tobytes() == pair.x.tobytes() and loaded.y.tobytes() == pair.y.tobytes()
         assert cli.main(["gen", "--n", "50", "--seed", "4", "--out", str(tmp_path)]) == 0
+        assert not any((tmp_path / name).exists() for name in ("X.npy", "Y.npy", "twin.json"))
         parsed.clear()
         regenerated = dataio.load_pair(tmp_path)
         assert parsed == []

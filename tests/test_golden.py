@@ -57,9 +57,9 @@ def test_cae_loss_trajectory():
 
 def test_transform_fit_residuals():
     latents = datagen.gen_main_synthetic(300, seed=8).ground_truth.latents
-    x, y = latents["x2"], latents["y2"]
+    x, y = (anm.standardize_vector(latents[name]) for name in ("x2", "y2"))
     config = anm.AnmConfig(hidden=8, epochs=5, batch_size=300)
-    net = anm.fit_transform(x, y, "x_to_y", config, seed=9)
+    net = anm.fit_transform(x, y, config, seed=9)
     p, t, res = anm.residuals(net, x, y)
     assert close(res[:5], RES_HEAD)
     assert close(res @ res, RES_SS)

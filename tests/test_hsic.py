@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import pdist
@@ -624,6 +624,55 @@ class TestLoss:
         x, y = SAMPLES[kind_x](rng, n)[:, None], SAMPLES[kind_y](rng, n)[:, None]
         bw = (safe_bandwidth(x), safe_bandwidth(y))
         assert_loss_near_reference(hsic.hsic_loss(x, y), x, y, bw)
+
+    # Kinds whose values sit within a few bandwidths of each other. A power
+    # of two moves wide_range's smallest gradient entries (down to 5.6e-322)
+    # below the normal range, where scaling them rounds; a general scale or
+    # shift rounds near_constant's 1 + 1e-12 z at 1e-4 of its spread.
+    MODERATE = ("normal", "ties", "three_values", "cubed_uniform")
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(8, 1600), st.sampled_from(MODERATE + ("near_constant",)),
+           st.sampled_from(MODERATE + ("near_constant",)), st.integers(0, 2**32 - 1),
+           st.integers(-20, 20), st.integers(-20, 20))
+    def test_power_of_two_scale_moves_no_bit(self, n, kind_x, kind_y, seed, k, j):
+        # the median bandwidths scale by exactly 2^k and 2^j, so the swept
+        # inputs keep their bits: so does the value, and the gradients scale
+        # by exactly 2^-k and 2^-j. A transform fit can hand hsic_loss its
+        # columns in any units and get the same loss.
+        rng = np.random.default_rng(seed)
+        x, y = SAMPLES[kind_x](rng, n)[:, None], SAMPLES[kind_y](rng, n)[:, None]
+        # not the bandwidth-1 fallback, which no scale or shift follows
+        assume(pdist_median(x[:, 0]) > 0 and pdist_median(y[:, 0]) > 0)
+        value, grad_x, grad_y = hsic.hsic_loss(x, y)
+        got = hsic.hsic_loss(x * 2.0**k, y * 2.0**j)
+        assert got[0].hex() == value.hex()
+        assert got[1].tobytes() == (grad_x * 2.0**-k).tobytes()
+        assert got[2].tobytes() == (grad_y * 2.0**-j).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(8, 1600), st.sampled_from(MODERATE), st.sampled_from(MODERATE),
+           st.integers(0, 2**32 - 1), st.tuples(st.floats(-20, 20), st.floats(-20, 20)),
+           st.tuples(st.floats(-1, 1), st.floats(-1, 1)))
+    def test_affine_map_keeps_value_and_gradients(self, n, kind_x, kind_y, seed, log2_scales,
+                                                  shifts):
+        # a positive scale and a shift of up to one bandwidth per side, which
+        # the median bandwidth follows up to rounding: the value stays
+        # within LOSS_COND_RTOL of its conditioning, and the gradients, times
+        # their scale, within LOSS_GRAD_RTOL of their largest entry
+        rng = np.random.default_rng(seed)
+        x, y = SAMPLES[kind_x](rng, n)[:, None], SAMPLES[kind_y](rng, n)[:, None]
+        # not the bandwidth-1 fallback, which no scale or shift follows
+        assume(pdist_median(x[:, 0]) > 0 and pdist_median(y[:, 0]) > 0)
+        bw = (hsic.median_bandwidth(x), hsic.median_bandwidth(y))
+        scales = [2.0**e for e in log2_scales]
+        want = hsic.hsic_loss(x, y)
+        got = hsic.hsic_loss(*(scale * (w + shift * b)
+                               for w, scale, shift, b in zip((x, y), scales, shifts, bw)))
+        _, cond = serial_loss_reference(x, y, bw)
+        assert abs(got[0] - want[0]) <= LOSS_COND_RTOL * cond
+        for g, ref, scale in zip(got[1:], want[1:], scales):
+            assert np.abs(g * scale - ref).max() <= LOSS_GRAD_RTOL * np.abs(ref).max()
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
         # 4 chunks, the last ragged, give 10 blocks: nine of 4 strips and
