@@ -132,7 +132,6 @@ def fit_transform(p: np.ndarray, t: np.ndarray, config: AnmConfig | None = None,
                 if not np.isfinite(loss.item()):
                     raise NumericalError(
                         f"transform training diverged at epoch {epoch} (seed {seed})")
-                net.store.zero_grad()
                 ad.backward(loss)
                 net.store.adam_step(config.learning_rate)
     return net
@@ -157,10 +156,10 @@ def _transform_loss(net: TransformNetPair, bp: np.ndarray, bt: np.ndarray) -> ad
 
     def backward_fn(g):
         g_res = (2.0 * g / (n * var_t)) * res + g * g_r
-        # a residual's gradient is minus that of its cross-map prediction
-        a.grad -= p_prime.T @ g_res
-        b.grad -= g_res.sum(axis=0)
-        g_prime = {"p": g * g_p - g_res @ a.data.T, "t": g_res}
+        g_pred = -g_res  # the gradient of the cross-map prediction
+        np.matmul(p_prime.T, g_pred, out=a.grad)
+        np.sum(g_pred, axis=0, out=b.grad)
+        g_prime = {"p": g * g_p + g_pred @ a.data.T, "t": g_res}
         for s in mono:
             ad.mlp_backward(net.layers[s], mono[s], g_prime[s], input_grad=False)
 

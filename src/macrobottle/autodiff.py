@@ -6,8 +6,8 @@ Gaussian bottleneck. init_mlp creates an MLP's parameters and returns its
 layers; each trained loss is one Tensor node whose backward function is
 written out by hand from mlp_forward/mlp_backward (and, for the CAE,
 gaussian_bottleneck/gaussian_bottleneck_grad), and backward is one call of
-that function. Gradients accumulate into named parameters held by a
-ParamStore, whose flat buffers also hold the Adam state. All computations
+that function, which writes each gradient once into the named parameters
+of a ParamStore, whose flat buffers also hold the Adam state. All computations
 are float64 and deterministic for a fixed seed on a fixed platform.
 """
 
@@ -36,10 +36,10 @@ SOFTPLUS = "softplus"  # weight map of a monotone layer: softplus of the raw wei
 class Tensor:
     """A loss node, or a parameter.
 
-    Parameters created through ParamStore.add receive accumulated gradients
-    in .grad. A loss node's _backward_fn(g) adds its gradients into the
-    parameters' .grad, calling the _backward_fn of any node it is built on
-    itself; _parents lists exactly those nodes, so a walk over parent links
+    Parameters created through ParamStore.add receive gradients in .grad. A
+    loss node's _backward_fn(g) writes each of its parameters' .grad once,
+    over whatever is there, calling the _backward_fn of any node it is built
+    on itself; _parents lists exactly those nodes, so a walk over parent links
     reaches every node a backward pass runs.
     """
 
@@ -56,9 +56,9 @@ class Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(param) into the .grad of every parameter the loss
-    depends on. Repeated calls keep accumulating (callers zero grads between
-    steps)."""
+    """Write d(loss)/d(param) into the .grad of every parameter the loss
+    depends on: backward writes each gradient once, so a second call writes
+    the same values again."""
     if loss.data.size != 1:
         raise TapeError("backward expects a scalar loss")
     if loss._backward_fn is None:
@@ -71,11 +71,12 @@ def backward(loss: Tensor) -> None:
 
 
 class ParamStore:
-    """Named parameter tensors with gradient accumulators and Adam state.
+    """Named parameter tensors with their gradients and Adam state.
 
     Parameter values, gradients and both Adam moments each live in one
     contiguous float64 buffer; every parameter's .data and .grad are views
-    into them, so zeroing gradients and an Adam step are whole-buffer ops.
+    into them, so an Adam step is whole-buffer ops. backward writes each
+    gradient once, so nothing clears the gradient buffer.
     """
 
     def __init__(self):
@@ -113,9 +114,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._tensors)
-
-    def zero_grad(self) -> None:
-        self._grad.fill(0.0)
 
     def adam_step(self, learning_rate: float) -> None:
         """One Adam update over all parameters at once, in place through the
@@ -231,22 +229,21 @@ def mlp_forward(layers: list[tuple], x) -> list[np.ndarray]:
 
 def mlp_backward(layers: list[tuple], hs: list[np.ndarray], g: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
-    """Add into every weight's and bias's .grad the gradient of a loss whose
-    gradient with respect to the output hs[-1] is g; return the gradient
-    with respect to the input hs[0], or None without input_grad. Neither g
-    nor hs is written to."""
+    """Write into every weight's and bias's .grad the gradient of a loss
+    whose gradient with respect to the output hs[-1] is g; return the
+    gradient with respect to the input hs[0], or None without input_grad.
+    Neither g nor hs is written to."""
     for i in reversed(range(len(layers))):
         w, b, wmap = layers[i]
         if i < len(layers) - 1:  # g is this pass's own matmul output here
             d = hs[i + 1] * hs[i + 1]
             g *= np.subtract(1.0, d, out=d)
-        gw = hs[i].T @ g
+        np.matmul(hs[i].T, g, out=w.grad)
         if wmap is SOFTPLUS:
-            gw *= 1.0 / (1.0 + np.exp(-w.data))
+            w.grad *= 1.0 / (1.0 + np.exp(-w.data))
         elif wmap is not None:
-            gw *= wmap  # off-block weights stay where they are
-        w.grad += gw
-        b.grad += g.sum(axis=0)
+            w.grad *= wmap  # off-block weights stay where they are
+        np.sum(g, axis=0, out=b.grad)
         if i == 0 and not input_grad:
             return None
         g = g @ _weight(w, wmap).T

@@ -119,9 +119,9 @@ class CaeHalf:
         d = self.config.bottleneck_dim
         return hs, hs[-1][:, :d], hs[-1][:, d:]
 
-    def encode_grad(self, hs: list[np.ndarray], g_mu: np.ndarray, g_lv: np.ndarray) -> None:
-        """Backpropagate the gradients of encode's means and log-variances."""
-        ad.mlp_backward(self.enc, hs, np.hstack([g_mu, g_lv]), input_grad=False)
+    def encode_grad(self, hs: list[np.ndarray], g_out: np.ndarray) -> None:
+        """Backpropagate g_out, the (B, 2d) gradient of encode's output hs[-1]."""
+        ad.mlp_backward(self.enc, hs, g_out, input_grad=False)
 
     def cross_predict(self, z: np.ndarray) -> np.ndarray:
         return z * self.param("cross.a").data + self.param("cross.b").data
@@ -192,39 +192,36 @@ def loss_terms(model: CaeModel, batch_x: np.ndarray, batch_y: np.ndarray,
     targets are the other half's noiseless means, so gradients flow into both
     halves; the kl terms are per-neuron means (see the module docstring).
     The node's backward takes the (6,) term weights and runs one pass over
-    both halves."""
+    both halves, writing each parameter's gradient once."""
     halves = (model.net_x, model.net_y)
     batches = (batch_x, batch_y)
     enc = [h.encode(b) for h, b in zip(halves, batches)]
-    mus = [mu for _, mu, _ in enc]
     samples = [ad.gaussian_bottleneck(mu, lv, rng) for _, mu, lv in enc]
     values, saved = [], []
     for side, half in enumerate(halves):
         z, kl, _ = samples[side]
         dec = ad.mlp_forward(half.dec, z)
         recon = dec[-1] - batches[1 - side]
-        cross = half.cross_predict(z) - mus[1 - side]
+        cross = half.cross_predict(z) - enc[1 - side][1]
         values += [np.mean(recon * recon), kl.mean(), np.mean(cross * cross)]
         saved.append((dec, recon, cross))
 
     def backward_fn(g):
-        g_mu = [np.zeros_like(mu) for mu in mus]
-        g_lv = []
-        for side, half in enumerate(halves):
-            (dec, recon, cross), (z, kl, cache) = saved[side], samples[side]
-            w_recon, w_kl, w_cross = g[3 * side:3 * side + 3]
-            g_cross = (2.0 * w_cross / cross.size) * cross
+        w_recon, w_kl, w_cross = g.reshape(2, 3).T
+        # each side's cross term pulls on the other side's means too
+        g_cross = [(2.0 * w / c.size) * c for w, (_, _, c) in zip(w_cross, saved)]
+        d = model.config.bottleneck_dim
+        for side, (half, (hs, _, _)) in enumerate(zip(halves, enc)):
+            (dec, recon, _), (z, kl, cache) = saved[side], samples[side]
             a, b = half.param("cross.a"), half.param("cross.b")
-            a.grad += (g_cross * z).sum(axis=0)
-            b.grad += g_cross.sum(axis=0)
-            g_mu[1 - side] -= g_cross
-            g_z = ad.mlp_backward(half.dec, dec, (2.0 * w_recon / recon.size) * recon)
-            g_mu_side, g_lv_side = ad.gaussian_bottleneck_grad(
-                cache, g_z + g_cross * a.data, w_kl / kl.size)
-            g_mu[side] += g_mu_side
-            g_lv.append(g_lv_side)
-        for side, half in enumerate(halves):
-            half.encode_grad(enc[side][0], g_mu[side], g_lv[side])
+            np.sum(g_cross[side] * z, axis=0, out=a.grad)
+            np.sum(g_cross[side], axis=0, out=b.grad)
+            g_z = ad.mlp_backward(half.dec, dec, (2.0 * w_recon[side] / recon.size) * recon)
+            g_z += g_cross[side] * a.data
+            g_out = np.empty_like(hs[-1])
+            g_mu, g_out[:, d:] = ad.gaussian_bottleneck_grad(cache, g_z, w_kl[side] / kl.size)
+            np.subtract(g_mu, g_cross[1 - side], out=g_out[:, :d])
+            half.encode_grad(hs, g_out)
 
     return ad.Tensor(values, _backward_fn=backward_fn)
 
@@ -441,28 +438,24 @@ def train_cae(pair: DatasetPair, config: CaeConfig) -> tuple[CaeModel, TrainHist
     rng = np.random.default_rng([config.seed, 0x7E41])
     history = TrainHistory()
 
+    starts = range(0, len(train_idx), config.batch_size)
     for epoch in range(config.epochs):
         order = rng.permutation(len(train_idx))
-        sums = {name: 0.0 for name in TERM_NAMES}
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
+        sums = np.zeros(len(TERM_NAMES))
+        for start in starts:
             sel = order[start:start + config.batch_size]
             terms = loss_terms(model, x_train[sel], y_train[sel], rng)
             total = combine(terms, config.beta, config.gamma)
-            term_values = dict(zip(TERM_NAMES, terms.data.tolist()))
             if not np.isfinite(total.item()):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}: "
-                    + ", ".join(f"{k}={v:.4g}" for k, v in term_values.items()))
-            model.store.zero_grad()
+                    + ", ".join(f"{k}={v:.4g}" for k, v in zip(TERM_NAMES, terms.data)))
             ad.backward(total)
             model.store.adam_step(config.learning_rate)
-            for k, v in term_values.items():
-                sums[k] += v
-            n_batches += 1
+            sums += terms.data
 
-        for k in TERM_NAMES:
-            history.terms[k].append(sums[k] / n_batches)
+        for k, v in zip(TERM_NAMES, (sums / len(starts)).tolist()):
+            history.terms[k].append(v)
         history.val.append(evaluate_model(model, x_val, y_val)[0])
 
     return model, history

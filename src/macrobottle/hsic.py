@@ -134,12 +134,20 @@ _CHUNK = 512  # Gram blocks are _CHUNK x _CHUNK
 _STRIP = 128  # rows per strip task: a worker's two (2, _STRIP, _CHUNK) buffers, 1 MB each
 
 
-def _kernel_scales(bandwidths: tuple[float, float]) -> list[float]:
-    """sqrt(0.5) / bandwidth per side, the factor the swept inputs carry;
-    bandwidths that are not finite and > 0 raise DataError."""
+def _kernel_units(x: np.ndarray, y: np.ndarray, bandwidths: tuple[float, float]
+                  ) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """The scales sqrt(0.5) / bandwidth and x and y times them, as the sweep
+    reads them. Bandwidths not finite and > 0 raise DataError; samples whose
+    range in these units is not finite raise DegenerateDataError."""
     if not all(np.isfinite(bw) and bw > 0 for bw in bandwidths):
         raise DataError(f"bandwidths must be finite and positive, got {bandwidths}")
-    return [np.sqrt(0.5) / bw for bw in bandwidths]
+    scales = [np.sqrt(0.5) / bw for bw in bandwidths]
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = x * scales[0], y * scales[1]
+        if not (np.isfinite(np.ptp(u)) and np.isfinite(np.ptp(v))):
+            raise DegenerateDataError("samples too far apart: their range in "
+                                      "bandwidth units is not finite")
+    return scales, u, v
 
 
 def _worker_count(tasks: int) -> int:
@@ -210,7 +218,8 @@ def _gram_row_sums(w: np.ndarray) -> np.ndarray | None:
     chunk = max(1, 2 * _STRIP * _CHUNK // n)
     for g in range(0, groups, chunk):
         d = np.subtract.outer(centres[g:g + chunk], s)
-        power = np.exp(-np.square(d))
+        with np.errstate(over="ignore"):  # exp(-inf) is the kernel's exact 0
+            power = np.exp(-np.square(d))
         moments = np.empty((_TERMS, d.shape[0]))
         moments[0] = power.sum(axis=1)
         for k in range(1, _TERMS):
@@ -269,7 +278,8 @@ def _sweep(u: np.ndarray, v: np.ndarray, reduce_strip,
             shape = (2, rows.stop - r, cols.stop - j)
             grams, spare = (b[:2 * shape[1] * shape[2]].reshape(shape) for b in bufs[k])
             _outer_sum(differences, rows, cols, grams)
-            np.exp(np.negative(np.square(grams, out=grams), out=grams), out=grams)
+            with np.errstate(over="ignore"):  # exp(-inf) is the kernel's exact 0
+                np.exp(np.negative(np.square(grams, out=grams), out=grams), out=grams)
             if centring is not None:
                 np.subtract(grams, _outer_sum(centring, rows, cols, spare), out=spare)
             values[t], m = reduce(r - i if j == i else None, rows, cols, grams, spare)
@@ -378,9 +388,9 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
     worker builds the K and L strips of a task together in its own two
     1 MB buffers. The per-strip sums are added exactly, so the result is
     bit-identical for any worker count. At n = 8000 on two CPUs it takes
-    about 0.18 s and peaks at 5.9 MB (tracemalloc). Non-finite samples,
-    bandwidths that are not finite and > 0, and an alpha outside (0, 1)
-    raise DataError.
+    about 0.18 s and peaks at 5.9 MB (tracemalloc). Non-finite samples or
+    ones whose range in bandwidth units is not, bandwidths that are not
+    finite and > 0, and an alpha outside (0, 1) raise DataError.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -395,8 +405,7 @@ def hsic_statistic(x: np.ndarray, y: np.ndarray, alpha: float = DEFAULT_ALPHA,
         raise DataError(f"alpha must lie in (0, 1), got {alpha}")
     if bandwidths is None:
         bandwidths = (median_bandwidth(x), median_bandwidth(y))
-    sx, sy = _kernel_scales(bandwidths)
-    stat, var, mu_x, mu_y = _blockwise_moments(x * sx, y * sy, n)
+    stat, var, mu_x, mu_y = _blockwise_moments(*_kernel_units(x, y, bandwidths)[1:], n)
     # gamma moment-matched to the null mean/variance of the statistic
     mean = max((1.0 + mu_x * mu_y - mu_x - mu_y) / n, 1e-300)
     var = max(var, 1e-300)
@@ -422,8 +431,9 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
     pass forms Kc o Lc, K o Lc and L o Kc strip task by strip task
     (_loss_sums), and the per-strip results are added up in task order, so
     the value and gradients are the same bits for any worker count and no
-    n x n buffer is held. Non-finite samples raise DataError, with
-    bandwidths given or not.
+    n x n buffer is held. Non-finite samples, or ones whose range in
+    bandwidth units is not finite, raise DataError, with bandwidths given
+    or not.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -444,8 +454,8 @@ def hsic_loss(x: np.ndarray, y: np.ndarray,
 
     if bandwidths is None:
         bandwidths = (safe_bw(x), safe_bw(y))
-    scales = _kernel_scales(bandwidths)
-    value, sums = _loss_sums(x[:, 0] * scales[0], y[:, 0] * scales[1])
+    scales, u, v = _kernel_units(x[:, 0], y[:, 0], bandwidths)
+    value, sums = _loss_sums(u, v)
     # d/dw_i sum(Kc o Lc) / n = -(4/n) sum_j m_ij (w_i - w_j) with m = K o Lc
     # for x and m = L o Kc for y, then the chain through the scale
     grad_x, grad_y = ((-4.0 * scale / n) * s[:, None] for s, scale in zip(sums, scales))

@@ -100,7 +100,6 @@ class TestTransformLoss:
                              anm.TransformNetPair(CONFIG, seed=5).store.names())
     def test_matches_finite_differences(self, name):
         net, bp, bt = self.setup_net()
-        net.store.zero_grad()
         ad.backward(anm._transform_loss(net, bp, bt))
         _, frozen = frozen_objective(net, bp, bt)
         p = net.store[name]
@@ -115,6 +114,16 @@ class TestTransformLoss:
             p.data[i] = orig
             fd[i] = (up - down) / (2 * h)
         assert np.abs(p.grad - fd).max() <= 1e-6 * max(np.abs(fd).max(), 1e-3), name
+
+    def test_backward_writes_over_a_nan_filled_buffer(self):
+        # the node writes every gradient once, so nothing left in the buffer
+        # from before (here NaN) reaches a gradient
+        net, bp, bt = self.setup_net()
+        for name in net.store.names():
+            net.store[name].grad[...] = np.nan
+        ad.backward(anm._transform_loss(net, bp, bt))
+        for name in net.store.names():
+            assert np.isfinite(net.store[name].grad).all(), name
 
 
 class TestResiduals:

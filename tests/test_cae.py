@@ -195,7 +195,6 @@ class TestCombinedLoss:
         def masked_loss():
             return select(cae.loss_terms(model, bx, by, np.random.default_rng(3)), "cross_x")
 
-        model.store.zero_grad()
         ad.backward(masked_loss())
         g = model.net_y.param("enc.w0").grad
         assert np.abs(g).max() > 0.0
@@ -234,7 +233,6 @@ class TestLossGradient:
             terms = cae.loss_terms(model, bx, by, np.random.default_rng(38))
             return cae.combine(terms, self.BETA, self.GAMMA)
 
-        model.store.zero_grad()
         ad.backward(loss())
         p = model.store[name]
         fd = np.zeros_like(p.data)
@@ -253,6 +251,19 @@ class TestLossGradient:
         if name.endswith("dec.w0"):
             mask = model.net_x.dec[0][2]
             assert not (p.grad * (1.0 - mask)).any()  # off-block weights stay put
+
+    def test_backward_writes_over_a_nan_filled_buffer(self):
+        # the node writes every gradient once, so nothing left in the buffer
+        # from before (here NaN) reaches a gradient
+        model = self.model()
+        for name in model.store.names():
+            model.store[name].grad[...] = np.nan
+        rng_data = np.random.default_rng(39)
+        terms = cae.loss_terms(model, rng_data.normal(size=(9, 6)),
+                               rng_data.normal(size=(9, 5)), np.random.default_rng(40))
+        ad.backward(cae.combine(terms, self.BETA, self.GAMMA))
+        for name in model.store.names():
+            assert np.isfinite(model.store[name].grad).all(), name
 
 
 class TestKlMonteCarlo:

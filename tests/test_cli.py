@@ -16,7 +16,7 @@ import pytest
 
 from macrobottle import autodiff as ad
 from macrobottle import anm, cae, cli, datagen, dataio
-from macrobottle.errors import NumericalError
+from macrobottle.errors import DimensionError, NumericalError
 
 
 def run(argv):
@@ -134,6 +134,18 @@ class TestGen:
         assert run(["gen", "--n", "1000", "--out", str(tmp_path / "g")]) == cli.EXIT_DATA
         assert capsys.readouterr().err == "data error: Unable to allocate 8000 bytes\n"
         assert not (tmp_path / "g").exists()
+
+    def test_other_package_error_exits_3_without_a_traceback(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a package error that is neither a data nor a numerical error takes
+        # main's generic branch
+        def wrong_shape(n, seed):
+            raise DimensionError("latents of the wrong shape")
+
+        monkeypatch.setattr(datagen, "gen_main_synthetic", wrong_shape)
+        assert run(["gen", "--n", "30", "--out", str(tmp_path / "g")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: latents of the wrong shape\n" and "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -175,8 +175,7 @@ def safe_bandwidth(w):
 def scaled_inputs(x, y):
     """x and y times sqrt(0.5) / safe_bandwidth, as hsic_statistic hands
     them to _blockwise_moments."""
-    sx, sy = hsic._kernel_scales((safe_bandwidth(x), safe_bandwidth(y)))
-    return x * sx, y * sy
+    return hsic._kernel_units(x, y, (safe_bandwidth(x), safe_bandwidth(y)))[1:]
 
 
 def assert_outer_differences_are_subtract(a, b, rows, cols):
@@ -508,6 +507,49 @@ ROW_SUM_INPUTS = {
     # cell off for odd j
     "cells_past_2^52": lambda: 2.0**49 + np.arange(100) % 3 / 8,
 }
+
+
+def far_apart(*far):
+    """500 uniform(-1, 1) samples with the first len(far) replaced by far,
+    and a y that depends on the unreplaced ones."""
+    rng = np.random.default_rng(26)
+    x = rng.uniform(-1.0, 1.0, 500)
+    y = np.tanh(2.0 * x) + 0.1 * rng.normal(size=500)
+    x[:len(far)] = far
+    return x, y
+
+
+class TestFarSamples:
+    # a sample far from the rest has the kernel's exact 0, exp(-inf), with
+    # every other one; clipped to 1e3 it has the same zeros and leaves the
+    # median bandwidth where it is
+    @pytest.mark.parametrize("far, series", [(1e300, True), (1e308, False)])
+    def test_far_sample_matches_a_clipped_copy(self, far, series):
+        x, y = far_apart(far)
+        clipped = np.minimum(x, 1e3)
+        bw = (hsic.median_bandwidth(x), hsic.median_bandwidth(y))
+        assert bw[0] == hsic.median_bandwidth(clipped)
+        # scaled to about 1e308, the far sample's cell index is not finite,
+        # so the strips take the row sums
+        assert (hsic._gram_row_sums(x * (np.sqrt(0.5) / bw[0])) is not None) == series
+        res = hsic.hsic_statistic(x, y)
+        statistic, threshold = dense_reference(clipped, y, *bw)
+        assert abs(res.statistic - statistic) <= 5e-15 * statistic
+        assert abs(res.threshold - threshold) <= 1e-9 * threshold
+        got = hsic.hsic_loss(x[:, None], y[:, None])
+        assert_loss_near_reference(got, clipped[:, None], y[:, None], bw)
+
+    @pytest.mark.parametrize("far", [(1.7e308,), (1e308, -1e308)])
+    @pytest.mark.parametrize("call", ["statistic", "loss"])
+    def test_range_beyond_the_largest_float_is_data_error(self, far, call):
+        # 1.7e308 overflows once scaled; +-1e308 scale to finite values whose
+        # difference overflows
+        x, y = far_apart(*far)
+        with pytest.raises(DataError, match="range in bandwidth units"):
+            if call == "statistic":
+                hsic.hsic_statistic(x, y)
+            else:
+                hsic.hsic_loss(x[:, None], y[:, None])
 
 
 class TestRowSums:
